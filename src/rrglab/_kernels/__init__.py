@@ -18,6 +18,5 @@ else:
 
 BACKEND = _impl.BACKEND
 run_switch_steps = _impl.run_switch_steps
-run_until_accept = _impl.run_until_accept
 
-__all__ = ["BACKEND", "run_switch_steps", "run_until_accept"]
+__all__ = ["BACKEND", "run_switch_steps"]

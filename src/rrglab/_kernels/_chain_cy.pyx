@@ -44,32 +44,3 @@ def run_switch_steps(unsigned char[:, ::1] adj, long long[:, ::1] tuples):
                 accepted += 1
     return accepted
 
-
-def run_until_accept(unsigned char[:, ::1] adj, long long[:, ::1] tuples,
-                     Py_ssize_t start):
-    """Process tuples from row ``start`` until one is accepted.
-
-    Mutates ``adj`` through the first accepted switch and returns the row
-    index just past it; returns -1 if the block is exhausted without an
-    acceptance.
-    """
-    cdef Py_ssize_t b = tuples.shape[0]
-    cdef Py_ssize_t t, i, j, m, n
-    for t in range(start, b):
-        i = <Py_ssize_t> tuples[t, 0]
-        j = <Py_ssize_t> tuples[t, 1]
-        m = <Py_ssize_t> tuples[t, 2]
-        n = <Py_ssize_t> tuples[t, 3]
-        if (adj[i, j] != 0 and adj[m, n] != 0
-                and adj[i, m] == 0 and adj[i, n] == 0
-                and adj[j, m] == 0 and adj[j, n] == 0):
-            adj[i, j] = 0
-            adj[j, i] = 0
-            adj[m, n] = 0
-            adj[n, m] = 0
-            adj[i, m] = 1
-            adj[m, i] = 1
-            adj[j, n] = 1
-            adj[n, j] = 1
-            return t + 1
-    return -1

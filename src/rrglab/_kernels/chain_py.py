@@ -26,24 +26,3 @@ def run_switch_steps(adj, tuples):
             accepted += 1
     return accepted
 
-
-def run_until_accept(adj, tuples, start):
-    """Process tuples from row ``start`` until one is accepted.
-
-    Mutates ``adj`` through the first accepted switch and returns the row
-    index just past it; returns -1 if the block is exhausted without an
-    acceptance.
-    """
-    a = adj
-    b = tuples.shape[0]
-    for t in range(start, b):
-        i, j, m, n = tuples[t]
-        if (a[i, j] != 0 and a[m, n] != 0
-                and a[i, m] == 0 and a[i, n] == 0
-                and a[j, m] == 0 and a[j, n] == 0):
-            a[i, j] = a[j, i] = 0
-            a[m, n] = a[n, m] = 0
-            a[i, m] = a[m, i] = 1
-            a[j, n] = a[n, j] = 1
-            return t + 1
-    return -1

@@ -20,49 +20,17 @@ of directed edges, and ``invariance_report`` verifies stationarity and
 detailed balance exactly on exhaustively enumerated state spaces.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .graphs import RegularGraph, enumerate_regular_graphs, tuple_switchable
+from .graphs import RegularGraph, enumerate_regular_graphs
 from .streams import rng_stream
 
 # Tuples are drawn from the RNG in blocks of this many steps; any block size
 # yields the same trajectory because draws are consumed element by element.
 DEFAULT_BLOCK_SIZE = 1 << 15
-
-
-@dataclass
-class JumpChainState:
-    """One chain: current graph, step/acceptance counters, RNG stream."""
-
-    graph: RegularGraph
-    steps_taken: int = 0
-    accepted_switches: int = 0
-    rng: np.random.Generator = None
-
-    def __post_init__(self):
-        if self.rng is None:
-            self.rng = rng_stream(0)
-        if self.accepted_switches > self.steps_taken:
-            raise ValueError("accepted_switches cannot exceed steps_taken")
-
-
-def jump_step(state):
-    """Advance the chain by one step; returns the new state.
-
-    Draws one 4-tuple from the state's RNG stream (advancing it in place)
-    and applies the switching when the acceptance indicator holds.
-    """
-    n = state.graph.n_vertices
-    tuples = state.rng.integers(0, n, size=(1, 4), dtype=np.int64)
-    adj = state.graph.adjacency_copy()
-    accepted = _kernels.run_switch_steps(adj, tuples)
-    graph = RegularGraph(adj, validate=False) if accepted else state.graph
-    return replace(state, graph=graph,
-                   steps_taken=state.steps_taken + 1,
-                   accepted_switches=state.accepted_switches + accepted)
 
 
 def run_chain(graph, n_steps, seed=None, rng=None, block_size=DEFAULT_BLOCK_SIZE):
@@ -89,46 +57,6 @@ def run_chain(graph, n_steps, seed=None, rng=None, block_size=DEFAULT_BLOCK_SIZE
     return RegularGraph(adj, validate=False), accepted
 
 
-def chain_visit_counts(graph, n_steps, seed=None, rng=None,
-                       block_size=DEFAULT_BLOCK_SIZE):
-    """Histogram of the states visited by the chain.
-
-    Counts the state occupied after each of the ``n_steps`` steps (rejected
-    steps count as revisits), keyed by ``RegularGraph.canonical_key``.  The
-    counts sum to ``n_steps``; used for chi-square uniformity checks against
-    enumerated state spaces.
-    """
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
-    n = graph.n_vertices
-    triu = np.triu_indices(n, 1)
-    adj = graph.adjacency_copy()
-    counts = {}
-
-    def bump(key, by):
-        counts[key] = counts.get(key, 0) + by
-
-    cur_key = adj[triu].tobytes()
-    remaining = n_steps
-    while remaining:
-        block = min(block_size, remaining)
-        tuples = rng.integers(0, n, size=(block, 4), dtype=np.int64)
-        start = 0
-        while start < block:
-            nxt = _kernels.run_until_accept(adj, tuples, start)
-            if nxt < 0:
-                bump(cur_key, block - start)
-                break
-            dwell = nxt - 1 - start
-            if dwell:
-                bump(cur_key, dwell)
-            cur_key = adj[triu].tobytes()
-            bump(cur_key, 1)
-            start = nxt
-        remaining -= block
-    return counts
-
-
 def switchable_tuples(graph):
     """All tuples (i, j, m, n) accepted by the jump chain, as an (K, 4) array.
 
@@ -153,14 +81,23 @@ def switchable_tuples(graph):
     return np.concatenate(blocks).astype(np.int64)
 
 
-def acceptance_probability(graph):
-    """Exact single-step acceptance probability: (1/N^4) * sum of indicators."""
-    n = graph.n_vertices
-    return len(switchable_tuples(graph)) / float(n) ** 4
+def tuple_switchable(i, j, m, n, graph):
+    """1 if (i,j) and (m,n) are edges with no cross edges among the 4 cross pairs.
+
+    This is the acceptance rule of the jump chain: A_ij A_mn (1-A_im)(1-A_in)
+    (1-A_jm)(1-A_jn); coincident vertices always yield 0 because the diagonal
+    vanishes.
+    """
+    a = graph.adjacency
+    return int(a[i, j] and a[m, n]
+               and not (a[i, m] or a[i, n] or a[j, m] or a[j, n]))
 
 
 def switched_graph(graph, i, j, m, n):
-    """The result of the accepted switching (i,j),(m,n) -> (i,m),(j,n)."""
+    """The result of the accepted switching (i,j),(m,n) -> (i,m),(j,n).
+
+    The reversed tuple (i,m,j,n) is accepted on the result and undoes it.
+    """
     adj = graph.adjacency_copy()
     adj[i, j] = adj[j, i] = adj[m, n] = adj[n, m] = 0
     adj[i, m] = adj[m, i] = adj[j, n] = adj[n, j] = 1

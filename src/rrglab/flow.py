@@ -431,6 +431,13 @@ class EmfSolution:
     def final(self):
         return self.values[-1]
 
+    def value_at(self, t):
+        """The solution at a time the integration landed on exactly."""
+        hits = np.flatnonzero(self.times == t)
+        if not hits.size:
+            raise ValueError(f"t={t:g} is not a time of this solution")
+        return self.values[hits[0]]
+
 
 def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
               tol=1e-8, cfl=0.25, min_gap=1e-8, max_steps=100_000):
@@ -441,6 +448,10 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
     snapshots).  Classic RK4 with step-doubling error control, plus a CFL
     cap dt * max total exit rate <= ``cfl`` which keeps every accepted step
     an L-infinity contraction (checked and recorded).
+
+    ``t_end`` is one time or a sorted grid of times; a single integration
+    from t = 0 lands exactly on each of them (see ``EmfSolution.value_at``),
+    and the step sequence up to the first time does not depend on the rest.
     """
     path_times = np.asarray(path_times, dtype=np.float64)
     path_values = np.asarray(path_values, dtype=np.float64)
@@ -466,37 +477,44 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
         k4 = rates(t + dt) @ (y + dt * k3)
         return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    targets = np.atleast_1d(np.asarray(t_end, dtype=np.float64))
+    if (np.diff(targets) < 0).any() or (targets < 0).any():
+        raise ValueError("t_end must be a nonnegative time or sorted grid")
+
     times = [0.0]
     history = [f.copy()]
     sup_norms = [float(np.abs(f).max())]
     contraction_ok = True
     t = 0.0
-    dt = min(t_end, 1e-3) if t_end > 0 else 0.0
+    dt = 1e-3
     n_accepted = n_rejected = 0
-    while t < t_end:
-        if n_accepted + n_rejected > max_steps:
-            raise ConvergenceError("moment-flow step budget exhausted")
-        max_rate = float(-np.diag(rates(t)).min())
-        if max_rate > 0:
-            dt = min(dt, cfl / max_rate)
-        dt = min(dt, t_end - t)
-        full = rk4(f, t, dt)
-        half = rk4(rk4(f, t, dt / 2.0), t + dt / 2.0, dt / 2.0)
-        err = float(np.abs(half - full).max()) / max(float(np.abs(half).max()), 1.0)
-        if err > tol:
-            n_rejected += 1
-            dt *= max(0.2, 0.9 * (tol / err) ** 0.2)
-            continue
-        new_sup = float(np.abs(half).max())
-        if new_sup > sup_norms[-1] * (1.0 + 1e-12) + 1e-300:
-            contraction_ok = False
-        f = half
-        t += dt
-        n_accepted += 1
-        times.append(t)
-        history.append(f.copy())
-        sup_norms.append(new_sup)
-        dt *= min(2.0, 0.9 * (tol / err) ** 0.2) if err > 0 else 2.0
+    for target in targets.tolist():
+        while t < target:
+            if n_accepted + n_rejected > max_steps:
+                raise ConvergenceError("moment-flow step budget exhausted")
+            max_rate = float(-np.diag(rates(t)).min())
+            if max_rate > 0:
+                dt = min(dt, cfl / max_rate)
+            landing = dt >= target - t
+            dt = min(dt, target - t)
+            full = rk4(f, t, dt)
+            half = rk4(rk4(f, t, dt / 2.0), t + dt / 2.0, dt / 2.0)
+            err = (float(np.abs(half - full).max())
+                   / max(float(np.abs(half).max()), 1.0))
+            if err > tol:
+                n_rejected += 1
+                dt *= max(0.2, 0.9 * (tol / err) ** 0.2)
+                continue
+            new_sup = float(np.abs(half).max())
+            if new_sup > sup_norms[-1] * (1.0 + 1e-12) + 1e-300:
+                contraction_ok = False
+            f = half
+            t = target if landing else t + dt
+            n_accepted += 1
+            times.append(t)
+            history.append(f.copy())
+            sup_norms.append(new_sup)
+            dt *= min(2.0, 0.9 * (tol / err) ** 0.2) if err > 0 else 2.0
     return EmfSolution(configs=configs, times=np.array(times),
                        values=np.stack(history), sup_norms=np.array(sup_norms),
                        contraction_ok=contraction_ok,

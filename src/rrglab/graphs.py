@@ -1,22 +1,14 @@
-"""Simple d-regular graphs on labeled vertices, and edge switchings.
+"""Simple d-regular graphs on labeled vertices: storage, sampling, enumeration.
 
 A graph is stored as a dense symmetric 0/1 adjacency matrix (uint8) with
 zero diagonal, which gives O(1) edge membership and O(1) application of an
 edge switching.  ``RegularGraph`` values are immutable from the caller's
 perspective: operations return new graphs, and the long-running jump chain
-(see ``rrglab.chain``) mutates only private copies.
-
-The simple switching at an ordered vertex 4-tuple S = (i, j, k, l) removes
-the edge pair {i,j}, {k,l} and inserts {i,k}, {j,l} (or the reverse), and
-is defined exactly when the four vertices are distinct and the subgraph
-they induce is 1-regular, i.e. carries a perfect matching and nothing else.
-Switchings preserve the degree sequence and, run as a random walk, have the
-uniform distribution on d-regular graphs as their stationary law.
+(see ``rrglab.chain``, which owns the switching rule) mutates only private
+copies.
 """
 
-import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +24,6 @@ DEFAULT_BURN_IN_FACTOR = 20
 
 class SamplingError(RuntimeError):
     """Raised when the graph sampler exhausts its restart budget."""
-
-
-class DegreeRangeWarning(UserWarning):
-    """Degree is outside the bulk-universality window [n^a, n^(2/3 - a)]."""
-
-
-@dataclass(frozen=True)
-class EdgePair:
-    """Ordered vertex 4-tuple S = (i, j, k, l) naming the edge pair {i,j}, {k,l}."""
-
-    i: int
-    j: int
-    k: int
-    l: int
-
-    def vertices(self):
-        return (self.i, self.j, self.k, self.l)
-
-    def is_distinct(self):
-        return len(set(self.vertices())) == 4
 
 
 class RegularGraph:
@@ -130,66 +102,8 @@ def _validate_adjacency(adj):
         raise ValueError("graph must be regular (constant degree)")
 
 
-def switch_indicator(site, graph):
-    """1 if the switching at ``site`` acts: distinct vertices, induced 1-regular."""
-    if not site.is_distinct():
-        return 0
-    verts = site.vertices()
-    a = graph.adjacency
-    sub = a[np.ix_(verts, verts)]
-    return int((sub.sum(axis=1) == 1).all())
-
-
-def pairs_disjoint(site1, site2):
-    """1 if the two 4-tuples touch disjoint vertex sets."""
-    return int(not set(site1.vertices()) & set(site2.vertices()))
-
-
-def apply_switch(site, graph):
-    """Apply the simple switching at ``site``; identity when it does not act.
-
-    When the induced matching is {i,j},{k,l} those edges are replaced by
-    {i,k},{j,l}; when it is {i,k},{j,l} the replacement runs in reverse; the
-    third matching {i,l},{j,k} is a fixed point.  The map is an involution.
-    """
-    if not switch_indicator(site, graph):
-        return graph
-    i, j, k, l = site.vertices()
-    a = graph.adjacency
-    adj = graph.adjacency_copy()
-    if a[i, j] and a[k, l]:
-        adj[i, j] = adj[j, i] = adj[k, l] = adj[l, k] = 0
-        adj[i, k] = adj[k, i] = adj[j, l] = adj[l, j] = 1
-    elif a[i, k] and a[j, l]:
-        adj[i, k] = adj[k, i] = adj[j, l] = adj[l, j] = 0
-        adj[i, j] = adj[j, i] = adj[k, l] = adj[l, k] = 1
-    else:
-        return graph
-    return RegularGraph(adj, validate=False)
-
-
-def apply_double_switch(site1, site2, graph):
-    """Apply the switchings at two vertex-disjoint sites (they commute)."""
-    if not pairs_disjoint(site1, site2):
-        raise ValueError("double switching requires vertex-disjoint sites")
-    return apply_switch(site1, apply_switch(site2, graph))
-
-
-def tuple_switchable(i, j, m, n, graph):
-    """1 if (i,j) and (m,n) are edges with no cross edges among the 4 cross pairs.
-
-    This is the acceptance rule of the jump chain: A_ij A_mn (1-A_im)(1-A_in)
-    (1-A_jm)(1-A_jn); coincident vertices always yield 0 because the diagonal
-    vanishes.
-    """
-    a = graph.adjacency
-    return int(a[i, j] and a[m, n]
-               and not (a[i, m] or a[i, n] or a[j, m] or a[j, n]))
-
-
 def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
-                         burn_in=None, method="auto", alpha=0.1,
-                         max_attempts=1000):
+                         burn_in=None, method="auto", max_attempts=1000):
     """Sample an approximately uniform random d-regular graph.
 
     Draws a simple d-regular graph by stub pairing and then mixes it with
@@ -203,8 +117,7 @@ def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
       greedy otherwise.
 
     Raises ``SamplingError`` when ``max_attempts`` restarts are exhausted,
-    and ``ValueError`` for an infeasible (n, d).  Degrees outside the window
-    [n^alpha, n^(2/3 - alpha)] trigger a ``DegreeRangeWarning``.
+    and ``ValueError`` for an infeasible (n, d).
     """
     if n_vertices <= 0:
         raise ValueError("need at least one vertex")
@@ -214,15 +127,6 @@ def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
         raise ValueError(f"n*d must be even, got n={n_vertices} d={degree}")
     if rng is None:
         rng = rng_stream(0 if seed is None else seed)
-
-    if degree > 0 and n_vertices > 3:
-        lo = n_vertices ** alpha
-        hi = n_vertices ** (2.0 / 3.0 - alpha)
-        if not lo <= degree <= hi:
-            warnings.warn(
-                f"degree d={degree} outside bulk window [{lo:.2f}, {hi:.2f}] "
-                f"for n={n_vertices}; spectral claims are calibrated inside it",
-                DegreeRangeWarning, stacklevel=2)
 
     if degree == 0:
         return RegularGraph(np.zeros((n_vertices, n_vertices), dtype=np.uint8))

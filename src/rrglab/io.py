@@ -84,12 +84,6 @@ def write_csv(path, header, rows):
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def write_matrix_csv(path, mat):
-    """Debug emitter: one matrix row per CSV row."""
-    n = mat.shape[1]
-    write_csv(path, [f"col_{j}" for j in range(n)], np.asarray(mat))
-
-
 def write_gap_csv(path, entries, indices, sample_ids):
     write_csv(path, ["index", "sample_id", "gap"],
               zip(indices, sample_ids, entries))

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rrglab._kernels import chain_py
-from rrglab.chain import (JumpChainState, acceptance_probability,
-                          chain_visit_counts, invariance_report,
-                          jump_generator_apply, jump_step, run_chain,
-                          switchable_tuples, switched_graph)
-from rrglab.graphs import (EdgePair, apply_switch, enumerate_regular_graphs,
-                           sample_regular_graph, tuple_switchable)
+from conftest import cycle_adjacency
+from rrglab._kernels import chain_py, run_switch_steps
+from rrglab.chain import (invariance_report, jump_generator_apply, run_chain,
+                          switchable_tuples, switched_graph, tuple_switchable)
+from rrglab.graphs import RegularGraph, enumerate_regular_graphs
 from rrglab.streams import rng_stream
 
 try:
@@ -56,18 +54,6 @@ def test_switchable_tuples_match_scan(graph_24_4):
         assert switched_graph(g2, i, m, j, n) == graph_24_4
 
 
-def test_acceptance_probability_counts_tuples(graph_16_3):
-    expected = len(switchable_tuples(graph_16_3)) / 16.0 ** 4
-    assert acceptance_probability(graph_16_3) == expected
-
-
-def test_switched_graph_matches_apply_switch(graph_24_4):
-    for i, j, m, n in switchable_tuples(graph_24_4)[:20]:
-        via_site = apply_switch(EdgePair(int(i), int(j), int(m), int(n)),
-                                graph_24_4)
-        assert switched_graph(graph_24_4, i, j, m, n) == via_site
-
-
 def test_hexagonal_state_space_has_no_moves():
     report = invariance_report(6, 3)
     assert report.passed
@@ -102,6 +88,15 @@ def test_run_chain_preserves_regularity(graph_24_4):
     assert not final.adjacency.diagonal().any()
 
 
+def test_rejected_tuple_leaves_graph_unchanged():
+    # on the hexagon the cross pair {1, 2} of (0, 1, 2, 3) is an edge
+    graph = RegularGraph(cycle_adjacency(6))
+    adj = graph.adjacency_copy()
+    assert not tuple_switchable(0, 1, 2, 3, graph)
+    assert run_switch_steps(adj, np.array([[0, 1, 2, 3]], dtype=np.int64)) == 0
+    assert np.array_equal(adj, graph.adjacency)
+
+
 def test_kernel_backends_produce_identical_trajectories(graph_24_4):
     if _chain_cy is None:
         pytest.skip("compiled kernel unavailable")
@@ -112,32 +107,6 @@ def test_kernel_backends_produce_identical_trajectories(graph_24_4):
     acc_cy = _chain_cy.run_switch_steps(adj_cy, tuples)
     assert acc_py == acc_cy > 0
     assert np.array_equal(adj_py, adj_cy)
-
-
-def test_run_until_accept_consumes_prefix(graph_24_4):
-    tuples = rng_stream(9).integers(0, 24, size=(20000, 4), dtype=np.int64)
-    adj = graph_24_4.adjacency_copy()
-    nxt = chain_py.run_until_accept(adj, tuples, 0)
-    assert nxt > 0
-    i, j, m, n = tuples[nxt - 1]
-    assert adj[i, m] == 1 and adj[i, j] == 0  # that row was the acceptance
-    if _chain_cy is not None:
-        adj2 = graph_24_4.adjacency_copy()
-        assert _chain_cy.run_until_accept(adj2, tuples, 0) == nxt
-        assert np.array_equal(adj, adj2)
-
-
-def test_jump_step_advances_counters(graph_24_4):
-    state = JumpChainState(graph_24_4, rng=rng_stream(10))
-    for _ in range(200):
-        state = jump_step(state)
-    assert state.steps_taken == 200
-    assert 0 <= state.accepted_switches <= 200
-
-
-def test_visit_counts_sum_to_steps(graph_16_3):
-    counts = chain_visit_counts(graph_16_3, 3000, seed=6)
-    assert sum(counts.values()) == 3000
 
 
 def test_uniform_start_stays_uniform_on_cubic_eight():

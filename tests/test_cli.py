@@ -87,6 +87,18 @@ def test_failed_thresholds_exit_3(tmp_path):
     assert manifest["acceptance_ok"] is False
 
 
+def test_single_replica_emf_check_fails(tmp_path):
+    """One replica has no Monte Carlo standard error, so no sigma passes."""
+    cfg = tmp_path / "emf.cfg"
+    cfg.write_text("t_grid = 0.01\n")
+    out = tmp_path / "out"
+    status = main(["emf-check", "--config", str(cfg), "--samples", "1",
+                   "--seed", "0", "--out", str(out)])
+    assert status == EXIT_ACCEPTANCE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["acceptance_ok"] is False
+
+
 def test_repeat_runs_write_identical_artifacts(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 120\nd = 6\n")

@@ -180,7 +180,6 @@ def test_switch_generator_matches_direct_redecomposition():
     assert abs(fast - direct) < 1e-10 * max(1.0, abs(direct))
 
 
-@pytest.mark.filterwarnings("ignore::rrglab.graphs.DegreeRangeWarning")
 def test_switch_generator_vanishes_without_moves():
     # the hexagonal state space admits no switching moves at all
     graph = sample_regular_graph(6, 3, rng=rng_stream(18), burn_in=0)
@@ -210,7 +209,6 @@ def test_estimate_seminorm_is_deterministic_and_positive():
     assert a == b > 0
 
 
-@pytest.mark.filterwarnings("ignore::rrglab.graphs.DegreeRangeWarning")
 def test_qf_lf_compare_row_contents():
     rows = qf_lf_compare(16, (4, 8), 0.5j, 4, seed=0,
                          seminorm_samples=2, seminorm_probes=4)
@@ -277,6 +275,25 @@ def test_emf_solve_approaches_uniform_equilibrium():
     f0 = np.array([1.0, 0.0, 0.0, 0.0])
     sol = emf_solve(path_t, path, 1, f0, 80.0, n_ambient=5)
     assert np.abs(sol.final - 0.25).max() < 1e-5
+
+
+def test_emf_solve_grid_matches_separate_solves():
+    # one integration over a sorted grid takes the first time's steps
+    # exactly, and later times agree with fresh solves to within tolerance
+    path_t = np.array([0.0, 1.0])
+    path = np.vstack([[-1.0, 0.1, 0.9], [-0.8, -0.1, 1.1]])
+    f0 = np.array([1.0, 0.0, 0.0])
+    grid = emf_solve(path_t, path, 1, f0, [0.1, 0.5], n_ambient=4)
+    first = emf_solve(path_t, path, 1, f0, 0.1, n_ambient=4)
+    last = emf_solve(path_t, path, 1, f0, 0.5, n_ambient=4)
+    assert np.array_equal(grid.value_at(0.1), first.final)
+    assert np.array_equal(grid.value_at(0.5), grid.final)
+    assert np.abs(grid.final - last.final).max() < 1e-7
+    assert grid.n_accepted < first.n_accepted + last.n_accepted
+    with pytest.raises(ValueError, match="not a time"):
+        grid.value_at(0.3)
+    with pytest.raises(ValueError, match="sorted grid"):
+        emf_solve(path_t, path, 1, f0, [0.5, 0.1], n_ambient=4)
 
 
 def test_emf_solve_respects_step_budget():

@@ -1,4 +1,4 @@
-"""Graph layer: switchings, sampling, and exhaustive enumeration.
+"""Graph layer: sampling, exhaustive enumeration, and the switching rule.
 
 Enumeration oracles are independent of the code under test: labeled
 2-regular graph counts come from a cycle-partition formula evaluated here,
@@ -10,18 +10,15 @@ sequence (OEIS A005814).
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import cycle_adjacency
-from rrglab.graphs import (DegreeRangeWarning, EdgePair, RegularGraph,
-                           apply_switch, apply_double_switch,
-                           enumerate_regular_graphs, pairs_disjoint,
-                           sample_regular_graph, switch_indicator,
-                           tuple_switchable)
+from rrglab.chain import switched_graph, tuple_switchable
+from rrglab.graphs import (RegularGraph, enumerate_regular_graphs,
+                           sample_regular_graph)
 from rrglab.streams import rng_stream
 
 LABELED_CUBIC_8 = 19355  # OEIS A005814
@@ -89,22 +86,21 @@ def test_enumerated_graphs_are_simple_and_regular():
         assert (adj.sum(axis=0) == 3).all()
 
 
-def test_switch_indicator_on_hexagon():
+def test_tuple_switchable_on_hexagon():
     graph = RegularGraph(cycle_adjacency(6))
     # both pairs are edges and no cross pair is adjacent
-    assert switch_indicator(EdgePair(0, 1, 3, 4), graph)
+    assert tuple_switchable(0, 1, 3, 4, graph)
     # cross pair {1, 2} is an edge
-    assert not switch_indicator(EdgePair(0, 1, 2, 3), graph)
+    assert not tuple_switchable(0, 1, 2, 3, graph)
     # {0, 2} is not an edge
-    assert not switch_indicator(EdgePair(0, 2, 3, 4), graph)
+    assert not tuple_switchable(0, 2, 3, 4, graph)
     # coincident vertices
-    assert not switch_indicator(EdgePair(0, 1, 1, 2), graph)
+    assert not tuple_switchable(0, 1, 1, 2, graph)
 
 
-def test_apply_switch_rewires_and_preserves_degrees():
+def test_switched_graph_rewires_and_preserves_degrees():
     graph = RegularGraph(cycle_adjacency(6))
-    site = EdgePair(0, 1, 3, 4)
-    switched = apply_switch(site, graph)
+    switched = switched_graph(graph, 0, 1, 3, 4)
     assert not switched.has_edge(0, 1) and not switched.has_edge(3, 4)
     assert switched.has_edge(0, 3) and switched.has_edge(1, 4)
     assert (switched.adjacency.sum(axis=0) == 2).all()
@@ -112,50 +108,45 @@ def test_apply_switch_rewires_and_preserves_degrees():
 
 
 def test_switch_is_an_involution():
+    # the reversed tuple (i, m, j, n) undoes the switch at (i, j, m, n)
     graph = RegularGraph(cycle_adjacency(6))
-    site = EdgePair(0, 1, 3, 4)
-    assert apply_switch(site, apply_switch(site, graph)) == graph
+    switched = switched_graph(graph, 0, 1, 3, 4)
+    assert switched_graph(switched, 0, 3, 1, 4) == graph
 
 
 def test_indicator_invariant_under_its_own_switch():
     graph = RegularGraph(cycle_adjacency(8))
-    site = EdgePair(0, 1, 4, 5)
-    assert switch_indicator(site, graph)
-    assert switch_indicator(site, apply_switch(site, graph))
+    assert tuple_switchable(0, 1, 4, 5, graph)
+    assert tuple_switchable(0, 4, 1, 5, switched_graph(graph, 0, 1, 4, 5))
 
 
-def test_apply_switch_is_identity_on_inactive_site():
+def test_tuple_switchable_accepts_only_the_named_matching():
+    # vertices (0, 1, 3, 4) induce the matching {0,1},{3,4}; a tuple is
+    # accepted only when (i,j) and (m,n) name exactly those two edges, so
+    # an order such as (0, 3, 4, 1) that pairs the vertices across the
+    # matching is rejected
     graph = RegularGraph(cycle_adjacency(6))
-    assert apply_switch(EdgePair(0, 1, 2, 3), graph) == graph
-
-
-def test_apply_switch_fixes_the_crossed_matching():
-    # vertices (0, 3, 4, 1) induce the matching {0,1},{3,4} = {i,l},{j,k},
-    # which the switching leaves alone
-    graph = RegularGraph(cycle_adjacency(6))
-    site = EdgePair(0, 3, 4, 1)
-    assert switch_indicator(site, graph)
-    assert apply_switch(site, graph) == graph
-
-
-def test_apply_double_switch_commutes_on_disjoint_sites():
-    graph = RegularGraph(cycle_adjacency(12))
-    s1, s2 = EdgePair(0, 1, 3, 4), EdgePair(6, 7, 9, 10)
-    assert pairs_disjoint(s1, s2)
-    assert (apply_double_switch(s1, s2, graph)
-            == apply_switch(s1, apply_switch(s2, graph)))
+    matching = {frozenset((0, 1)), frozenset((3, 4))}
+    for order in itertools.permutations((0, 1, 3, 4)):
+        named = {frozenset(order[:2]), frozenset(order[2:])}
+        assert tuple_switchable(*order, graph) == int(named == matching)
+    assert not tuple_switchable(0, 3, 4, 1, graph)
 
 
 def test_tuple_switchable_matches_edge_pair_indicator(graph_24_4):
-    # the chain's acceptance rule adds the requirement that the induced
-    # matching is exactly {i,j},{m,n}, not one of the crossed matchings
+    # independent oracle: the four vertices are distinct and induce a
+    # 1-regular subgraph (a perfect matching and nothing else); the chain's
+    # rule adds that the matching is exactly {i,j},{m,n}
     rng = rng_stream(5)
     adj = graph_24_4.adjacency
     hits = 0
     for _ in range(4000):
-        i, j, m, n = (int(v) for v in rng.integers(0, 24, size=4))
-        expected = int(switch_indicator(EdgePair(i, j, m, n), graph_24_4)
-                       and adj[i, j] and adj[m, n])
+        verts = [int(v) for v in rng.integers(0, 24, size=4)]
+        i, j, m, n = verts
+        induced = adj[np.ix_(verts, verts)]
+        one_regular = (len(set(verts)) == 4
+                       and bool((induced.sum(axis=1) == 1).all()))
+        expected = int(one_regular and adj[i, j] and adj[m, n])
         got = tuple_switchable(i, j, m, n, graph_24_4)
         assert got == expected
         hits += got
@@ -169,14 +160,6 @@ def test_sampler_validates_parameters():
         sample_regular_graph(4, 4)  # d >= n
     with pytest.raises(ValueError):
         sample_regular_graph(0, 0)
-
-
-def test_sampler_warns_outside_degree_window():
-    with pytest.warns(DegreeRangeWarning):
-        sample_regular_graph(100, 30, rng=rng_stream(0), burn_in=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sample_regular_graph(100, 3, rng=rng_stream(0), burn_in=0)
 
 
 def test_sampler_output_is_regular_and_deterministic():
@@ -215,11 +198,9 @@ def test_sampler_is_uniform_on_cubic_six():
     counts = np.zeros(len(enumerated))
     rng = rng_stream(12)
     draws = 4200
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegreeRangeWarning)
-        for _ in range(draws):
-            key = sample_regular_graph(6, 3, rng=rng).canonical_key()
-            counts[enumerated[key]] += 1
+    for _ in range(draws):
+        key = sample_regular_graph(6, 3, rng=rng).canonical_key()
+        counts[enumerated[key]] += 1
     assert counts.sum() == draws
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-3

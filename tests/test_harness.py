@@ -1,7 +1,9 @@
 """Experiment driver: reference ensembles, property suites, recipe wiring."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,17 @@ def test_involution_suite_all_properties_hold():
     suite = involution_suite(500, seed=3)
     assert suite == {"involution": True, "degree_conservation": True,
                      "indicator_invariant": True}
+
+
+def test_benchmark_layer_boundaries_exist():
+    # the traced benchmark wraps these (module, attribute) pairs by name
+    path = Path(__file__).resolve().parents[1] / "recipebench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("recipebench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr, _, _ in spans.LAYER_BOUNDARIES:
+        module = importlib.import_module(f"rrglab.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
 def test_recipe_registry_and_defaults():

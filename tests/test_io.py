@@ -19,7 +19,6 @@ from rrglab.io import (
     write_graph_text,
     write_manifest,
     write_matrix,
-    write_matrix_csv,
     write_plot_data,
     write_report_json,
     write_stieltjes_csv,
@@ -145,14 +144,6 @@ def test_plot_data_series_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "series,x,y"
     assert lines[1:] == ["rrg,0.0,0.5", "rrg,1.0,0.25", "goe,0.0,0.4"]
-
-
-def test_matrix_csv_debug_emitter(tmp_path):
-    path = tmp_path / "mat.csv"
-    write_matrix_csv(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "col_0,col_1"
-    assert lines[1:] == ["1.0,2.0", "3.0,4.0"]
 
 
 def test_report_record_shape_and_json_round_trip(tmp_path):
