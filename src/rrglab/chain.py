@@ -6,9 +6,15 @@ replaces the edges {i,j}, {m,n} by {i,m}, {j,n}.  Every accepted move is its
 own inverse under the reversed tuple, so the chain is reversible and the
 uniform distribution on simple d-regular graphs is stationary.
 
-The inner loop runs through a compiled kernel when available (see
-``rrglab._kernels``); both backends consume identical blocks of RNG tuples,
-so trajectories are reproducible across backends for a given seed.
+``run_chain`` samples this law without drawing the tuples that cannot
+switch.  A d-regular graph has N*d directed edges whatever its state, so a
+uniform pair (i, j) is an edge with probability d/N, and among ``n_steps``
+tuple steps the number K whose (i,j) and (m,n) are both edges is
+Binomial(n_steps, (d/N)^2), independent of the trajectory.  Each of those K
+steps is a pair of independent uniform directed edges; the other steps
+leave the graph unchanged.  So the chain draws K first, then K pairs of
+directed-edge codes, which the kernel (``rrglab._kernels``) resolves
+through an edge array it keeps in step with the adjacency matrix.
 
 The generator of the chain acting on an observable f is
 
@@ -28,16 +34,19 @@ from . import _kernels
 from .graphs import RegularGraph, enumerate_regular_graphs
 from .streams import rng_stream
 
-# Tuples are drawn from the RNG in blocks of this many steps; any block size
+# Proposals are drawn from the RNG in blocks of this many; any block size
 # yields the same trajectory because draws are consumed element by element.
 DEFAULT_BLOCK_SIZE = 1 << 15
 
 
 def run_chain(graph, n_steps, seed=None, rng=None, block_size=DEFAULT_BLOCK_SIZE):
-    """Run ``n_steps`` switching steps; returns (final graph, accepted count).
+    """Run ``n_steps`` vertex-tuple steps; returns (final graph, accepted count).
 
-    Deterministic given (graph, n_steps, seed): the tuple stream depends only
-    on the RNG stream, not on the block size or kernel backend.
+    ``n_steps`` counts steps of the vertex-tuple chain.  Only the
+    Binomial(n_steps, (d/N)^2) steps whose two pairs are edges are drawn,
+    as pairs of directed-edge codes in [0, N*d); the law of the final graph
+    is that of ``n_steps`` tuple steps.  Deterministic given (graph,
+    n_steps, seed): the draws do not depend on the block size.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -45,16 +54,37 @@ def run_chain(graph, n_steps, seed=None, rng=None, block_size=DEFAULT_BLOCK_SIZE
         rng = rng_stream(0 if seed is None else seed)
     if n_steps == 0:
         return graph, 0
-    n = graph.n_vertices
+    n, d = graph.n_vertices, graph.degree
+    remaining = int(rng.binomial(n_steps, (d / n) ** 2))
     adj = graph.adjacency_copy()
+    edges = edge_array(adj)
     accepted = 0
-    remaining = n_steps
     while remaining:
         block = min(block_size, remaining)
-        tuples = rng.integers(0, n, size=(block, 4), dtype=np.int64)
-        accepted += _kernels.run_switch_steps(adj, tuples)
+        proposals = rng.integers(0, n * d, size=(block, 2), dtype=np.int64)
+        accepted += _kernels.run_switch_steps(adj, proposals, edges)
         remaining -= block
     return RegularGraph(adj, validate=False), accepted
+
+
+def edge_array(adjacency):
+    """The edges {u, v}, u < v, of an adjacency matrix as a sorted (E, 2) array."""
+    u, v = np.divmod(np.flatnonzero(adjacency), adjacency.shape[0])
+    upper = u < v
+    return np.stack([u[upper], v[upper]], axis=1)
+
+
+def resolve_proposals(edges, proposals):
+    """The tuples (i, j, m, n) that rows of directed-edge codes name, as (K, 4).
+
+    Code c names the directed edge from flat entry c of the edge array to
+    flat entry c ^ 1, i.e. slot c >> 1 in orientation c & 1; row (c1, c2)
+    names the tuple whose first pair is the edge of c1 and whose second
+    pair is the edge of c2.
+    """
+    flat = edges.reshape(-1)
+    tail, head = flat[proposals], flat[proposals ^ 1]
+    return np.stack([tail[:, 0], head[:, 0], tail[:, 1], head[:, 1]], axis=1)
 
 
 def switchable_tuples(graph):

@@ -108,7 +108,10 @@ def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
 
     Draws a simple d-regular graph by stub pairing and then mixes it with
     ``burn_in`` steps of the edge-switching chain (default 20*n*d) to wash
-    out residual pairing bias.  ``method`` selects the pairing stage:
+    out residual pairing bias.  ``burn_in`` counts vertex-tuple steps; only
+    the Binomial(burn_in, (d/n)^2) of them whose two vertex pairs are edges
+    can switch, and only those are drawn (see ``rrglab.chain.run_chain``).
+    ``method`` selects the pairing stage:
 
     - ``"rejection"``: restart on any self-loop or multi-edge (exactly
       uniform before burn-in; practical only for small degree),

@@ -10,6 +10,7 @@ worker counts and retries cannot reshuffle randomness.
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +87,9 @@ def _rrg_ensemble(config):
             for lam in eigenvalues]
 
 
-def _require_samples(config):
-    if config.n_samples < 1:
-        raise ConfigError("this recipe needs n_samples >= 1")
+def _require_samples(config, minimum=1):
+    if config.n_samples < minimum:
+        raise ConfigError(f"this recipe needs n_samples >= {minimum}")
 
 
 def _gap_table(decomps, kappa):
@@ -289,6 +290,8 @@ def recipe_generator_check(config, out_dir):
     """Jump-vs-flow generator discrepancy scan over the degree grid."""
     _require_samples(config)
     degrees = (4, 8, 16)
+    for d in degrees:
+        replace(config, d=d).warn_if_outside_window()
     rows = qf_lf_compare(config.n, degrees, 0.0 + 0.5j, config.n_samples,
                          seed=config.seed)
     io.write_csv(out_dir / "discrepancy.csv",
@@ -346,7 +349,8 @@ def _emf_profile(config, gap_floor=0.05, max_retries=512):
 
 def recipe_emf_check(config, out_dir):
     """Moment-flow ODE vs. eigenvector-SDE Monte Carlo on a frozen path."""
-    _require_samples(config)
+    # the gate divides by the replicas' standard error, which needs two
+    _require_samples(config, minimum=2)
     t_grid, times, path, q = _emf_profile(config)
     m = config.n
     f0 = q ** 2  # p = 1, identity initial frame: f_0(e_i) = (q . v_i)^2
@@ -377,7 +381,6 @@ def recipe_emf_check(config, out_dir):
     contraction = solution.contraction_ok
     reports.append(io.report_record("emf_contraction_ok", float(contraction)))
     io.write_report_json(out_dir / "report.json", reports)
-    # a NaN sigma (one replica has no standard error) fails the comparison
     return contraction and all(s <= 4.0 for s in sigmas), reports
 
 
@@ -446,40 +449,49 @@ def recipe_verify_small(config, out_dir):
     return ok, reports
 
 
-def _kernel_step(graph, i, j, m, n):
-    """One chain step at the tuple (i, j, m, n); returns (graph, accepted)."""
-    adj = graph.adjacency_copy()
-    accepted = _kernels.run_switch_steps(
-        adj, np.array([[i, j, m, n]], dtype=np.int64))
-    return RegularGraph(adj, validate=False), accepted
+def _kernel_step(graph, edges, proposal):
+    """One chain step at one code pair; returns (graph, edges, accepted)."""
+    adj, edges = graph.adjacency_copy(), edges.copy()
+    accepted = _kernels.run_switch_steps(adj, proposal[None, :], edges)
+    return RegularGraph(adj, validate=False), edges, accepted
 
 
 def involution_suite(n_pairs, seed=0, n_vertices=24, degree=4):
-    """Random (switching tuple, graph) property checks of the chain's move.
+    """Random (switching proposal, graph) property checks of the chain's move.
 
-    Runs each of ``n_pairs`` random tuples (i, j, m, n) through one kernel
-    step and verifies that the kernel accepts exactly the tuples that
-    ``chain.tuple_switchable`` accepts, that an accepted switch is undone
-    by the reversed tuple (i, m, j, n), which is accepted on the switched
-    graph, that a rejected tuple leaves the graph unchanged, and that every
-    step conserves all degrees.
+    Runs each of ``n_pairs`` random pairs of directed-edge codes through one
+    kernel step and verifies that the kernel accepts exactly the tuples
+    (i, j, m, n) they resolve to that ``chain.tuple_switchable`` accepts;
+    that after an accepted switch the same codes resolve to the reversed
+    tuple (i, m, j, n), which is accepted and restores the graph and its
+    edge array; that a rejected proposal leaves both unchanged; and that
+    every step conserves all degrees.
     """
     rng = rng_stream(seed, stream_id=_STREAM_MISC + 1)
     graphs = [sample_regular_graph(n_vertices, degree, rng=rng)
               for _ in range(max(1, n_pairs // 200))]
+    edge_arrays = [chain.edge_array(g.adjacency) for g in graphs]
     involution = conservation = indicator = True
     for _ in range(n_pairs):
-        graph = graphs[int(rng.integers(len(graphs)))]
-        i, j, m, n = (int(v) for v in rng.integers(0, n_vertices, size=4))
-        switched, accepted = _kernel_step(graph, i, j, m, n)
+        k = int(rng.integers(len(graphs)))
+        graph, edges = graphs[k], edge_arrays[k]
+        proposal = rng.integers(0, n_vertices * degree, size=2, dtype=np.int64)
+        i, j, m, n = chain.resolve_proposals(edges, proposal[None, :])[0]
+        switched, switched_edges, accepted = _kernel_step(graph, edges, proposal)
         indicator = indicator and (
             accepted == chain.tuple_switchable(i, j, m, n, graph))
         if accepted:
-            back, reaccepted = _kernel_step(switched, i, m, j, n)
+            reversed_tuple = chain.resolve_proposals(switched_edges,
+                                                     proposal[None, :])[0]
+            back, back_edges, reaccepted = _kernel_step(
+                switched, switched_edges, proposal)
             indicator = indicator and reaccepted == 1
-            involution = involution and back == graph
+            involution = (involution and reversed_tuple.tolist() == [i, m, j, n]
+                          and back == graph
+                          and np.array_equal(back_edges, edges))
         else:
-            involution = involution and switched == graph
+            involution = (involution and switched == graph
+                          and np.array_equal(switched_edges, edges))
         conservation = conservation and bool(
             (switched.adjacency.sum(axis=1) == degree).all())
     return {"involution": involution, "degree_conservation": conservation,

@@ -139,12 +139,21 @@ def restrict_to_offspace(mat):
     (N-1) x (N-1) core whose spectrum is exactly the nontrivial spectrum of
     H, and ``embed_in_offspace`` maps its eigenvectors back.
     """
-    n = mat.shape[0]
-    u, tau = _householder(n)
+    return _householder_conjugate(mat)[:-1, :-1]
+
+
+def _householder_conjugate(mat):
+    """R M R for symmetric M, with R the reflection of ``_householder``.
+
+    Expands R M R = M - tau u (Mu)^T - tau (Mu) u^T + tau^2 (u^T M u) u u^T
+    and computes M u as u @ M, which equals it for symmetric M.
+    """
+    u, tau = _householder(mat.shape[0])
     um = u @ mat
-    core = mat - tau * np.outer(u, um) - tau * np.outer(mat @ u, u) \
-        + tau * tau * float(um @ u) * np.outer(u, u)
-    return core[:-1, :-1]
+    out = mat - tau * np.outer(u, um)
+    out -= tau * np.outer(um, u)
+    out += tau * tau * float(um @ u) * np.outer(u, u)
+    return out
 
 
 def sample_constrained_goe(n, seed=None, rng=None):
@@ -167,10 +176,7 @@ def sample_constrained_goe(n, seed=None, rng=None):
     core = (raw + raw.T) / np.sqrt(2.0 * n)
     block = np.zeros((n, n))
     block[:m, :m] = core
-    u, tau = _householder(n)
-    ub = u @ block
-    w = block - tau * np.outer(u, ub) - tau * np.outer(ub, u) \
-        + tau * tau * float(ub @ u) * np.outer(u, u)
+    w = _householder_conjugate(block)
     return 0.5 * (w + w.T)
 
 

@@ -5,21 +5,18 @@ stochastic check exploits that a chain started from the uniform law stays
 uniform after any number of steps, so it needs no mixing assumption.
 """
 
+import itertools
+
 import numpy as np
-import pytest
 from scipy import stats
 
 from conftest import cycle_adjacency
-from rrglab._kernels import chain_py, run_switch_steps
-from rrglab.chain import (invariance_report, jump_generator_apply, run_chain,
-                          switchable_tuples, switched_graph, tuple_switchable)
+from rrglab._kernels import run_switch_steps
+from rrglab.chain import (edge_array, invariance_report, jump_generator_apply,
+                          resolve_proposals, run_chain, switchable_tuples,
+                          switched_graph, tuple_switchable)
 from rrglab.graphs import RegularGraph, enumerate_regular_graphs
 from rrglab.streams import rng_stream
-
-try:
-    from rrglab._kernels import _chain_cy
-except ImportError:  # pragma: no cover
-    _chain_cy = None
 
 
 def triangle_count(adj):
@@ -89,24 +86,59 @@ def test_run_chain_preserves_regularity(graph_24_4):
 
 
 def test_rejected_tuple_leaves_graph_unchanged():
-    # on the hexagon the cross pair {1, 2} of (0, 1, 2, 3) is an edge
+    # on the hexagon the cross pair {1, 2} of (0, 1, 2, 3) is an edge; the
+    # sorted edge array puts {0, 1} in slot 0 and {2, 3} in slot 3
     graph = RegularGraph(cycle_adjacency(6))
     adj = graph.adjacency_copy()
+    edges = edge_array(adj)
+    codes = np.array([[0, 6]], dtype=np.int64)
+    assert resolve_proposals(edges, codes).tolist() == [[0, 1, 2, 3]]
     assert not tuple_switchable(0, 1, 2, 3, graph)
-    assert run_switch_steps(adj, np.array([[0, 1, 2, 3]], dtype=np.int64)) == 0
+    assert run_switch_steps(adj, codes, edges) == 0
     assert np.array_equal(adj, graph.adjacency)
+    assert np.array_equal(edges, edge_array(graph.adjacency))
 
 
-def test_kernel_backends_produce_identical_trajectories(graph_24_4):
-    if _chain_cy is None:
-        pytest.skip("compiled kernel unavailable")
-    tuples = rng_stream(8).integers(0, 24, size=(20000, 4), dtype=np.int64)
-    adj_py = graph_24_4.adjacency_copy()
-    adj_cy = graph_24_4.adjacency_copy()
-    acc_py = chain_py.run_switch_steps(adj_py, tuples)
-    acc_cy = _chain_cy.run_switch_steps(adj_cy, tuples)
-    assert acc_py == acc_cy > 0
-    assert np.array_equal(adj_py, adj_cy)
+def test_edge_codes_thin_the_tuple_chain_exactly(graph_24_4):
+    """All (N*d)^2 code pairs name each ordered pair of directed edges once,
+    and the kernel accepts exactly the switchable tuples among them."""
+    adj = graph_24_4.adjacency
+    edges = edge_array(adj)
+    n_codes = 24 * 4
+    assert edges.shape == (n_codes // 2, 2)
+    codes = np.array(list(itertools.product(range(n_codes), repeat=2)))
+    tuples = resolve_proposals(edges, codes)
+    directed = np.argwhere(adj).tolist()
+    assert sorted(tuples.tolist()) == [
+        first + second for first, second in itertools.product(directed, repeat=2)]
+
+    accepted = []
+    for row, (i, j, m, n) in zip(codes, tuples):
+        step_adj, step_edges = adj.copy(), edges.copy()
+        if run_switch_steps(step_adj, row[None, :], step_edges):
+            accepted.append((i, j, m, n))
+            assert np.array_equal(step_adj, switched_graph(
+                graph_24_4, i, j, m, n).adjacency)
+        else:
+            assert np.array_equal(step_adj, adj)
+            assert np.array_equal(step_edges, edges)
+    assert sorted(accepted) == sorted(map(tuple, switchable_tuples(graph_24_4)))
+
+
+def test_one_code_pair_applied_twice_restores_the_graph(graph_24_4):
+    adj = graph_24_4.adjacency_copy()
+    edges = edge_array(adj)
+    rows = rng_stream(8).integers(0, 96, size=(100, 1, 2), dtype=np.int64)
+    codes = next(row for row in rows if tuple_switchable(
+        *resolve_proposals(edges, row)[0], graph_24_4))
+    (i, j, m, n), = resolve_proposals(edges, codes).tolist()
+    assert run_switch_steps(adj, codes, edges) == 1
+    # the edge array stays in step with adj, and the codes now name (i,m,j,n)
+    assert sorted(map(sorted, edges.tolist())) == edge_array(adj).tolist()
+    assert resolve_proposals(edges, codes).tolist() == [[i, m, j, n]]
+    assert run_switch_steps(adj, codes, edges) == 1
+    assert np.array_equal(adj, graph_24_4.adjacency)
+    assert np.array_equal(edges, edge_array(graph_24_4.adjacency))
 
 
 def test_uniform_start_stays_uniform_on_cubic_eight():

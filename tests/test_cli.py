@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: flags, config files, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -87,16 +88,18 @@ def test_failed_thresholds_exit_3(tmp_path):
     assert manifest["acceptance_ok"] is False
 
 
-def test_single_replica_emf_check_fails(tmp_path):
-    """One replica has no Monte Carlo standard error, so no sigma passes."""
+def test_single_replica_emf_check_fails(tmp_path, capsys):
+    """One replica has no Monte Carlo standard error: refused before any work."""
     cfg = tmp_path / "emf.cfg"
     cfg.write_text("t_grid = 0.01\n")
     out = tmp_path / "out"
-    status = main(["emf-check", "--config", str(cfg), "--samples", "1",
-                   "--seed", "0", "--out", str(out)])
-    assert status == EXIT_ACCEPTANCE
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["acceptance_ok"] is False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["emf-check", "--config", str(cfg), "--samples", "1",
+                       "--seed", "0", "--out", str(out)])
+    assert status == EXIT_PARAMETER
+    assert "n_samples >= 2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_repeat_runs_write_identical_artifacts(tmp_path):

@@ -235,6 +235,29 @@ def test_sampler_is_uniform_on_cubic_eight_triangle_classes():
     assert pvalue > 1e-3
 
 
+def test_greedy_pairing_with_burn_in_is_uniform_on_quintic_eight():
+    """Chi-square over all labeled 5-regular graphs on 8 vertices.
+
+    Greedy pairing plus the default burn-in is the path of every spectral
+    recipe (``"auto"`` picks greedy pairing from d = 5 up).  The complement
+    of a 5-regular graph on 8 vertices is 2-regular, so the space has
+    ``labeled_two_regular_count(8)`` = 3507 graphs.  Pearson's statistic
+    over k equiprobable cells has mean k - 1 and variance 2(k - 1)(1 - 1/draws)
+    at any draw count, so one expected draw per cell suffices at this k.
+    """
+    enumerated = {g.canonical_key(): idx
+                  for idx, g in enumerate(enumerate_regular_graphs(8, 5))}
+    assert len(enumerated) == labeled_two_regular_count(8) == 3507
+    counts = np.zeros(len(enumerated))
+    rng = rng_stream(16)
+    draws = len(enumerated)
+    for _ in range(draws):
+        graph = sample_regular_graph(8, 5, rng=rng, method="greedy")
+        counts[enumerated[graph.canonical_key()]] += 1
+    _, pvalue = stats.chisquare(counts)
+    assert pvalue > 1e-3
+
+
 def test_edges_listing_is_sorted_upper_triangle():
     g = sample_regular_graph(20, 3, seed=3)
     edges = g.edges()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rrglab.config import ConfigError, ExperimentConfig
+from rrglab.config import ConfigError, DegreeWindowWarning, ExperimentConfig
 from rrglab.harness import (
     RECIPE_DEFAULTS,
     RECIPES,
@@ -99,6 +99,18 @@ def test_recipe_registry_and_defaults():
                                             "n_samples": 10_000}
     assert RECIPE_DEFAULTS["verify-small"] == {"n": 6, "d": 3}
     assert set(RECIPE_DEFAULTS) <= set(RECIPES)
+
+
+def test_generator_check_warns_once_per_degree_outside_window(tmp_path):
+    # the window at N = 32 is [1.41, 7.1]: the grid degrees 8 and 16 lie outside
+    config = ExperimentConfig(n=32, d=4, n_samples=2, seed=1,
+                              output_dir=tmp_path)
+    with pytest.warns(DegreeWindowWarning) as record:
+        run_experiment(config, "generator-check")
+    messages = [str(w.message) for w in record
+                if issubclass(w.category, DegreeWindowWarning)]
+    assert len(messages) == 2
+    assert "d=8 outside" in messages[0] and "d=16 outside" in messages[1]
 
 
 def test_run_experiment_rejects_unknown_recipe(tmp_path):
