@@ -7,8 +7,6 @@ outside [N^alpha, N^{2/3-alpha}] draw a warning, not an error, so
 exploratory runs at extreme degrees remain possible.
 """
 
-import math
-import os
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -61,7 +59,7 @@ class ExperimentConfig:
     scheme: str = "exact"
     output_dir: Path = field(default_factory=lambda: Path("runs"))
     alpha: float = 0.1
-    workers: int = 0  # 0 means all available cores
+    workers: int = 1
 
     def __post_init__(self):
         if self.n < 2:
@@ -80,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be one of {_SCHEMES}")
         if not 0.0 < self.alpha < 1.0 / 3.0:
             raise ConfigError("alpha must lie in (0, 1/3)")
-        if self.workers < 0:
-            raise ConfigError("workers must be nonnegative")
+        if self.workers < 1:
+            raise ConfigError("workers must be at least 1")
 
     @property
     def big_d(self):
@@ -91,10 +89,6 @@ class ExperimentConfig:
     @property
     def degree_window(self):
         return (self.n ** self.alpha, self.n ** (2.0 / 3.0 - self.alpha))
-
-    @property
-    def effective_workers(self):
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
     def warn_if_outside_window(self):
         lo, hi = self.degree_window

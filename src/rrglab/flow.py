@@ -104,58 +104,40 @@ def evolve_sde(h0, t, dt, seed=None, rng=None, noise=True):
 # Flow generator: switching-direction and entrywise forms
 
 
-def flow_generator(func, h, step=None, method="auto", n_tuples=100_000,
-                   rng=None, return_stderr=False):
+def flow_generator(func, h, step=None):
     """Finite-difference evaluation of the flow generator L F(H).
 
-    Uses the switching-direction form: over vertex 4-tuples (i,j,k,l),
-    second differences along xi_ijkl weighted 1/(16 N^3) minus tr(xi H)
-    times first differences weighted 1/(32 N^2).  The dense sum over all
-    N^4 tuples runs for N <= 40 (or ``method="dense"``); above that an
-    unbiased uniform-tuple estimator with ``n_tuples`` draws reports its
-    standard error (``return_stderr=True`` returns (value, stderr)).
+    Uses the switching-direction form: the dense sum over all N^4 vertex
+    4-tuples (i,j,k,l) of second differences along xi_ijkl weighted
+    1/(16 N^3) minus tr(xi H) times first differences weighted 1/(32 N^2).
+    It costs O(N^4) observable evaluations, so it is refused above
+    N = ``DENSE_GENERATOR_LIMIT``.
     """
     n = h.shape[0]
+    if n > DENSE_GENERATOR_LIMIT:
+        raise ValueError(
+            f"dense generator sum is gated at N <= {DENSE_GENERATOR_LIMIT}")
     if step is None:
         step = default_fd_step(h, 2)
-    if method == "auto":
-        method = "dense" if n <= DENSE_GENERATOR_LIMIT else "sampled"
 
     f0 = func(h)
     diffusion_w = 1.0 / (16.0 * n ** 3)
     drift_w = 1.0 / (32.0 * n ** 2)
-
-    def tuple_term(i, j, k, l):
-        if i == j == k == l:
-            return 0.0  # xi vanishes identically
-        xi = switch_direction(n, i, j, k, l)
-        f_plus = func(h + step * xi)
-        f_minus = func(h - step * xi)
-        second = (f_plus - 2.0 * f0 + f_minus) / step ** 2
-        first = (f_plus - f_minus) / (2.0 * step)
-        return diffusion_w * second - drift_w * h_switch_component(h, i, j, k, l) * first
-
-    if method == "dense":
-        if n > DENSE_GENERATOR_LIMIT:
-            raise ValueError(
-                f"dense generator sum is gated at N <= {DENSE_GENERATOR_LIMIT}")
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        total += tuple_term(i, j, k, l)
-        return (total, 0.0) if return_stderr else total
-    if method != "sampled":
-        raise ValueError(f"unknown method {method!r}")
-    if rng is None:
-        rng = rng_stream(0)
-    draws = rng.integers(0, n, size=(n_tuples, 4))
-    terms = np.array([tuple_term(*t) for t in draws])
-    scale = float(n) ** 4
-    value = scale * float(terms.mean())
-    stderr = scale * float(terms.std(ddof=1)) / math.sqrt(n_tuples)
-    return (value, stderr) if return_stderr else value
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    if i == j == k == l:
+                        continue  # xi vanishes identically
+                    xi = switch_direction(n, i, j, k, l)
+                    f_plus = func(h + step * xi)
+                    f_minus = func(h - step * xi)
+                    second = (f_plus - 2.0 * f0 + f_minus) / step ** 2
+                    first = (f_plus - f_minus) / (2.0 * step)
+                    total += (diffusion_w * second - drift_w
+                              * h_switch_component(h, i, j, k, l) * first)
+    return total
 
 
 def _entry_direction(n, i, j):

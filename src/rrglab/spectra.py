@@ -176,14 +176,6 @@ def green_matrix(decomp, z):
     return (v / (decomp.eigenvalues - z)) @ v.T
 
 
-def green_entries(decomp, z, pairs):
-    """Selected resolvent entries G_ij(z) for (i, j) index pairs."""
-    v = decomp.eigenvectors
-    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    weights = 1.0 / (decomp.eigenvalues - z)
-    return np.array([(v[i] * v[j]) @ weights for i, j in idx])
-
-
 def gamma_stat(decomp, z):
     """Gamma(z) = max_ij |G_ij(z)|, floored at 1."""
     return max(1.0, float(np.abs(green_matrix(decomp, z)).max()))

@@ -23,11 +23,18 @@ from rrglab.flow import (
     flow_generator,
     flow_generator_entrywise,
     free_conv_stieltjes,
-    qf_lf_compare,
     semicircle_semigroup_residual,
 )
-from rrglab.graphs import sample_regular_graph
-from rrglab.harness import goe_reference, involution_suite, run_experiment
+from rrglab.harness import (
+    _STREAM_FLOW,
+    gap_gate,
+    goe_reference,
+    involution_suite,
+    repulsion_gate,
+    run_experiment,
+    semicircle_gate,
+    trial_graph,
+)
 from rrglab.matrices import center_rescale, inner_product, sample_constrained_goe
 from rrglab.spectra import (
     SpectralDecomposition,
@@ -35,20 +42,12 @@ from rrglab.spectra import (
     delocalization_stat,
     gap_ensemble,
     ks_distance,
-    level_repulsion_q,
-    level_repulsion_q_resolvent,
     rigidity_stat,
-    semicircle_cdf,
     semicircle_m,
-    stieltjes_empirical,
 )
 from rrglab.streams import rng_stream
 
 pytestmark = pytest.mark.acceptance
-
-# Trial-stream bases, matching the experiment harness convention.
-TRIAL_STREAM_GRAPH = 0
-TRIAL_STREAM_FLOW = 1 << 33
 
 
 def report_line(number, label, ok, detail):
@@ -56,42 +55,44 @@ def report_line(number, label, ok, detail):
     print(f"[criterion {number}] {label}: {status} ({detail})")
 
 
+def report_values(reports):
+    return {r["name"]: r["value"] for r in reports}
+
+
 @pytest.fixture(scope="session")
 def bulk_ensembles():
     """N=1000, d=32, 100 samples: spectra at t=0, t=N^-1.2, t=5, plus GOE."""
     start = time.perf_counter()
-    n, d, n_samples, seed = 1000, 32, 100, 0
-    t_short = float(n) ** -1.2
+    config = ExperimentConfig(n=1000, d=32, n_samples=100, seed=0)
+    t_short = float(config.n) ** -1.2
     raw, short, long_ = [], [], []
-    for trial in range(n_samples):
-        graph = sample_regular_graph(
-            n, d, rng=rng_stream(seed, TRIAL_STREAM_GRAPH + trial))
-        h = center_rescale(graph)
+    for trial in range(config.n_samples):
+        h = center_rescale(trial_graph(config, trial))
         raw.append(decompose(h, with_vectors=False))
-        flow_rng = rng_stream(seed, TRIAL_STREAM_FLOW + trial)
+        flow_rng = rng_stream(config.seed, _STREAM_FLOW + trial)
         h = evolve_exact(h, t_short, rng=flow_rng)
         short.append(decompose(h, with_vectors=False))
         h = evolve_exact(h, 5.0 - t_short, rng=flow_rng)
         long_.append(decompose(h, with_vectors=False))
-    goe = goe_reference(n, n_samples, seed)
-    return {"n": n, "raw": raw, "short": short, "long": long_, "goe": goe,
-            "elapsed": time.perf_counter() - start}
+    goe = goe_reference(config.n, config.n_samples, config.seed)
+    return {"config": config, "raw": raw, "short": short, "long": long_,
+            "goe": goe, "elapsed": time.perf_counter() - start}
 
 
 @pytest.fixture(scope="session")
 def wide_ensemble():
     """N=2000, d=40, 50 samples with per-sample eigenvector statistics."""
     start = time.perf_counter()
-    n, d, n_samples, seed = 2000, 40, 50, 0
+    config = ExperimentConfig(n=2000, d=40, n_samples=50, seed=0)
     decomps, deloc, rigidity = [], [], []
-    for trial in range(n_samples):
-        graph = sample_regular_graph(
-            n, d, rng=rng_stream(seed, TRIAL_STREAM_GRAPH + trial))
-        dec = decompose(center_rescale(graph), with_vectors=True)
+    for trial in range(config.n_samples):
+        dec = decompose(center_rescale(trial_graph(config, trial)),
+                        with_vectors=True)
         deloc.append(delocalization_stat(dec))
         rigidity.append(rigidity_stat(dec, kappa=0.1))
-        decomps.append(SpectralDecomposition(n=n, eigenvalues=dec.eigenvalues))
-    return {"n": n, "d": d, "decomps": decomps, "deloc": deloc,
+        decomps.append(SpectralDecomposition(n=config.n,
+                                             eigenvalues=dec.eigenvalues))
+    return {"config": config, "decomps": decomps, "deloc": deloc,
             "rigidity": rigidity, "elapsed": time.perf_counter() - start}
 
 
@@ -101,7 +102,7 @@ def test_criterion_01_exhaustive_invariance_and_reversibility():
     for n, d in ((6, 3), (8, 3)):
         rep = invariance_report(n, d, n_observables=10, seed=0)
         worst = max(worst, rep.max_relative_sum)
-        ok = ok and rep.reversible and rep.max_relative_sum <= 1e-10
+        ok = ok and rep.passed
     elapsed = time.perf_counter() - start
     report_line(1, "exhaustive jump-generator invariance and reversibility",
                 ok, f"max relative sum {worst:.2e}; {elapsed:.1f}s")
@@ -133,7 +134,7 @@ def test_criterion_03_generator_cross_validation():
         closed = n * (n - 1) / 2.0 - func(h)
         # central differences are exact on quadratics, so a large step
         # avoids the roundoff amplification of the default tiny one
-        dense = flow_generator(func, h, step=0.5, method="dense")
+        dense = flow_generator(func, h, step=0.5)
         entrywise = flow_generator_entrywise(func, h, step=0.5)
         scale = abs(closed)
         closed_worst = max(closed_worst, abs(dense - closed) / scale)
@@ -147,21 +148,16 @@ def test_criterion_03_generator_cross_validation():
     assert elapsed < 300
 
 
-def test_criterion_04_jump_vs_flow_discrepancy_scaling():
+def test_criterion_04_jump_vs_flow_discrepancy_scaling(tmp_path):
     start = time.perf_counter()
-    n, degrees = 32, (4, 8, 16)
-    rows = qf_lf_compare(n, degrees, 0.0 + 0.5j, 200, seed=0)
-    regime = n ** (2.0 / 3.0)
-    ok = True
-    for a, b in zip(rows, rows[1:]):
-        if b.degree <= regime:
-            se = math.hypot(a.normalized_stderr, b.normalized_stderr)
-            ok = ok and (a.normalized - b.normalized) > se
-    end_se = math.hypot(rows[0].normalized_stderr, rows[-1].normalized_stderr)
-    ok = ok and (rows[0].normalized - rows[-1].normalized) > end_se
+    out = tmp_path / "generator"
+    config = ExperimentConfig(n=32, d=4, n_samples=200, seed=0,
+                              output_dir=out)
+    ok = run_experiment(config, "generator-check") == 0
+    reports = json.loads((out / "report.json").read_text())
     elapsed = time.perf_counter() - start
-    detail = ", ".join(f"d={r.degree}: {r.normalized:.4f}"
-                       f"+-{r.normalized_stderr:.4f}" for r in rows)
+    detail = ", ".join(f"{r['name']}: {r['value']:.4f}+-{r['stderr']:.4f}"
+                       for r in reports)
     report_line(4, "normalized jump-vs-flow discrepancy decreases in d", ok,
                 f"{detail}; {elapsed:.0f}s")
     assert ok
@@ -170,41 +166,26 @@ def test_criterion_04_jump_vs_flow_discrepancy_scaling():
 
 def test_criterion_05_semicircle_law(wide_ensemble):
     start = time.perf_counter()
-    n, d = wide_ensemble["n"], wide_ensemble["d"]
-    decomps = wide_ensemble["decomps"]
-    big_d = min(float(d), n ** 2 / d ** 3)
-    ok, pieces = True, []
-    for z in (-1 + 0.05j, 0.05j, 1 + 0.05j):
-        s = np.mean([stieltjes_empirical(dec.eigenvalues, z)
-                     for dec in decomps])
-        m = complex(semicircle_m(z))
-        bound = 10.0 * (big_d ** -0.25 + (n * z.imag) ** -0.25)
-        ok = ok and abs(s - m) <= bound
-        pieces.append(f"|s-m|({z.real:+.0f})={abs(s - m):.4f}<={bound:.2f}")
-    pooled = np.sort(np.concatenate([dec.eigenvalues for dec in decomps]))
-    ecdf = np.arange(1, pooled.size + 1) / pooled.size
-    cdf = semicircle_cdf(pooled)
-    sup_dist = float(np.maximum(np.abs(ecdf - cdf),
-                                np.abs(ecdf - 1.0 / pooled.size - cdf)).max())
-    ok = ok and sup_dist < 0.03
+    ok, reports = semicircle_gate(wide_ensemble["decomps"],
+                                  wide_ensemble["config"])
     elapsed = time.perf_counter() - start + wide_ensemble["elapsed"]
+    detail = "; ".join(f"{name} {value:.4f}"
+                       for name, value in report_values(reports).items())
     report_line(5, "semicircle law at N=2000, d=40", ok,
-                f"{'; '.join(pieces)}; ECDF sup {sup_dist:.4f} < 0.03; "
-                f"{elapsed:.0f}s")
+                f"{detail}; {elapsed:.0f}s")
     assert ok
     assert elapsed < 600
 
 
 def test_criterion_06_goe_gap_universality(bulk_ensembles):
     start = time.perf_counter()
-    rrg = gap_ensemble(bulk_ensembles["raw"], kappa=0.1)
-    goe = gap_ensemble(bulk_ensembles["goe"], kappa=0.1)
-    ks, _ = ks_distance(rrg, goe)
-    mean_diff = float(rrg.entries.mean() - goe.entries.mean())
-    ok = ks < 0.05 and abs(mean_diff) < 0.03
+    ok, reports = gap_gate(gap_ensemble(bulk_ensembles["raw"], kappa=0.1),
+                           gap_ensemble(bulk_ensembles["goe"], kappa=0.1))
+    values = report_values(reports)
     elapsed = time.perf_counter() - start + bulk_ensembles["elapsed"]
     report_line(6, "pooled bulk gaps match GOE at N=1000, d=32", ok,
-                f"KS {ks:.4f} < 0.05, |mean diff| {abs(mean_diff):.4f} < 0.03; "
+                f"KS {values['ks_statistic']:.4f}, "
+                f"|mean diff| {abs(values['gap_mean_difference']):.4f}; "
                 f"{elapsed:.0f}s")
     assert ok
     assert elapsed < 1800
@@ -229,34 +210,17 @@ def test_criterion_07_flow_interpolation_of_gap_statistics(bulk_ensembles):
 
 def test_criterion_08_level_repulsion(bulk_ensembles):
     start = time.perf_counter()
-    threshold = 0.05
-    rrg = gap_ensemble(bulk_ensembles["raw"], kappa=0.1).entries
-    goe = gap_ensemble(bulk_ensembles["goe"], kappa=0.1).entries
-
-    def fraction(entries):
-        p = float((entries < threshold).mean())
-        return p, math.sqrt(max(p * (1 - p), 1e-12) / entries.size)
-
-    p_rrg, se_rrg = fraction(rrg)
-    p_goe, se_goe = fraction(goe)
-    sigma = abs(p_rrg - p_goe) / math.hypot(se_rrg, se_goe)
-
-    rng = rng_stream(8, stream_id=0)
-    ambient = bulk_ensembles["n"]
-    worst = 0.0
-    for _ in range(1000):
-        lam = np.sort(rng.uniform(-2.0, 2.0, size=64))[::-1]
-        i = int(rng.integers(8, 56))
-        direct = level_repulsion_q(lam, i, n_ambient=ambient)
-        resolvent = level_repulsion_q_resolvent(lam, np.eye(64), i,
-                                                n_ambient=ambient)
-        worst = max(worst, abs(direct - resolvent) / abs(direct))
-
-    ok = p_rrg < 0.02 and sigma <= 3.0 and worst < 1e-10
+    ok, reports = repulsion_gate(
+        gap_ensemble(bulk_ensembles["raw"], kappa=0.1),
+        gap_ensemble(bulk_ensembles["goe"], kappa=0.1),
+        bulk_ensembles["config"])
+    values = report_values(reports)
     elapsed = time.perf_counter() - start + bulk_ensembles["elapsed"]
     report_line(8, "small-gap fraction and repulsion-observable identity", ok,
-                f"fraction {p_rrg:.5f} < 0.02, GOE gap {sigma:.2f} sigma <= 3, "
-                f"identity rel {worst:.2e} < 1e-10; {elapsed:.0f}s")
+                f"fraction {values['small_gap_fraction_rrg']:.5f}, "
+                f"GOE gap {values['small_gap_sigma']:.2f} sigma, "
+                f"identity rel {values['repulsion_identity_max_rel']:.2e}; "
+                f"{elapsed:.0f}s")
     assert ok
     assert elapsed < 600
 
@@ -266,17 +230,14 @@ def test_criterion_09_eigenvector_moment_flow(tmp_path):
     out = tmp_path / "emf"
     config = ExperimentConfig(n=8, d=3, n_samples=10_000, seed=0,
                               output_dir=out)
-    status = run_experiment(config, "emf-check")
-    reports = {r["name"]: r["value"]
-               for r in json.loads((out / "report.json").read_text())}
-    sigma_a = reports["emf_max_sigma[t=0.1]"]
-    sigma_b = reports["emf_max_sigma[t=0.5]"]
-    contraction = reports["emf_contraction_ok"] == 1.0
-    ok = status == 0 and sigma_a <= 4.0 and sigma_b <= 4.0 and contraction
+    ok = run_experiment(config, "emf-check") == 0
+    values = report_values(json.loads((out / "report.json").read_text()))
     elapsed = time.perf_counter() - start
     report_line(9, "moment-flow ODE vs 10^4 eigenvector-SDE replicas", ok,
-                f"max |ODE-MC|/SE {sigma_a:.2f}, {sigma_b:.2f} <= 4, "
-                f"contraction {contraction}; {elapsed:.0f}s")
+                f"max |ODE-MC|/SE {values['emf_max_sigma[t=0.1]']:.2f}, "
+                f"{values['emf_max_sigma[t=0.5]']:.2f}, "
+                f"contraction {values['emf_contraction_ok'] == 1.0}; "
+                f"{elapsed:.0f}s")
     assert ok
     assert elapsed < 600
 
@@ -321,10 +282,9 @@ def test_criterion_10_free_convolution_identities():
 
 def test_criterion_11_delocalization_and_rigidity(wide_ensemble):
     start = time.perf_counter()
-    n, d = wide_ensemble["n"], wide_ensemble["d"]
-    big_d = min(float(d), n ** 2 / d ** 3)
-    deloc_bound = 3.0 * math.sqrt(math.log(n))
-    rigidity_bound = 10.0 * big_d ** -0.25
+    config = wide_ensemble["config"]
+    deloc_bound = 3.0 * math.sqrt(math.log(config.n))
+    rigidity_bound = 10.0 * config.big_d ** -0.25
     deloc_max = max(wide_ensemble["deloc"])
     rigidity_max = max(wide_ensemble["rigidity"])
     ok = deloc_max <= deloc_bound and rigidity_max <= rigidity_bound

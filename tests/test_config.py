@@ -1,6 +1,5 @@
 """Config parsing, precedence, validation, and manifest serialization."""
 
-import os
 import warnings
 from pathlib import Path
 
@@ -107,6 +106,7 @@ def test_defaults_match_documented_profile():
     assert config.scheme == "exact"
     assert config.output_dir == Path("runs")
     assert config.kappa == 0.1 and config.alpha == 0.1
+    assert config.workers == 1
 
 
 @pytest.mark.parametrize(
@@ -123,7 +123,7 @@ def test_defaults_match_documented_profile():
         ({"kappa": 0.5}, r"kappa must lie in \(0, 0.5\)"),
         ({"scheme": "rk4"}, "scheme must be one of"),
         ({"alpha": 0.34}, r"alpha must lie in \(0, 1/3\)"),
-        ({"workers": -2}, "workers must be nonnegative"),
+        ({"workers": 0}, "workers must be at least 1"),
     ],
 )
 def test_validation_errors(kwargs, message):
@@ -151,11 +151,6 @@ def test_warn_outside_window_and_silent_inside():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ExperimentConfig(n=1000, d=32).warn_if_outside_window()
-
-
-def test_effective_workers():
-    assert ExperimentConfig(workers=3).effective_workers == 3
-    assert ExperimentConfig(workers=0).effective_workers == (os.cpu_count() or 1)
 
 
 def test_to_dict_serializes_for_manifest():

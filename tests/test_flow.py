@@ -93,7 +93,7 @@ def test_flow_generator_quadratic_observable_closed_form():
     # central differences are exact on quadratics, so a large step avoids
     # roundoff amplification entirely
     expected = n * (n - 1) / 2.0 - f(h)
-    dense = flow_generator(f, h, step=0.5, method="dense")
+    dense = flow_generator(f, h, step=0.5)
     assert abs(dense - expected) < 1e-9 * abs(expected)
     entrywise = flow_generator_entrywise(f, h, step=0.5)
     assert abs(entrywise - expected) < 1e-9 * abs(expected)
@@ -107,9 +107,11 @@ def test_flow_generator_halves_linear_observables():
     def f(mat):
         return h_switch_component(mat, 0, 2, 4, 6)
 
+    # central differences are exact on linear observables, so a large step
+    # keeps roundoff far below the tolerance
     expected = -0.5 * f(h)
-    assert abs(flow_generator(f, h, method="dense") - expected) < 1e-7
-    assert abs(flow_generator_entrywise(f, h) - expected) < 1e-7
+    assert abs(flow_generator(f, h, step=0.5) - expected) < 1e-7
+    assert abs(flow_generator_entrywise(f, h, step=0.5) - expected) < 1e-7
 
 
 def test_flow_generator_forms_agree_on_stieltjes_observable():
@@ -121,25 +123,11 @@ def test_flow_generator_forms_agree_on_stieltjes_observable():
     func = stieltjes_observable(0.2 + 0.5j, n)
     gaps = []
     for step in (4e-3, 2e-3):
-        dense = flow_generator(func, h, step=step, method="dense")
+        dense = flow_generator(func, h, step=step)
         entrywise = flow_generator_entrywise(func, h, step=step)
         gaps.append(abs(dense - entrywise))
     assert gaps[0] < 1e-4
     assert gaps[1] < 0.35 * gaps[0]  # shrinks at least quadratically-ish
-
-
-def test_flow_generator_sampled_estimates_dense():
-    n = 10
-    h = center_rescale(sample_regular_graph(n, 3, rng=rng_stream(13)))
-
-    def f(mat):
-        return inner_product(mat, mat)
-
-    dense = flow_generator(f, h, method="dense")
-    sampled, stderr = flow_generator(f, h, method="sampled", n_tuples=20000,
-                                     rng=rng_stream(14), return_stderr=True)
-    assert stderr > 0
-    assert abs(sampled - dense) < 5 * stderr
 
 
 def test_stieltjes_observable_uses_deflated_spectrum():
@@ -159,7 +147,7 @@ def test_stieltjes_flow_generator_matches_finite_differences():
     closed = stieltjes_flow_generator(decompose(h).eigenvalues, z,
                                       n_ambient=n).imag
     step = 1e-4 * (1.0 + np.abs(h).max())
-    fd = flow_generator(func, h, step=step, method="dense")
+    fd = flow_generator(func, h, step=step)
     assert abs(closed - fd) < 1e-6 * max(1.0, abs(closed))
 
 

@@ -163,3 +163,45 @@ def test_run_experiment_repeat_runs_are_identical(tmp_path):
                  "matrix_0000.bin", "report.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+def test_gap_test_artifacts_do_not_depend_on_worker_count(tmp_path):
+    for workers in (1, 2):
+        config = ExperimentConfig(n=120, d=6, n_samples=4, seed=0,
+                                  workers=workers,
+                                  output_dir=tmp_path / str(workers))
+        run_experiment(config, "gap-test")
+    for name in ("gaps_rrg.csv", "gaps_goe.csv", "gap_overlay.csv",
+                 "report.json"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("recipe, overrides, artifacts, report_names", [
+    ("semicircle-scan", {}, ["stieltjes.csv"],
+     ["abs_s_minus_m[-1+0.05j]", "abs_s_minus_m[0+0.05j]",
+      "abs_s_minus_m[1+0.05j]", "cdf_sup_distance"]),
+    ("repulsion-scan", {}, ["gaps_rrg.csv"],
+     ["small_gap_fraction_rrg", "small_gap_fraction_goe", "small_gap_sigma",
+      "repulsion_identity_max_rel"]),
+    ("corr-test", {}, ["correlation.csv"],
+     ["two_point_difference", "green_trace_diff_re[-0.5+0.1j]",
+      "green_trace_diff_im[-0.5+0.1j]", "green_trace_diff_re[0.5+0.1j]",
+      "green_trace_diff_im[0.5+0.1j]"]),
+    ("evolve", {"n": 60, "t_grid": (0.0, 0.01, 1.0)},
+     ["matrix_0000.bin", "matrix_0001.bin", "matrix_0002.bin",
+      "stieltjes.csv"],
+     ["max_abs_s_minus_fc"]),
+])
+def test_recipe_runs_end_to_end(tmp_path, recipe, overrides, artifacts,
+                                report_names):
+    config = ExperimentConfig(**{"n": 120, "d": 6, "n_samples": 4, "seed": 0,
+                                 "output_dir": tmp_path, **overrides})
+    status = run_experiment(config, recipe)
+    assert status in (0, 3)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["acceptance_ok"] == (status == 0)
+    for name in artifacts:
+        assert (tmp_path / name).is_file(), name
+    reports = json.loads((tmp_path / "report.json").read_text())
+    assert [r["name"] for r in reports] == report_names

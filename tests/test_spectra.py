@@ -21,8 +21,8 @@ from rrglab.spectra import (DeflationError, SpectralDecomposition,
                             bump_test_function, classical_locations,
                             compare_green_traces, correlation_estimator,
                             decompose, delocalization_stat, gamma_stat,
-                            gap_ensemble, gap_statistic, green_entries,
-                            green_matrix, green_trace_product, ks_distance,
+                            gap_ensemble, gap_statistic, green_matrix,
+                            green_trace_product, ks_distance,
                             kolmogorov_pvalue, level_repulsion_q,
                             level_repulsion_q_resolvent, rigidity_stat,
                             semicircle_cdf, semicircle_density, semicircle_m,
@@ -161,15 +161,6 @@ def test_green_matrix_is_resolvent_on_offspace(h_24_4):
     # the dense resolvent carries the trivial eigenvalue's -1/z on e
     reduced = dense + np.ones((n, n)) / (n * z)
     assert np.abs(green_matrix(decomp, z) - reduced).max() < 1e-10
-
-
-def test_green_entries_select_matrix_entries(h_24_4):
-    decomp = decompose(h_24_4, with_vectors=True)
-    z = -0.3 + 0.2j
-    g = green_matrix(decomp, z)
-    pairs = [(0, 0), (3, 17), (5, 5)]
-    got = green_entries(decomp, z, pairs)
-    assert np.abs(got - np.array([g[i, j] for i, j in pairs])).max() < 1e-12
 
 
 def test_gamma_stat_is_floored_max_entry(h_24_4):
