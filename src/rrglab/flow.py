@@ -362,39 +362,91 @@ def enumerate_configs(n_sites, p):
     return configs
 
 
-def moment_flow_rates(eigenvalues, configs, config_index, n_ambient,
-                      min_gap=1e-8):
-    """Dense moment-flow generator over configurations for one snapshot.
+@dataclass(frozen=True)
+class MomentFlowHops:
+    """Every single-particle hop between occupation configurations.
 
-    A particle hops i -> j at rate eta_i (1 + 2 eta_j) W_ij with
-    W_ij = 1/(N (lambda_i - lambda_j)^2); rows sum to zero.  Raises
-    ``SingularityError`` when an eigenvalue gap falls below ``min_gap``.
+    Hop k moves one particle from site ``site_from[k]`` to ``site_to[k]``,
+    taking configuration ``source[k]`` to ``target[k]`` at rate
+    ``coef[k] * W[site_from[k], site_to[k]]`` with coef = eta_i (1 + 2 eta_j).
     """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    m = len(lam)
-    diff = lam[:, None] - lam[None, :]
-    off = ~np.eye(m, dtype=bool)
-    if m > 1 and np.abs(diff[off]).min() < min_gap:
-        raise SingularityError(
-            f"eigenvalue gap below {min_gap:g}; moment-flow rates diverge")
-    w = np.zeros((m, m))
-    w[off] = 1.0 / (n_ambient * diff[off] ** 2)
-    gen = np.zeros((len(configs), len(configs)))
+
+    n_configs: int
+    source: np.ndarray
+    target: np.ndarray
+    site_from: np.ndarray
+    site_to: np.ndarray
+    coef: np.ndarray
+
+
+def moment_flow_hops(configs):
+    """The hop table of ``configs``, in (configuration, i, j) order.
+
+    It depends only on the configurations, so one table serves every rate
+    matrix of a solve; distinct (i, j) from one configuration reach distinct
+    targets, so each off-diagonal generator entry is a single hop.
+    """
+    index = {eta: k for k, eta in enumerate(configs)}
+    hops, coef = [], []
     for a, eta in enumerate(configs):
-        for i in range(m):
-            if eta[i] == 0:
+        for i, n_i in enumerate(eta):
+            if n_i == 0:
                 continue
-            for j in range(m):
+            for j, n_j in enumerate(eta):
                 if j == i:
                     continue
-                rate = eta[i] * (1.0 + 2.0 * eta[j]) * w[i, j]
                 hopped = list(eta)
                 hopped[i] -= 1
                 hopped[j] += 1
-                b = config_index[tuple(hopped)]
-                gen[a, b] += rate
-                gen[a, a] -= rate
+                hops.append((a, index[tuple(hopped)], i, j))
+                coef.append(n_i * (1.0 + 2.0 * n_j))
+    source, target, site_from, site_to = (
+        np.array(hops, dtype=np.intp).reshape(-1, 4).T)
+    return MomentFlowHops(len(configs), source, target, site_from, site_to,
+                          np.array(coef, dtype=np.float64))
+
+
+def moment_flow_rates(eigenvalues, hops, n_ambient, min_gap=1e-8):
+    """Dense moment-flow generator over configurations for one snapshot.
+
+    A particle hops i -> j at rate eta_i (1 + 2 eta_j) W_ij with
+    W_ij = 1/(N (lambda_i - lambda_j)^2); ``hops`` is the
+    ``moment_flow_hops`` table and rows sum to zero.  Raises
+    ``SingularityError`` when an eigenvalue gap falls below ``min_gap``.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    gap = lam[:, None] - lam[None, :]
+    np.fill_diagonal(gap, np.inf)
+    if np.abs(gap).min() < min_gap:
+        raise SingularityError(
+            f"eigenvalue gap below {min_gap:g}; moment-flow rates diverge")
+    w = 1.0 / (n_ambient * gap ** 2)
+    rate = hops.coef * w[hops.site_from, hops.site_to]
+    gen = np.zeros((hops.n_configs, hops.n_configs))
+    gen[hops.source, hops.target] = rate
+    # the diagonal accumulates in hop order, as a loop over hops would
+    np.subtract.at(gen, (hops.source, hops.source), rate)
     return gen
+
+
+def _path_row(path_times, path_values, t):
+    """The piecewise-linear path at time t, all columns at once.
+
+    One search finds the knot interval for the whole eigenvalue row; the
+    value is numpy's own interpolation formula slope * (t - x_j) + f_j, and
+    the knot value itself at a knot, so each entry equals numpy's
+    column-by-column linear interpolation bit for bit.  Outside the knots
+    the path is held at its end values.  The returned row may be a view of
+    ``path_values``.
+    """
+    j = int(np.searchsorted(path_times, t, side="right")) - 1
+    if j < 0:
+        return path_values[0]
+    if j == len(path_times) - 1 or path_times[j] == t:
+        return path_values[j]
+    lo, hi = path_values[j], path_values[j + 1]
+    slope = (hi - lo) / (path_times[j + 1] - path_times[j])
+    return slope * (t - path_times[j]) + lo
 
 
 @dataclass
@@ -441,16 +493,23 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
     if n_ambient is None:
         n_ambient = m
     configs = enumerate_configs(m, p)
-    config_index = {eta: idx for idx, eta in enumerate(configs)}
+    hops = moment_flow_hops(configs)
     f = np.asarray(f0, dtype=np.float64).copy()
     if f.shape != (len(configs),):
         raise ValueError(f"f0 must have one value per configuration "
                          f"({len(configs)}), got shape {f.shape}")
 
+    # rate matrices by exact time; the step loop keeps only the current
+    # attempt's times, so each distinct time is built once
+    cache = {}
+
     def rates(t):
-        lam = np.array([np.interp(t, path_times, col) for col in path_values.T])
-        return moment_flow_rates(lam, configs, config_index, n_ambient,
-                                 min_gap=min_gap)
+        gen = cache.get(t)
+        if gen is None:
+            gen = cache[t] = moment_flow_rates(
+                _path_row(path_times, path_values, t), hops, n_ambient,
+                min_gap=min_gap)
+        return gen
 
     def rk4(y, t, dt):
         k1 = rates(t) @ y
@@ -474,7 +533,10 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
         while t < target:
             if n_accepted + n_rejected > max_steps:
                 raise ConvergenceError("moment-flow step budget exhausted")
-            max_rate = float(-np.diag(rates(t)).min())
+            current = rates(t)
+            cache.clear()
+            cache[t] = current
+            max_rate = float(-np.diag(current).min())
             if max_rate > 0:
                 dt = min(dt, cfl / max_rate)
             landing = dt >= target - t
@@ -559,11 +621,11 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, seed=None,
 
     with symmetric noise (B_ij = B_ji, off-diagonal variance dt per step
     pair) drawn independently per replica, and per-step re-orthonormalization
-    by QR with a positive-diagonal sign convention.  Returns frames of shape
-    (n_replicas, dim, M) whose columns are the eigenvectors; ``v0`` may be a
-    single frame or a per-replica (n_replicas, dim, M) stack, so a run can
-    continue where a previous segment stopped (pass its output and
-    ``t_start``).
+    by modified Gram-Schmidt (the positive-diagonal QR sign convention).
+    Returns frames of shape (n_replicas, dim, M) whose columns are the
+    eigenvectors; ``v0`` may be a single frame or a per-replica
+    (n_replicas, dim, M) stack, so a run can continue where a previous
+    segment stopped (pass its output and ``t_start``).
     """
     path_times = np.asarray(path_times, dtype=np.float64)
     path_values = np.asarray(path_values, dtype=np.float64)
@@ -585,29 +647,59 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, seed=None,
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(span, 1.0):
         raise ValueError("t_end - t_start must be an integer multiple of dt")
-    off = ~np.eye(m, dtype=bool)
+    diag = np.arange(m)
     for step in range(n_steps):
         t = t_start + step * dt
-        lam = np.array([np.interp(t, path_times, col) for col in path_values.T])
-        diff = lam[:, None] - lam[None, :]
-        if m > 1 and np.abs(diff[off]).min() < min_gap:
+        lam = _path_row(path_times, path_values, t)
+        gap = lam[:, None] - lam[None, :]
+        np.fill_diagonal(gap, np.inf)
+        if np.abs(gap).min() < min_gap:
             raise SingularityError("eigenvalue collision during eigenvector flow")
-        coeff = np.zeros((n_replicas, m, m))
         if noise:
             raw = rng.normal(size=(n_replicas, m, m))
-            sym = (raw + raw.swapaxes(1, 2)) * math.sqrt(dt / 2.0)
-            coeff[:, off] = sym[:, off] / (diff[off] * math.sqrt(n_ambient))
-        inv_sq = np.zeros((m, m))
-        inv_sq[off] = 1.0 / diff[off] ** 2
-        decay = -(dt / (2.0 * n_ambient)) * inv_sq.sum(axis=1)
-        coeff[:, np.arange(m), np.arange(m)] = decay
+            coeff = (raw + raw.swapaxes(1, 2)) * math.sqrt(dt / 2.0)
+            coeff /= gap * math.sqrt(n_ambient)  # the inf diagonal gives 0
+        else:
+            coeff = np.zeros((n_replicas, m, m))
+        decay = -(dt / (2.0 * n_ambient)) * (1.0 / gap ** 2).sum(axis=1)
+        coeff[:, diag, diag] = decay
         frames = frames + frames @ coeff.swapaxes(1, 2)
         if renormalize:
-            q, r = np.linalg.qr(frames)
-            signs = np.sign(np.einsum("kii->ki", r))
-            signs[signs == 0] = 1.0
-            frames = q * signs[:, None, :]
+            frames = _orthonormalize(frames)
     return frames
+
+
+# Replicas per block when frames change layout: a block of both layouts
+# stays in cache, where a whole-array transpose would not.
+_LAYOUT_BLOCK = 256
+
+
+def _orthonormalize(frames):
+    """Modified Gram-Schmidt on the columns of every frame in a stack.
+
+    The (n_replicas, dim, M) stack is copied to a replicas-last layout, in
+    which column k of every replica is one contiguous (dim, n_replicas)
+    slab, so each projection is a few whole-array operations.  Each
+    column's norm divides it after its projections, so the implied R
+    factor has a positive diagonal: the sign convention of a QR
+    factorization whose R diagonal is made positive.
+    """
+    n, dim, m = frames.shape
+    cols = np.empty((m, dim, n))
+    for start in range(0, n, _LAYOUT_BLOCK):
+        block = slice(start, start + _LAYOUT_BLOCK)
+        cols[:, :, block] = frames[block].transpose(2, 1, 0)
+    for k in range(m):
+        v = cols[k]
+        for j in range(k):
+            q = cols[j]
+            v -= (q * v).sum(axis=0) * q
+        v /= np.sqrt((v * v).sum(axis=0))
+    out = np.empty_like(frames)
+    for start in range(0, n, _LAYOUT_BLOCK):
+        block = slice(start, start + _LAYOUT_BLOCK)
+        out[block] = cols[:, :, block].transpose(2, 1, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,10 @@ def _emf_profile(config, gap_floor=0.05, max_retries=512):
     """
     m = config.n
     t_grid = tuple(config.t_grid) or (0.1, 0.5)
+    # at t = 0 the replicas agree exactly (zero standard error), and a
+    # repeated time would repeat its report record
+    if min(t_grid) <= 0 or len(set(t_grid)) < len(t_grid):
+        raise ConfigError("t_grid times must be positive and distinct")
     t_end = max(t_grid)
     rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
     q = rng.normal(size=m)

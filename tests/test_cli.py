@@ -102,6 +102,19 @@ def test_single_replica_emf_check_fails(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("t_grid", ["0 0.04", "0.04 0.04", "0.04 -0.1"])
+def test_emf_check_refuses_zero_or_repeated_times(tmp_path, capsys, t_grid):
+    """A t = 0 row has zero standard error; a repeated time, a repeated record."""
+    cfg = tmp_path / "emf.cfg"
+    cfg.write_text(f"t_grid = {t_grid}\n")
+    out = tmp_path / "out"
+    status = main(["emf-check", "--config", str(cfg), "--samples", "20",
+                   "--seed", "0", "--out", str(out)])
+    assert status == EXIT_PARAMETER
+    assert "positive and distinct" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_repeat_runs_write_identical_artifacts(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 120\nd = 6\n")

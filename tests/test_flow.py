@@ -13,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from rrglab.flow import (ConvergenceError, SingularityError, emf_solve,
-                         enumerate_configs, estimate_seminorm,
-                         eigenvalue_path, eigenvector_sde, evolve_exact,
-                         evolve_sde, flow_generator,
+from rrglab import flow
+from rrglab.flow import (ConvergenceError, SingularityError, _orthonormalize,
+                         _path_row, emf_solve, enumerate_configs,
+                         estimate_seminorm, eigenvalue_path, eigenvector_sde,
+                         evolve_exact, evolve_sde, flow_generator,
                          flow_generator_entrywise, free_conv_stieltjes,
-                         moment_flow_rates, qf_lf_compare,
+                         moment_flow_hops, moment_flow_rates, qf_lf_compare,
                          semicircle_semigroup_residual,
                          stieltjes_flow_generator, stieltjes_observable,
                          switch_generator_stieltjes)
@@ -222,22 +223,107 @@ def test_enumerate_configs_counts_multisets():
                                        (0, 0, 1, 0), (0, 0, 0, 1)]
 
 
+def _loop_moment_flow_rates(eigenvalues, configs, n_ambient):
+    """Reference generator: the hop-by-hop triple loop over configurations."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    m = len(lam)
+    diff = lam[:, None] - lam[None, :]
+    off = ~np.eye(m, dtype=bool)
+    w = np.zeros((m, m))
+    w[off] = 1.0 / (n_ambient * diff[off] ** 2)
+    config_index = {eta: k for k, eta in enumerate(configs)}
+    gen = np.zeros((len(configs), len(configs)))
+    for a, eta in enumerate(configs):
+        for i in range(m):
+            if eta[i] == 0:
+                continue
+            for j in range(m):
+                if j == i:
+                    continue
+                rate = eta[i] * (1.0 + 2.0 * eta[j]) * w[i, j]
+                hopped = list(eta)
+                hopped[i] -= 1
+                hopped[j] += 1
+                b = config_index[tuple(hopped)]
+                gen[a, b] += rate
+                gen[a, a] -= rate
+    return gen
+
+
+def test_moment_flow_rates_equal_the_hop_loop():
+    rng = rng_stream(29)
+    for p in (1, 2, 3):
+        for m in range(2, 7):
+            configs = enumerate_configs(m, p)
+            hops = moment_flow_hops(configs)
+            for _ in range(3):
+                lam = np.sort(rng.normal(size=m))
+                n_amb = m + int(rng.integers(0, 3))
+                assert np.array_equal(
+                    moment_flow_rates(lam, hops, n_amb),
+                    _loop_moment_flow_rates(lam, configs, n_amb)), (p, m)
+
+
 def test_moment_flow_rates_conserve_mass():
     lam = np.array([1.0, 0.3, -0.8])
     configs = enumerate_configs(3, 2)
-    rates = moment_flow_rates(lam, configs, {c: k for k, c in enumerate(configs)},
-                              n_ambient=4)
+    rates = moment_flow_rates(lam, moment_flow_hops(configs), n_ambient=4)
     assert rates.shape == (len(configs), len(configs))
     assert np.abs(rates.sum(axis=1)).max() < 1e-12
     off = rates - np.diag(np.diag(rates))
     assert (off >= 0).all()
+    pair = moment_flow_hops(enumerate_configs(2, 1))
     with pytest.raises(SingularityError):
-        moment_flow_rates(np.array([1.0, 1.0 + 1e-12]), *_p1_configs(2), n_ambient=3)
+        moment_flow_rates(np.array([1.0, 1.0 + 1e-12]), pair, n_ambient=3)
 
 
-def _p1_configs(m):
-    configs = enumerate_configs(m, 1)
-    return configs, {c: k for k, c in enumerate(configs)}
+def test_path_row_equals_columnwise_interp():
+    path_t, path = eigenvalue_path(np.array([1.0, 0.1, -0.7, -1.4]), 0.05,
+                                   1e-3, seed=30)
+    rng = rng_stream(31)
+    times = np.concatenate([
+        path_t,                                  # every knot, the last too
+        rng.uniform(0.0, 0.05, size=200),        # interior points
+        [0.0125, np.nextafter(0.05, 0.0), -1.0, 1.0]])  # near the end, outside
+    for t in times.tolist():
+        expected = np.array([np.interp(t, path_t, col) for col in path.T])
+        assert np.array_equal(_path_row(path_t, path, t), expected), t
+
+
+def _sign_fixed_qr(frames):
+    q, r = np.linalg.qr(frames)
+    signs = np.sign(np.einsum("kii->ki", r))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :]
+
+
+def test_orthonormalize_matches_sign_fixed_qr():
+    rng = rng_stream(32)
+    # 600 replicas span several layout blocks, the last one partial
+    for n, dim, m in ((3, 4, 4), (600, 8, 8), (5, 6, 3)):
+        base = _sign_fixed_qr(rng.normal(size=(n, dim, m)))
+        stack = base + 1e-2 * rng.normal(size=(n, dim, m))
+        out = _orthonormalize(stack)
+        assert out.shape == stack.shape
+        assert np.abs(out - _sign_fixed_qr(stack)).max() < 1e-12
+        gram = out.swapaxes(1, 2) @ out
+        assert np.abs(gram - np.eye(m)).max() < 1e-12
+
+
+def test_emf_solve_builds_each_rate_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return moment_flow_rates(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "moment_flow_rates", counting)
+    path_t, path = eigenvalue_path(np.array([1.2, 0.3, -0.4, -1.3]), 0.2,
+                                   1e-3, seed=33)
+    f0 = np.array([0.4, 0.3, 0.2, 0.1])
+    sol = emf_solve(path_t, path, 1, f0, [0.04, 0.2], n_ambient=4)
+    assert sol.n_rejected > 0  # rejected attempts reuse their start time
+    assert len(calls) <= 6 * (sol.n_accepted + sol.n_rejected) + 1
 
 
 def test_two_state_moment_flow_matches_exponential():
