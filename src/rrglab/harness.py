@@ -22,7 +22,8 @@ from .config import ConfigError
 from .flow import (eigenvalue_path, eigenvector_sde, emf_solve, evolve_exact,
                    evolve_sde, free_conv_stieltjes, qf_lf_compare)
 from .graphs import RegularGraph, sample_regular_graph
-from .matrices import center_rescale, embed_in_offspace
+from .matrices import center_rescale
+from .matrices import embed_in_offspace  # noqa: F401  traced by recipebench
 from .spectra import (SpectralDecomposition, bulk_range, bump_product,
                       bump_test_function, compare_green_traces,
                       correlation_estimator, decompose, gap_ensemble,
@@ -38,29 +39,43 @@ _STREAM_FLOW = 1 << 33
 _STREAM_MISC = 1 << 34
 
 
-def goe_reference(n, n_samples, seed, with_vectors=False):
-    """Sample (N-1)x(N-1) GOE cores (off-diagonal variance 1/N) and decompose.
+def _tridiagonal_spectrum(m, n, beta, rng):
+    """Ascending spectrum of the m x m beta-Hermite tridiagonal model.
+
+    Dumitriu-Edelman ("Matrix models for beta ensembles", 2002): the
+    symmetric tridiagonal T with diagonal N(0, 2/(beta N)) and off-diagonal
+    chi_{beta k} / sqrt(beta N), k = m-1, ..., 1, has the eigenvalue law of
+    the m x m Gaussian beta ensemble whose off-diagonal entries have
+    E|h_ij|^2 = 1/N.  Draws, in order: m normals, then one ``chisquare``
+    call with df beta (m-1), ..., beta.  Solved in O(m^2) by LAPACK's
+    symmetric tridiagonal eigensolver.
+    """
+    # scipy costs about 0.27 s and 25 MB to import: only callers pay it
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    diagonal = rng.normal(0.0, math.sqrt(2.0 / (beta * n)), size=m)
+    squares = rng.chisquare(beta * np.arange(m - 1, 0, -1, dtype=np.float64))
+    return eigvalsh_tridiagonal(diagonal, np.sqrt(squares / (beta * n)))
+
+
+def goe_reference(n, n_samples, seed):
+    """Spectra of (N-1)x(N-1) GOE cores (off-diagonal variance 1/N).
 
     This is the comparison ensemble for gap statistics: its spectrum matches
-    the nontrivial spectrum of the constrained Gaussian law, and eigenvectors
-    (when requested) are embedded into the complement of e in R^N.
+    the nontrivial spectrum of the constrained Gaussian law.  Each trial is
+    the tridiagonal beta = 1 model of ``_tridiagonal_spectrum`` with M = N-1:
+    diagonal N(0, 2/N), off-diagonal chi_k / sqrt(N) for k = M-1, ..., 1.
+    Trial k draws from stream ``_STREAM_GOE + k``: first M normals, then one
+    ``chisquare`` call with df M-1, ..., 1.  Eigenvalues are descending.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    m = n - 1
     out = []
     for trial in range(n_samples):
         rng = rng_stream(seed, stream_id=_STREAM_GOE + trial)
-        raw = rng.normal(size=(m, m))
-        core = (raw + raw.T) / math.sqrt(2.0 * n)
-        if with_vectors:
-            eigenvalues, vectors = np.linalg.eigh(core)
-            vectors = embed_in_offspace(vectors[:, ::-1])
-        else:
-            eigenvalues = np.linalg.eigvalsh(core)
-            vectors = None
+        eigenvalues = _tridiagonal_spectrum(n - 1, n, 1, rng)
         out.append(SpectralDecomposition(
-            n=n, eigenvalues=eigenvalues[::-1].copy(), eigenvectors=vectors))
+            n=n, eigenvalues=eigenvalues[::-1].copy()))
     return out
 
 
@@ -153,7 +168,7 @@ def recipe_evolve(config, out_dir):
     h0 = center_rescale(trial_graph(config, 0))
     spectrum0 = decompose(h0, with_vectors=False).eigenvalues
     flow_rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
-    h, t_prev = h0.copy(), 0.0
+    h, t_prev, lam = h0, 0.0, spectrum0
     rows = []
     for k, t in enumerate(t_grid):
         span = t - t_prev
@@ -162,9 +177,9 @@ def recipe_evolve(config, out_dir):
                 h = evolve_exact(h, span, rng=flow_rng)
             else:
                 h = evolve_sde(h, span, min(1e-2, span / 10.0), rng=flow_rng)
+            lam = decompose(h, with_vectors=False).eigenvalues
         t_prev = t
         io.write_matrix(h, out_dir / f"matrix_{k:04d}.bin")
-        lam = decompose(h, with_vectors=False).eigenvalues
         for z in z_grid:
             rows.append((z, stieltjes_empirical(lam, z),
                          free_conv_stieltjes(spectrum0, t, z)))

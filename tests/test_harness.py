@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +15,16 @@ from rrglab.config import ConfigError, DegreeWindowWarning, ExperimentConfig
 from rrglab.harness import (
     RECIPE_DEFAULTS,
     RECIPES,
+    _tridiagonal_spectrum,
+    gap_gate,
     goe_reference,
     involution_suite,
+    repulsion_gate,
     run_experiment,
 )
 from rrglab.io import read_graph_text, read_matrix
+from rrglab.spectra import SpectralDecomposition, gap_ensemble, ks_distance
+from rrglab.streams import rng_stream
 
 
 def test_goe_reference_shapes_and_order():
@@ -41,21 +49,6 @@ def test_goe_reference_determinism_and_stream_prefix():
     assert not np.array_equal(first[0].eigenvalues, first[1].eigenvalues)
 
 
-def test_goe_reference_vectors_live_in_constraint_space():
-    decomps = goe_reference(12, 2, seed=8, with_vectors=True)
-    ones = np.ones(12)
-    for dec in decomps:
-        vectors = dec.eigenvectors
-        assert vectors.shape == (12, 11)
-        assert np.allclose(vectors.T @ vectors, np.eye(11), atol=1e-10)
-        assert np.max(np.abs(ones @ vectors)) < 1e-10
-        # lifting V diag(lam) V^T reproduces the spectrum plus the trivial zero
-        lifted = (vectors * dec.eigenvalues) @ vectors.T
-        assert np.max(np.abs(lifted @ ones)) < 1e-10
-        full = np.sort(np.append(dec.eigenvalues, 0.0))
-        assert np.allclose(np.linalg.eigvalsh(lifted), full, atol=1e-10)
-
-
 def test_goe_reference_second_moment_matches_constrained_law():
     """E sum(lam^2) = (n-1)n/n = n-1 for the (n-1)-core with variance 1/n."""
     n, n_samples = 40, 200
@@ -68,6 +61,87 @@ def test_goe_reference_second_moment_matches_constrained_law():
 def test_goe_reference_rejects_tiny_n():
     with pytest.raises(ValueError, match="need n >= 2"):
         goe_reference(1, 1, seed=0)
+
+
+class _SecondMoments:
+    """Generator stand-in whose draws carry their second moments.
+
+    A normal draw becomes a value whose square is its second moment, and a
+    chi-square draw its mean, so sum(lam^2) of the model built from them is
+    E tr T^2 of the model built from real draws.
+    """
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.full(size, math.hypot(loc, scale))
+
+    def chisquare(self, df, size=None):
+        return np.asarray(df, dtype=np.float64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 200])
+def test_tridiagonal_model_second_moment_is_exact(n):
+    m = n - 1
+    goe = np.sum(_tridiagonal_spectrum(m, n, 1, _SecondMoments()) ** 2)
+    gue = np.sum(_tridiagonal_spectrum(m, n, 2, _SecondMoments()) ** 2)
+    # the dense GOE core: M diagonal entries of variance 2/N, M(M-1)
+    # off-diagonal entries of variance 1/N
+    assert math.isclose(m * (m + 1) / n, 2 * m / n + m * (m - 1) / n)
+    assert math.isclose(goe, m * (m + 1) / n, rel_tol=1e-12)
+    # the GUE core: every entry has E|h_ij|^2 = 1/N
+    assert math.isclose(gue, m * m / n, rel_tol=1e-12)
+
+
+def test_tridiagonal_gaps_match_dense_goe_oracle():
+    n, n_samples = 200, 40
+    dense = []
+    for trial in range(n_samples):
+        raw = rng_stream(3, stream_id=trial).normal(size=(n - 1, n - 1))
+        core = (raw + raw.T) / math.sqrt(2.0 * n)
+        dense.append(SpectralDecomposition(
+            n=n, eigenvalues=np.linalg.eigvalsh(core)[::-1].copy()))
+    tridiagonal = goe_reference(n, n_samples, seed=3)
+    ks, _ = ks_distance(gap_ensemble(tridiagonal), gap_ensemble(dense))
+    # measured 0.0160 at this seed (6440 gaps each), at most 0.0169 over
+    # seeds 0-19; beta = 2 gaps against GOE gaps read about 0.07
+    assert ks < 0.03
+
+
+def _gue_control(n=1000, n_samples=20, seed=0):
+    """Gap ensembles of beta = 2 spectra and of the GOE reference."""
+    gue = [SpectralDecomposition(n=n, eigenvalues=_tridiagonal_spectrum(
+        n - 1, n, 2, rng_stream(seed, stream_id=trial))[::-1].copy())
+        for trial in range(n_samples)]
+    goe = goe_reference(n, n_samples, seed)
+    config = ExperimentConfig(n=n, d=32, n_samples=n_samples, seed=seed)
+    return gap_ensemble(gue), gap_ensemble(goe), config
+
+
+def test_repulsion_gate_rejects_gue():
+    gue, goe, config = _gue_control()
+    ok, reports = repulsion_gate(gue, goe, config)
+    sigma = {r["name"]: r["value"] for r in reports}["small_gap_sigma"]
+    # measured 5.12 sigma against the 3 sigma bound
+    assert not ok and sigma > 3.0
+
+
+def test_gap_gate_rejects_gue():
+    gue, goe, _ = _gue_control()
+    ok, reports = gap_gate(gue, goe)
+    ks = {r["name"]: r["value"] for r in reports}["ks_statistic"]
+    # measured KS 0.0778 against the 0.05 bound
+    assert not ok and ks >= 0.05
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is imported where the GOE reference is drawn, not at start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, rrglab.cli, rrglab.harness; "
+         "print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"
 
 
 def test_involution_suite_all_properties_hold():
