@@ -20,10 +20,10 @@ The generator of the chain acting on an observable f is
 
     Qf(A) = (1/(8*N*d)) * sum_{i,j,m,n} I(i,j,m,n; A) * (f(A') - f(A)),
 
-with A' the switched graph; ``jump_generator_apply`` evaluates it either by
-the dense sum over all N^4 tuples or by the sparse scan over ordered pairs
-of directed edges, and ``invariance_report`` verifies stationarity and
-detailed balance exactly on exhaustively enumerated state spaces.
+with A' the switched graph.  ``invariance_report`` verifies stationarity
+and detailed balance exactly on exhaustively enumerated state spaces;
+``rrglab.flow.switch_generator_stieltjes`` evaluates Q on Stieltjes
+observables.
 """
 
 from dataclasses import dataclass
@@ -39,19 +39,17 @@ from .streams import rng_stream
 DEFAULT_BLOCK_SIZE = 1 << 15
 
 
-def run_chain(graph, n_steps, seed=None, rng=None, block_size=DEFAULT_BLOCK_SIZE):
+def run_chain(graph, n_steps, *, rng, block_size=DEFAULT_BLOCK_SIZE):
     """Run ``n_steps`` vertex-tuple steps; returns (final graph, accepted count).
 
     ``n_steps`` counts steps of the vertex-tuple chain.  Only the
     Binomial(n_steps, (d/N)^2) steps whose two pairs are edges are drawn,
     as pairs of directed-edge codes in [0, N*d); the law of the final graph
     is that of ``n_steps`` tuple steps.  Deterministic given (graph,
-    n_steps, seed): the draws do not depend on the block size.
+    n_steps, rng state): the draws do not depend on the block size.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
     if n_steps == 0:
         return graph, 0
     n, d = graph.n_vertices, graph.degree
@@ -132,34 +130,6 @@ def switched_graph(graph, i, j, m, n):
     adj[i, j] = adj[j, i] = adj[m, n] = adj[n, m] = 0
     adj[i, m] = adj[m, i] = adj[j, n] = adj[n, j] = 1
     return RegularGraph(adj, validate=False)
-
-
-def jump_generator_apply(f, graph, method="sparse"):
-    """Evaluate the jump-chain generator Qf at one graph.
-
-    ``method="sparse"`` scans the (N*d)^2 ordered pairs of directed edges;
-    ``method="dense"`` scans all N^4 tuples and checks the acceptance
-    indicator per tuple.  Both accumulate the same nonzero terms in the same
-    order, so they agree bit for bit.
-    """
-    n, d = graph.n_vertices, graph.degree
-    if d == 0:
-        return 0.0
-    f_here = f(graph)
-    total = 0.0
-    if method == "sparse":
-        for i, j, m, k in switchable_tuples(graph):
-            total += f(switched_graph(graph, i, j, m, k)) - f_here
-    elif method == "dense":
-        for i in range(n):
-            for j in range(n):
-                for m in range(n):
-                    for k in range(n):
-                        if tuple_switchable(i, j, m, k, graph):
-                            total += f(switched_graph(graph, i, j, m, k)) - f_here
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return total / (8.0 * n * d)
 
 
 @dataclass(frozen=True)

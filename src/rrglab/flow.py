@@ -59,19 +59,17 @@ class ConvergenceError(RuntimeError):
 # Ornstein-Uhlenbeck evolution
 
 
-def evolve_exact(h0, t, seed=None, rng=None):
+def evolve_exact(h0, t, *, rng):
     """Sample H(t) = e^{-t/2} H(0) + (1 - e^{-t})^{1/2} W exactly in law."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return h0.copy()
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
     w = sample_constrained_goe(h0.shape[0], rng=rng)
     return math.exp(-t / 2.0) * h0 + math.sqrt(1.0 - math.exp(-t)) * w
 
 
-def evolve_sde(h0, t, dt, seed=None, rng=None, noise=True):
+def evolve_sde(h0, t, dt, *, rng, noise=True):
     """Euler-Maruyama endpoint of dH = -(1/2) H dt + noise, staying in M.
 
     Noise increments are sampled as sqrt(dt) times a fresh draw of the
@@ -85,8 +83,6 @@ def evolve_sde(h0, t, dt, seed=None, rng=None, noise=True):
         return h0.copy()
     if not 0 < dt <= t:
         raise ValueError("need 0 < dt <= t")
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
     n = h0.shape[0]
     n_full, tail = divmod(t, dt)
     steps = [dt] * int(round(n_full))
@@ -256,7 +252,7 @@ def switch_generator_stieltjes(graph, z):
 
 
 def estimate_seminorm(func, matrices, order, r=8, n_probes=256, scale=1.0,
-                      rng=None, step=None):
+                      *, rng, step=None):
     """Sampled estimate of the order-n switching-derivative seminorm.
 
     For each sample H the inner sup over (theta, X) in [0,1]^n x
@@ -267,8 +263,6 @@ def estimate_seminorm(func, matrices, order, r=8, n_probes=256, scale=1.0,
     """
     if order < 0 or order > 4:
         raise ValueError("order must be in 0..4")
-    if rng is None:
-        rng = rng_stream(0)
     values = []
     for h in matrices:
         n = h.shape[0]
@@ -569,25 +563,22 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
 # Eigenvalue and eigenvector SDEs
 
 
-def eigenvalue_path(lambda0, t_end, dt, seed=None, rng=None, n_ambient=None,
-                    min_gap=1e-8, noise=True, sort=True):
+def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None,
+                    min_gap=1e-8, noise=True):
     """Euler-Maruyama eigenvalue flow with diagonal noise only.
 
     d lambda_i = dB_ii/sqrt(N) + (1/N) sum_{j != i} dt/(lambda_i - lambda_j)
     - (lambda_i/2) dt, with Var dB_ii = 2 dt.  Returns (times, paths) with
     paths of shape (n_steps+1, M), every row in ascending order (the input
     is sorted on entry); raises ``SingularityError`` if a gap falls below
-    ``min_gap``.  ``sort=True`` re-sorts after each step: rank labels are
-    ordered by definition, and the discrete scheme (unlike the continuum
-    flow, whose repulsion forbids crossings) can hop across a small gap in
-    one step.
+    ``min_gap``.  Each step re-sorts: rank labels are ordered by
+    definition, and the discrete scheme (unlike the continuum flow, whose
+    repulsion forbids crossings) can hop across a small gap in one step.
     """
     lam = np.sort(np.asarray(lambda0, dtype=np.float64))
     m = len(lam)
     if n_ambient is None:
         n_ambient = m
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -605,14 +596,13 @@ def eigenvalue_path(lambda0, t_end, dt, seed=None, rng=None, n_ambient=None,
         lam = lam + drift * dt
         if noise:
             lam = lam + rng.normal(scale=math.sqrt(2.0 * dt), size=m) / math.sqrt(n_ambient)
-        if sort:
-            lam = np.sort(lam)
+        lam = np.sort(lam)
         paths[step + 1] = lam
     return times, paths
 
 
-def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, seed=None,
-                    rng=None, n_ambient=None, n_replicas=1, min_gap=1e-8,
+def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
+                    n_ambient=None, n_replicas=1, min_gap=1e-8,
                     noise=True, renormalize=True, t_start=0.0):
     """Euler-Maruyama eigenvector frames along a frozen eigenvalue path.
 
@@ -632,8 +622,6 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, seed=None,
     m = path_values.shape[1]
     if n_ambient is None:
         n_ambient = m
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
     if v0 is None:
         v0 = np.eye(m)
     v0 = np.asarray(v0, dtype=np.float64)

@@ -8,16 +8,18 @@ perspective: operations return new graphs, and the long-running jump chain
 copies.
 """
 
+import math
 from collections import defaultdict
 
 import numpy as np
 
-from .streams import rng_stream
-
-# Expected number of full restarts of the stub-pairing sampler before it
-# produces a simple graph is ~exp((d-1)/2 + (d-1)^2/4); beyond this budget
-# we switch to collision-avoiding pairing.
-_REJECTION_BUDGET = 500.0
+# Restarts either pairing stage may spend before raising SamplingError.
+_MAX_ATTEMPTS = 1000
+# Rejection pairing restarts ~exp((d-1)/2 + (d-1)^2/4) times on average
+# before it produces a simple graph; it is used while that stays below
+# _MAX_ATTEMPTS / 20, so that exhausting the budget is negligible (d <= 4).
+# Compared in log space: the count overflows a float from d = 55.
+_LOG_REJECTION_BUDGET = math.log(_MAX_ATTEMPTS / 20.0)
 
 DEFAULT_BURN_IN_FACTOR = 20
 
@@ -61,9 +63,6 @@ class RegularGraph:
     def has_edge(self, u, v):
         return bool(self._adj[u, v])
 
-    def neighbors(self, u):
-        return np.flatnonzero(self._adj[u])
-
     def edges(self):
         """Edges as (u, v) with u < v, sorted lexicographically."""
         iu, ju = np.nonzero(np.triu(self._adj, 1))
@@ -102,8 +101,7 @@ def _validate_adjacency(adj):
         raise ValueError("graph must be regular (constant degree)")
 
 
-def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
-                         burn_in=None, method="auto", max_attempts=1000):
+def sample_regular_graph(n_vertices, degree, *, rng, burn_in=None):
     """Sample an approximately uniform random d-regular graph.
 
     Draws a simple d-regular graph by stub pairing and then mixes it with
@@ -111,16 +109,12 @@ def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
     out residual pairing bias.  ``burn_in`` counts vertex-tuple steps; only
     the Binomial(burn_in, (d/n)^2) of them whose two vertex pairs are edges
     can switch, and only those are drawn (see ``rrglab.chain.run_chain``).
-    ``method`` selects the pairing stage:
+    The pairing stage restarts on any self-loop or multi-edge (exactly
+    uniform before burn-in) while its expected restart count is small, and
+    otherwise pairs greedily, re-drawing only colliding stubs.
 
-    - ``"rejection"``: restart on any self-loop or multi-edge (exactly
-      uniform before burn-in; practical only for small degree),
-    - ``"greedy"``: collision-avoiding pairing with restarts on dead ends,
-    - ``"auto"``: rejection while its expected restart count is small,
-      greedy otherwise.
-
-    Raises ``SamplingError`` when ``max_attempts`` restarts are exhausted,
-    and ``ValueError`` for an infeasible (n, d).
+    Raises ``SamplingError`` when the restart budget is exhausted, and
+    ``ValueError`` for an infeasible (n, d).
     """
     if n_vertices <= 0:
         raise ValueError("need at least one vertex")
@@ -128,24 +122,14 @@ def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={degree} n={n_vertices}")
     if (n_vertices * degree) % 2:
         raise ValueError(f"n*d must be even, got n={n_vertices} d={degree}")
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
 
     if degree == 0:
         return RegularGraph(np.zeros((n_vertices, n_vertices), dtype=np.uint8))
 
-    if method == "auto":
-        expected_restarts = float(np.exp((degree - 1) / 2.0 + (degree - 1) ** 2 / 4.0))
-        # rejection needs max_attempts to dwarf the expected restart count,
-        # otherwise exhausting the budget has non-negligible probability
-        budget = min(_REJECTION_BUDGET, max_attempts / 20.0)
-        method = "rejection" if expected_restarts <= budget else "greedy"
-    if method == "rejection":
-        adj = _pair_stubs_rejection(n_vertices, degree, rng, max_attempts)
-    elif method == "greedy":
-        adj = _pair_stubs_greedy(n_vertices, degree, rng, max_attempts)
+    if (degree - 1) / 2.0 + (degree - 1) ** 2 / 4.0 <= _LOG_REJECTION_BUDGET:
+        adj = _pair_stubs_rejection(n_vertices, degree, rng)
     else:
-        raise ValueError(f"unknown sampling method {method!r}")
+        adj = _pair_stubs_greedy(n_vertices, degree, rng)
 
     graph = RegularGraph(adj, validate=False)
     if burn_in is None:
@@ -157,10 +141,10 @@ def sample_regular_graph(n_vertices, degree, seed=None, rng=None,
     return graph
 
 
-def _pair_stubs_rejection(n, d, rng, max_attempts):
+def _pair_stubs_rejection(n, d, rng):
     """Uniform stub pairing, restarting on any self-loop or repeated edge."""
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         perm = rng.permutation(stubs)
         adj = np.zeros((n, n), dtype=np.uint8)
         ok = True
@@ -172,17 +156,17 @@ def _pair_stubs_rejection(n, d, rng, max_attempts):
         if ok:
             return adj
     raise SamplingError(
-        f"rejection pairing failed after {max_attempts} restarts (n={n}, d={d})")
+        f"rejection pairing failed after {_MAX_ATTEMPTS} restarts (n={n}, d={d})")
 
 
-def _pair_stubs_greedy(n, d, rng, max_attempts):
+def _pair_stubs_greedy(n, d, rng):
     """Repeated pairing that re-draws only the colliding stubs.
 
     Each round shuffles the outstanding stubs and keeps every pair that is
     neither a loop nor a duplicate; leftovers go back into the pool.  A dead
     end (leftover stubs that can never pair) restarts from scratch.
     """
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         adj = np.zeros((n, n), dtype=np.uint8)
         stubs = list(np.repeat(np.arange(n), d))
         dead = False
@@ -205,7 +189,7 @@ def _pair_stubs_greedy(n, d, rng, max_attempts):
         if not stubs:
             return adj
     raise SamplingError(
-        f"greedy pairing failed after {max_attempts} restarts (n={n}, d={d})")
+        f"greedy pairing failed after {_MAX_ATTEMPTS} restarts (n={n}, d={d})")
 
 
 def enumerate_regular_graphs(n_vertices, degree):

@@ -25,9 +25,8 @@ from .graphs import RegularGraph, sample_regular_graph
 from .matrices import center_rescale
 from .matrices import embed_in_offspace  # noqa: F401  traced by recipebench
 from .spectra import (SpectralDecomposition, bulk_range, bump_product,
-                      bump_test_function, compare_green_traces,
-                      correlation_estimator, decompose, gap_ensemble,
-                      ks_distance, level_repulsion_q,
+                      bump_test_function, correlation_estimator, decompose,
+                      gap_ensemble, ks_distance, level_repulsion_q,
                       level_repulsion_q_resolvent, semicircle_cdf,
                       semicircle_m, stieltjes_empirical)
 from .streams import rng_stream
@@ -197,7 +196,7 @@ def gap_gate(rrg_gaps, goe_gaps):
     Takes the two ``GapEnsemble``s and returns ``(ok, reports)``: the KS
     distance must stay below 0.05 and the difference of mean gaps below 0.03.
     """
-    ks, _ = ks_distance(rrg_gaps, goe_gaps)
+    ks = ks_distance(rrg_gaps, goe_gaps)
     mean_diff = float(rrg_gaps.entries.mean() - goe_gaps.entries.mean())
     reports = [
         io.report_record("ks_statistic", ks, n_samples=rrg_gaps.entries.size),
@@ -236,9 +235,6 @@ def recipe_corr_test(config, out_dir):
     The gated statistic is the smoothed two-point correlation integral at
     the spectral center (a local observable, universal in the bulk); its
     graph-vs-GOE difference must stay within 4 combined standard errors.
-    Green-trace products at the configured spectral parameters are written
-    as a report-only artifact: their means track the ensemble's global
-    density, which retains an O(1/d) offset and is not gated.
     """
     _require_samples(config)
     config.warn_if_outside_window()
@@ -262,19 +258,6 @@ def recipe_corr_test(config, out_dir):
     rows = [("two_point[E=0]", mean_r, se_r, mean_g, se_g, diff, combined)]
     reports = [io.report_record("two_point_difference", diff, stderr=combined,
                                 n_samples=config.n_samples)]
-
-    z_grid = tuple(config.z_grid) or (-0.5 + 0.1j, 0.5 + 0.1j)
-    for z in z_grid:
-        label = f"{z.real:g}{z.imag:+g}j"
-        for part, pick in (("re", 0), ("im", 1)):
-            comp = compare_green_traces(
-                decomps, goe, [(z,)], phi=lambda flat, k=pick: flat[k])
-            rows.append((f"green_trace_{part}[{label}]", comp.value_a,
-                         comp.stderr_a, comp.value_b, comp.stderr_b,
-                         comp.difference, comp.combined_stderr))
-            reports.append(io.report_record(
-                f"green_trace_diff_{part}[{label}]", comp.difference,
-                stderr=comp.combined_stderr, n_samples=comp.n_a))
     io.write_csv(out_dir / "correlation.csv",
                  ["statistic", "value_rrg", "stderr_rrg", "value_goe",
                   "stderr_goe", "difference", "combined_stderr"], rows)

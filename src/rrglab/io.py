@@ -121,8 +121,6 @@ def report_record(name, value, stderr=0.0, n_samples=0):
 
 
 def write_report_json(path, reports):
-    if isinstance(reports, dict):
-        reports = [reports]
     with open(path, "w", newline="\n") as fh:
         json.dump(list(reports), fh, indent=2)
         fh.write("\n")

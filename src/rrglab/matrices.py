@@ -11,16 +11,13 @@ Delta_ik - Delta_jl (the tangent moves of the jump chain), the Gaussian
 stationary ensemble of the constrained matrix flow, and finite-difference
 directional derivatives of matrix observables.
 
-Matrices are plain float64 numpy arrays; membership in the space is a
-checked property (``assert_constrained``), not a wrapper type.
+Matrices are plain float64 numpy arrays, not a wrapper type.
 """
 
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
-
-from .streams import rng_stream
 
 # Central-difference steps (scaled by 1 + max|H|): balance truncation vs.
 # 64-bit rounding for low and high derivative orders.
@@ -44,26 +41,6 @@ def project_constrained(mat):
     sym = 0.5 * (mat + mat.T)
     col_means = sym.mean(axis=0, keepdims=True)
     return sym - col_means - col_means.T + sym.mean()
-
-
-def constraint_violation(h):
-    """max |(H e)_i| / (N * max|H|), plus symmetry defect on the same scale."""
-    n = h.shape[0]
-    scale = n * max(abs(h).max(), 1e-300)
-    row_sums = abs(h.sum(axis=1)).max()
-    asym = abs(h - h.T).max()
-    return max(row_sums, asym) / scale
-
-
-def assert_constrained(h, tol=1e-10):
-    """Raise unless H is symmetric with zero row sums, to relative ``tol``."""
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-    violation = constraint_violation(h)
-    if violation > tol:
-        raise ValueError(
-            f"matrix violates the constrained-space invariants "
-            f"(relative violation {violation:.3e} > {tol:.1e})")
 
 
 def center_rescale(graph):
@@ -156,7 +133,7 @@ def _householder_conjugate(mat):
     return out
 
 
-def sample_constrained_goe(n, seed=None, rng=None):
+def sample_constrained_goe(n, *, rng):
     """Sample the Gaussian stationary law of the constrained matrix flow.
 
     Draws a symmetric (N-1) x (N-1) Gaussian core with off-diagonal variance
@@ -169,8 +146,6 @@ def sample_constrained_goe(n, seed=None, rng=None):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
     m = n - 1
     raw = rng.normal(size=(m, m))
     core = (raw + raw.T) / np.sqrt(2.0 * n)
@@ -178,15 +153,6 @@ def sample_constrained_goe(n, seed=None, rng=None):
     block[:m, :m] = core
     w = _householder_conjugate(block)
     return 0.5 * (w + w.T)
-
-
-def constrained_goe_covariance(n, i, j, k, l):
-    """Exact second moment E[W_ij W_kl] of the constrained Gaussian ensemble."""
-    def delta(a, b):
-        return 1.0 if a == b else 0.0
-
-    return (delta(i, k) - 1.0 / n) * (delta(j, l) - 1.0 / n) / n \
-        + (delta(i, l) - 1.0 / n) * (delta(j, k) - 1.0 / n) / n
 
 
 def default_fd_step(h, order):

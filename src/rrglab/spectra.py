@@ -7,8 +7,8 @@ on them: the semicircle density/CDF and its Stieltjes transform m(z), the
 classical eigenvalue locations gamma_i, empirical Stieltjes transforms and
 Green-function entries, normalized bulk gap ensembles, locally averaged
 correlation estimators, the level-repulsion statistic Q_i, delocalization
-and rigidity diagnostics, Green-trace comparison observables, a two-sample
-Kolmogorov-Smirnov test, and smooth compactly supported test functions.
+and rigidity diagnostics, the two-sample Kolmogorov-Smirnov distance, and
+smooth compactly supported test functions.
 
 Normalization conventions, fixed throughout: the semicircle density is
 rho(x) = sqrt((4 - x^2)_+) / (2 pi) on [-2, 2]; m(z) is the root of
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import embed_in_offspace, restrict_to_offspace, uniform_unit
+from .matrices import embed_in_offspace, restrict_to_offspace
 
 
 class DeflationError(ValueError):
@@ -76,24 +76,6 @@ def decompose(h, constraint_tol=1e-8, with_vectors=True):
         eigenvalues=eigenvalues[::-1].copy(),
         eigenvectors=vectors,
         constraint_residual=residual)
-
-
-def validate_decomposition(decomp, h=None, orth_tol=1e-8, overlap_tol=1e-6,
-                           residual_tol=1e-8):
-    """Check the decomposition invariants; raises AssertionError on failure."""
-    v = decomp.eigenvectors
-    gram = v.T @ v - np.eye(decomp.m)
-    if abs(gram).max() > orth_tol:
-        raise AssertionError(f"eigenvectors not orthonormal: {abs(gram).max():.2e}")
-    overlaps = abs(uniform_unit(decomp.n) @ v)
-    if overlaps.max() > overlap_tol:
-        raise AssertionError(f"eigenvector not orthogonal to e: {overlaps.max():.2e}")
-    if h is not None:
-        residual = h @ v - v * decomp.eigenvalues
-        bound = residual_tol * (1.0 + abs(decomp.eigenvalues))
-        worst = (np.sqrt((residual ** 2).sum(axis=0)) / bound).max()
-        if worst > 1.0:
-            raise AssertionError(f"eigenpair residual exceeds tolerance ({worst:.2e}x)")
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +161,6 @@ def green_matrix(decomp, z):
 def gamma_stat(decomp, z):
     """Gamma(z) = max_ij |G_ij(z)|, floored at 1."""
     return max(1.0, float(np.abs(green_matrix(decomp, z)).max()))
-
-
-def green_trace_product(eigenvalues, z_group):
-    """tr prod_j G(z_j) = sum_k prod_j 1/(lambda_k - z_j) (shared eigenbasis)."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    prod = np.ones(lam.shape, dtype=np.complex128)
-    for z in z_group:
-        prod /= lam - z
-    return complex(prod.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -350,72 +323,13 @@ def rigidity_stat(decomp, kappa=0.1):
 
 
 # ---------------------------------------------------------------------------
-# Green-trace comparison and two-sample KS
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Difference of ensemble expectations with combined standard error."""
-
-    value_a: float
-    value_b: float
-    stderr_a: float
-    stderr_b: float
-    n_a: int
-    n_b: int
-
-    @property
-    def difference(self):
-        return self.value_a - self.value_b
-
-    @property
-    def combined_stderr(self):
-        return math.hypot(self.stderr_a, self.stderr_b)
-
-    def consistent(self, n_sigma=2.0):
-        return abs(self.difference) <= n_sigma * max(self.combined_stderr, 1e-300)
-
-
-def _mean_stderr(values):
-    arr = np.asarray(values, dtype=np.float64)
-    se = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
-    return float(arr.mean()), float(se)
-
-
-def compare_green_traces(decomps_a, decomps_b, z_groups, phi):
-    """Compare E phi(normalized Green-trace products) across two ensembles.
-
-    The observable vector has one component per group of spectral
-    parameters: N^(-k) tr prod_{z in group} G(z) with k = len(group),
-    evaluated on the shared eigenbasis.  phi maps the stacked real/imag
-    parts to a real number; both ensembles use identical z-groups.
-    """
-    decomps_a = list(decomps_a)
-    decomps_b = list(decomps_b)
-
-    def observe(decomps):
-        values = []
-        for decomp in decomps:
-            comps = [decomp.n ** (-len(group))
-                     * green_trace_product(decomp.eigenvalues, group)
-                     for group in z_groups]
-            flat = np.array([f(c) for c in comps for f in (np.real, np.imag)])
-            values.append(float(phi(flat)))
-        return values
-
-    mean_a, se_a = _mean_stderr(observe(decomps_a))
-    mean_b, se_b = _mean_stderr(observe(decomps_b))
-    return ComparisonReport(value_a=mean_a, value_b=mean_b,
-                            stderr_a=se_a, stderr_b=se_b,
-                            n_a=len(decomps_a), n_b=len(decomps_b))
+# Two-sample KS
 
 
 def ks_distance(sample_a, sample_b):
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
+    """Two-sample Kolmogorov-Smirnov statistic.
 
-    The statistic is the sup-distance of the two empirical CDFs (computed by
-    a sorted merge); the p-value is the asymptotic Kolmogorov tail
-    Q(sqrt(n_eff) * stat) with n_eff = n_a n_b / (n_a + n_b).
+    The sup-distance of the two empirical CDFs, computed by a sorted merge.
     """
     a = np.sort(np.asarray(getattr(sample_a, "entries", sample_a), dtype=np.float64))
     b = np.sort(np.asarray(getattr(sample_b, "entries", sample_b), dtype=np.float64))
@@ -424,22 +338,7 @@ def ks_distance(sample_a, sample_b):
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / len(a)
     cdf_b = np.searchsorted(b, grid, side="right") / len(b)
-    stat = float(np.abs(cdf_a - cdf_b).max())
-    n_eff = len(a) * len(b) / (len(a) + len(b))
-    return stat, kolmogorov_pvalue(math.sqrt(n_eff) * stat)
-
-
-def kolmogorov_pvalue(x):
-    """Asymptotic Kolmogorov tail Q(x) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2)."""
-    if x <= 0:
-        return 1.0
-    total = 0.0
-    for k in range(1, 101):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return min(1.0, max(0.0, total))
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import constraint_violation
 from rrglab import flow
 from rrglab.flow import (ConvergenceError, SingularityError, _orthonormalize,
                          _path_row, emf_solve, enumerate_configs,
@@ -25,9 +26,8 @@ from rrglab.flow import (ConvergenceError, SingularityError, _orthonormalize,
                          switch_generator_stieltjes)
 from rrglab.graphs import sample_regular_graph
 from rrglab.chain import switchable_tuples, switched_graph
-from rrglab.matrices import (constraint_violation, center_rescale,
-                             h_switch_component, inner_product,
-                             sample_constrained_goe)
+from rrglab.matrices import (center_rescale, h_switch_component,
+                             inner_product, sample_constrained_goe)
 from rrglab.spectra import decompose, semicircle_m, stieltjes_empirical
 from rrglab.streams import rng_stream
 
@@ -37,15 +37,15 @@ from rrglab.streams import rng_stream
 
 
 def test_evolve_exact_at_time_zero_is_identity():
-    h = sample_constrained_goe(12, seed=0)
-    assert np.array_equal(evolve_exact(h, 0.0, seed=1), h)
+    h = sample_constrained_goe(12, rng=rng_stream(0))
+    assert np.array_equal(evolve_exact(h, 0.0, rng=rng_stream(1)), h)
 
 
 def test_evolve_exact_preserves_constraint_and_determinism():
-    h = sample_constrained_goe(15, seed=2)
-    out1 = evolve_exact(h, 0.8, seed=3)
-    out2 = evolve_exact(h, 0.8, seed=3)
-    out3 = evolve_exact(h, 0.8, seed=4)
+    h = sample_constrained_goe(15, rng=rng_stream(2))
+    out1 = evolve_exact(h, 0.8, rng=rng_stream(3))
+    out2 = evolve_exact(h, 0.8, rng=rng_stream(3))
+    out3 = evolve_exact(h, 0.8, rng=rng_stream(4))
     assert np.array_equal(out1, out2)
     assert not np.array_equal(out1, out3)
     assert constraint_violation(out1) < 1e-12
@@ -67,17 +67,17 @@ def test_evolve_exact_matches_norm_identity():
 
 
 def test_evolve_sde_zero_noise_decays_exponentially():
-    h = sample_constrained_goe(10, seed=7)
-    out = evolve_sde(h, 1.0, 1e-3, noise=False)
+    h = sample_constrained_goe(10, rng=rng_stream(7))
+    out = evolve_sde(h, 1.0, 1e-3, rng=rng_stream(0), noise=False)
     target = math.exp(-0.5) * h
     assert np.abs(out - target).max() < 1e-3 * np.abs(target).max()
 
 
 def test_evolve_sde_preserves_constraint():
-    h = sample_constrained_goe(10, seed=8)
-    out = evolve_sde(h, 0.3, 1e-2, seed=9)
+    h = sample_constrained_goe(10, rng=rng_stream(8))
+    out = evolve_sde(h, 0.3, 1e-2, rng=rng_stream(9))
     assert constraint_violation(out) < 1e-12
-    assert np.array_equal(out, evolve_sde(h, 0.3, 1e-2, seed=9))
+    assert np.array_equal(out, evolve_sde(h, 0.3, 1e-2, rng=rng_stream(9)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_flow_generator_quadratic_observable_closed_form():
 
 def test_flow_generator_halves_linear_observables():
     n = 8
-    h = sample_constrained_goe(n, seed=11)
+    h = sample_constrained_goe(n, rng=rng_stream(11))
 
     def f(mat):
         return h_switch_component(mat, 0, 2, 4, 6)
@@ -182,12 +182,12 @@ def test_switch_generator_vanishes_without_moves():
 
 def test_estimate_seminorm_order_zero_is_lr_mean():
     func = stieltjes_observable(0.5j, 8)
-    mats = [sample_constrained_goe(8, seed=s) for s in (0, 1, 2)]
-    got = estimate_seminorm(func, mats, 0, r=8)
+    mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1, 2)]
+    got = estimate_seminorm(func, mats, 0, r=8, rng=rng_stream(0))
     expected = float(np.mean([abs(func(m)) ** 8 for m in mats]) ** (1 / 8))
     assert abs(got - expected) < 1e-12
     with pytest.raises(ValueError):
-        estimate_seminorm(func, mats, 5)
+        estimate_seminorm(func, mats, 5, rng=rng_stream(0))
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():
@@ -279,7 +279,7 @@ def test_moment_flow_rates_conserve_mass():
 
 def test_path_row_equals_columnwise_interp():
     path_t, path = eigenvalue_path(np.array([1.0, 0.1, -0.7, -1.4]), 0.05,
-                                   1e-3, seed=30)
+                                   1e-3, rng=rng_stream(30))
     rng = rng_stream(31)
     times = np.concatenate([
         path_t,                                  # every knot, the last too
@@ -319,7 +319,7 @@ def test_emf_solve_builds_each_rate_matrix_once(monkeypatch):
 
     monkeypatch.setattr(flow, "moment_flow_rates", counting)
     path_t, path = eigenvalue_path(np.array([1.2, 0.3, -0.4, -1.3]), 0.2,
-                                   1e-3, seed=33)
+                                   1e-3, rng=rng_stream(33))
     f0 = np.array([0.4, 0.3, 0.2, 0.1])
     sol = emf_solve(path_t, path, 1, f0, [0.04, 0.2], n_ambient=4)
     assert sol.n_rejected > 0  # rejected attempts reuse their start time
@@ -384,38 +384,42 @@ def test_emf_solve_respects_step_budget():
 
 def test_eigenvalue_path_shape_start_and_order():
     lam0 = np.array([1.0, 0.2, -1.2])
-    times, paths = eigenvalue_path(lam0, 0.05, 0.01, seed=23)
+    times, paths = eigenvalue_path(lam0, 0.05, 0.01, rng=rng_stream(23))
     assert times.shape == (6,) and paths.shape == (6, 3)
     assert np.array_equal(paths[0], np.sort(lam0))
     assert (np.diff(paths, axis=1) >= 0).all()  # every row stays ascending
-    _, again = eigenvalue_path(lam0, 0.05, 0.01, seed=23)
+    _, again = eigenvalue_path(lam0, 0.05, 0.01, rng=rng_stream(23))
     assert np.array_equal(paths, again)
 
 
 def test_eigenvalue_path_zero_noise_follows_documented_drift():
     lam0 = np.array([-0.8, 0.8])
     dt, n_amb = 1e-3, 3
-    _, paths = eigenvalue_path(lam0, dt, dt, noise=False, n_ambient=n_amb)
+    _, paths = eigenvalue_path(lam0, dt, dt, rng=rng_stream(0), noise=False,
+                               n_ambient=n_amb)
     drift = np.array([-1.0 / 1.6, 1.0 / 1.6]) / n_amb - lam0 / 2.0
     assert np.abs(paths[1] - (lam0 + drift * dt)).max() < 1e-15
 
 
 def test_eigenvalue_path_raises_on_collision():
     with pytest.raises(SingularityError):
-        eigenvalue_path(np.array([1e-10, 0.0]), 0.01, 0.01, noise=False)
+        eigenvalue_path(np.array([1e-10, 0.0]), 0.01, 0.01,
+                        rng=rng_stream(0), noise=False)
 
 
 def test_eigenvector_sde_frames_stay_orthonormal():
     rng = rng_stream(24)
     lam0 = np.sort(rng.normal(size=5))[::-1] * 2.0
-    path_t, path = eigenvalue_path(lam0, 0.1, 1e-3, seed=25)
-    frames = eigenvector_sde(path_t, path, 0.1, 1e-3, seed=26, n_replicas=4)
+    path_t, path = eigenvalue_path(lam0, 0.1, 1e-3, rng=rng_stream(25))
+    frames = eigenvector_sde(path_t, path, 0.1, 1e-3, rng=rng_stream(26),
+                             n_replicas=4)
     assert frames.shape == (4, 5, 5)
     for frame in frames:
         gram = frame.T @ frame
         assert np.abs(gram - np.eye(5)).max() < 1e-10
     assert not np.allclose(frames[0], frames[1])  # replicas are independent
-    again = eigenvector_sde(path_t, path, 0.1, 1e-3, seed=26, n_replicas=4)
+    again = eigenvector_sde(path_t, path, 0.1, 1e-3, rng=rng_stream(26),
+                            n_replicas=4)
     assert np.array_equal(frames, again)
 
 
@@ -424,8 +428,8 @@ def test_eigenvector_sde_zero_noise_norm_decay():
     path_t = np.array([0.0, 1.0])
     path = np.vstack([lam, lam])
     t, dt, n_amb = 0.5, 1e-4, 2
-    frames = eigenvector_sde(path_t, path, t, dt, noise=False,
-                             renormalize=False, n_ambient=n_amb)
+    frames = eigenvector_sde(path_t, path, t, dt, rng=rng_stream(0),
+                             noise=False, renormalize=False, n_ambient=n_amb)
     # each column decays at rate (1/2N) sum_j (lambda_i - lambda_j)^-2
     rate = 1.0 / (2 * n_amb * 4.0)
     expected = math.exp(-rate * t)
@@ -435,8 +439,9 @@ def test_eigenvector_sde_zero_noise_norm_decay():
 
 def test_eigenvector_sde_segments_continue_exactly():
     lam0 = np.array([1.5, 0.0, -1.5])
-    path_t, path = eigenvalue_path(lam0, 0.04, 1e-3, seed=27)
-    whole = eigenvector_sde(path_t, path, 0.04, 1e-3, seed=28, n_replicas=2)
+    path_t, path = eigenvalue_path(lam0, 0.04, 1e-3, rng=rng_stream(27))
+    whole = eigenvector_sde(path_t, path, 0.04, 1e-3, rng=rng_stream(28),
+                            n_replicas=2)
     rng = rng_stream(28)
     first = eigenvector_sde(path_t, path, 0.02, 1e-3, rng=rng, n_replicas=2)
     second = eigenvector_sde(path_t, path, 0.04, 1e-3, v0=first, rng=rng,

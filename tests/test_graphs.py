@@ -154,22 +154,30 @@ def test_tuple_switchable_matches_edge_pair_indicator(graph_24_4):
 
 
 def test_sampler_validates_parameters():
+    rng = rng_stream(0)
     with pytest.raises(ValueError):
-        sample_regular_graph(5, 3)  # odd n*d
+        sample_regular_graph(5, 3, rng=rng)  # odd n*d
     with pytest.raises(ValueError):
-        sample_regular_graph(4, 4)  # d >= n
+        sample_regular_graph(4, 4, rng=rng)  # d >= n
     with pytest.raises(ValueError):
-        sample_regular_graph(0, 0)
+        sample_regular_graph(0, 0, rng=rng)
 
 
 def test_sampler_output_is_regular_and_deterministic():
-    g1 = sample_regular_graph(60, 6, seed=9)
-    g2 = sample_regular_graph(60, 6, seed=9)
-    g3 = sample_regular_graph(60, 6, seed=10)
+    g1 = sample_regular_graph(60, 6, rng=rng_stream(9))
+    g2 = sample_regular_graph(60, 6, rng=rng_stream(9))
+    g3 = sample_regular_graph(60, 6, rng=rng_stream(10))
     assert g1 == g2
     assert g1 != g3
     assert (g1.adjacency.sum(axis=0) == 6).all()
     assert not g1.adjacency.diagonal().any()
+
+
+def test_sampler_picks_pairing_without_overflow_at_large_degree():
+    # the expected rejection restart count exp((d-1)/2 + (d-1)^2/4) is past
+    # the float range at d = 60; a RuntimeWarning fails this suite
+    graph = sample_regular_graph(120, 60, rng=rng_stream(17), burn_in=0)
+    assert (graph.adjacency.sum(axis=0) == 60).all()
 
 
 def test_sampler_moments_match_pairing_model():
@@ -239,7 +247,7 @@ def test_greedy_pairing_with_burn_in_is_uniform_on_quintic_eight():
     """Chi-square over all labeled 5-regular graphs on 8 vertices.
 
     Greedy pairing plus the default burn-in is the path of every spectral
-    recipe (``"auto"`` picks greedy pairing from d = 5 up).  The complement
+    recipe (the sampler pairs greedily from d = 5 up).  The complement
     of a 5-regular graph on 8 vertices is 2-regular, so the space has
     ``labeled_two_regular_count(8)`` = 3507 graphs.  Pearson's statistic
     over k equiprobable cells has mean k - 1 and variance 2(k - 1)(1 - 1/draws)
@@ -252,14 +260,14 @@ def test_greedy_pairing_with_burn_in_is_uniform_on_quintic_eight():
     rng = rng_stream(16)
     draws = len(enumerated)
     for _ in range(draws):
-        graph = sample_regular_graph(8, 5, rng=rng, method="greedy")
+        graph = sample_regular_graph(8, 5, rng=rng)
         counts[enumerated[graph.canonical_key()]] += 1
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-3
 
 
 def test_edges_listing_is_sorted_upper_triangle():
-    g = sample_regular_graph(20, 3, seed=3)
+    g = sample_regular_graph(20, 3, rng=rng_stream(3))
     edges = g.edges()
     assert edges == sorted(edges)
     assert all(u < v for u, v in edges)

@@ -154,8 +154,6 @@ def test_report_record_shape_and_json_round_trip(tmp_path):
     assert isinstance(rec["value"], float) and isinstance(rec["n_samples"], int)
 
     path = tmp_path / "report.json"
-    write_report_json(path, rec)                      # bare dict wraps to list
-    assert json.loads(path.read_text()) == [rec]
     write_report_json(path, [rec, report_record("other", 1.5)])
     loaded = json.loads(path.read_text())
     assert [r["name"] for r in loaded] == ["gap_ks", "other"]

@@ -2,9 +2,9 @@
 
 Closed-form oracles: complete graphs and cycles have explicit adjacency
 spectra; the semicircle transform satisfies m^2 + z m + 1 = 0; classical
-locations invert the tail integral; Green traces reduce to eigenvalue
-sums.  Estimators with nontrivial bookkeeping (correlation integrals) are
-checked against naive reimplementations evaluated in this file.
+locations invert the tail integral; the Green matrix is the dense resolvent
+on e-perp.  Estimators with nontrivial bookkeeping (correlation integrals)
+are checked against naive reimplementations evaluated in this file.
 """
 
 import math
@@ -13,20 +13,18 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import cycle_adjacency
+from conftest import cycle_adjacency, validate_decomposition
 from rrglab.graphs import RegularGraph, sample_regular_graph
 from rrglab.matrices import center_rescale, sample_constrained_goe
 from rrglab.spectra import (DeflationError, SpectralDecomposition,
                             bulk_range, bump, bump_product,
                             bump_test_function, classical_locations,
-                            compare_green_traces, correlation_estimator,
-                            decompose, delocalization_stat, gamma_stat,
-                            gap_ensemble, gap_statistic, green_matrix,
-                            green_trace_product, ks_distance,
-                            kolmogorov_pvalue, level_repulsion_q,
-                            level_repulsion_q_resolvent, rigidity_stat,
-                            semicircle_cdf, semicircle_density, semicircle_m,
-                            stieltjes_empirical, validate_decomposition)
+                            correlation_estimator, decompose,
+                            delocalization_stat, gamma_stat, gap_ensemble,
+                            gap_statistic, green_matrix, ks_distance,
+                            level_repulsion_q, level_repulsion_q_resolvent,
+                            rigidity_stat, semicircle_cdf, semicircle_density,
+                            semicircle_m, stieltjes_empirical)
 from rrglab.streams import rng_stream
 
 
@@ -172,15 +170,6 @@ def test_gamma_stat_is_floored_max_entry(h_24_4):
     assert gamma_stat(decomp, z) == max(1.0, expected)
 
 
-def test_green_trace_product_matches_dense_product(h_24_4):
-    decomp = decompose(h_24_4, with_vectors=True)
-    group = (0.1 + 0.2j, -0.4 + 0.1j)
-    dense = green_matrix(decomp, group[0]) @ green_matrix(decomp, group[1])
-    expected = complex(np.trace(dense))
-    got = green_trace_product(decomp.eigenvalues, group)
-    assert abs(got - expected) < 1e-10
-
-
 # ---------------------------------------------------------------------------
 # Gap statistics
 
@@ -320,33 +309,15 @@ def test_rigidity_stat_vanishes_on_classical_locations():
 
 
 # ---------------------------------------------------------------------------
-# Comparison and KS machinery
-
-
-def test_compare_green_traces_on_identical_ensembles(h_24_4):
-    decomps = [decompose(h_24_4)]
-    report = compare_green_traces(decomps, decomps, [(0.1 + 0.1j,)],
-                                  phi=lambda flat: flat[0])
-    assert report.difference == 0.0
-    assert report.n_a == report.n_b == 1
-    assert report.consistent()
+# KS distance
 
 
 def test_ks_distance_matches_scipy():
     rng = rng_stream(22)
     a, b = rng.normal(size=300), rng.normal(size=200) + 0.1
-    stat, pvalue = ks_distance(a, b)
     scipy_stat = stats.ks_2samp(a, b, method="asymp").statistic
-    assert abs(stat - scipy_stat) < 1e-12
-    n_eff = 300 * 200 / 500
-    assert abs(pvalue - stats.kstwobign.sf(math.sqrt(n_eff) * stat)) < 1e-8
-    assert ks_distance(a, a)[0] == 0.0
-
-
-def test_kolmogorov_pvalue_matches_scipy_tail():
-    for x in (0.3, 0.8, 1.2, 2.0):
-        assert abs(kolmogorov_pvalue(x) - stats.kstwobign.sf(x)) < 1e-10
-    assert kolmogorov_pvalue(0.0) == 1.0
+    assert abs(ks_distance(a, b) - scipy_stat) < 1e-12
+    assert ks_distance(a, a) == 0.0
 
 
 def test_bump_functions_support_and_smoothness():
