@@ -34,6 +34,9 @@ from . import _kernels
 from .graphs import RegularGraph, enumerate_regular_graphs
 from .streams import rng_stream
 
+# invariance_report: largest relative |sum_A Qf(A)| that counts as zero.
+_INVARIANCE_RTOL = 1e-10
+
 # Proposals are drawn from the RNG in blocks of this many; any block size
 # yields the same trajectory because draws are consumed element by element.
 DEFAULT_BLOCK_SIZE = 1 << 15
@@ -140,21 +143,19 @@ class InvarianceReport:
     degree: int
     n_graphs: int
     n_transitions: int
-    observable_sums: np.ndarray  # sum_A Qf(A), one entry per observable
-    observable_scales: np.ndarray  # sum_A |Qf(A)|, the relative-error scale
     max_relative_sum: float
     reversible: bool
     passed: bool
 
 
-def invariance_report(n_vertices, degree, n_observables=10, seed=0, rtol=1e-10):
+def invariance_report(n_vertices, degree, n_observables=10, seed=0):
     """Verify uniform-measure invariance and detailed balance exhaustively.
 
     Enumerates every labeled d-regular graph on ``n_vertices`` vertices,
     computes all jump-chain transitions, and checks (a) that the transition
     multiset is exactly symmetric (each move and its inverse occur equally
     often, so the uniform measure is reversible), and (b) that
-    ``sum_A Qf(A) = 0`` to relative tolerance ``rtol`` for ``n_observables``
+    ``sum_A Qf(A) = 0`` to relative tolerance 1e-10 for ``n_observables``
     random observables (i.i.d. standard normal values on the state space).
     """
     graphs = enumerate_regular_graphs(n_vertices, degree)
@@ -222,6 +223,5 @@ def invariance_report(n_vertices, degree, n_observables=10, seed=0, rtol=1e-10):
 
     return InvarianceReport(
         n_vertices=n, degree=d, n_graphs=n_graphs, n_transitions=len(src),
-        observable_sums=sums, observable_scales=scales,
         max_relative_sum=max_rel, reversible=reversible,
-        passed=reversible and max_rel <= rtol)
+        passed=reversible and max_rel <= _INVARIANCE_RTOL)

@@ -45,6 +45,10 @@ from .streams import rng_stream
 
 # Dense generator sums cost O(N^4) observable evaluations.
 DENSE_GENERATOR_LIMIT = 40
+# Eigenvalue gaps below this make the flows' 1/gap terms unsafe.
+_MIN_GAP = 1e-8
+_EMF_CFL = 0.25  # emf_solve's cap on dt * (max total exit rate)
+_FREE_CONV_MAX_ITER = 10_000
 
 
 class SingularityError(RuntimeError):
@@ -168,33 +172,30 @@ def flow_generator_entrywise(func, h, step=None):
     return diffusion / n - 0.5 * drift
 
 
-def stieltjes_observable(z, n_ambient, part="imag"):
-    """F(H) = Re/Im of s(H; z) = (1/M) tr G(z) on the nontrivial spectrum.
+def stieltjes_observable(z, n_ambient):
+    """F(H) = Im s(H; z), s = (1/M) tr G(z) on the nontrivial spectrum.
 
     Works for any H in M without eigenvector deflation: the trivial
     eigenvalue sits exactly at 0, so M s(z) = tr (H - z)^{-1} + 1/z.
     """
-    take = {"imag": np.imag, "real": np.real, "complex": lambda v: v}[part]
-
     def func(h):
         lam = np.linalg.eigvalsh(h)
         value = (np.sum(1.0 / (lam - z)) + 1.0 / z) / (n_ambient - 1)
-        out = take(value)
-        return complex(out) if part == "complex" else float(out)
+        return float(value.imag)
 
     return func
 
 
-def stieltjes_flow_generator(eigenvalues, z, n_ambient=None):
+def stieltjes_flow_generator(eigenvalues, z):
     """Closed-form L s(z) on a nontrivial spectrum: no finite differences.
 
     L s = (g_3 + g_1 g_2)/(N M) + h_2/(2 M), with g_k = sum (lambda-z)^{-k}
     and h_2 = sum lambda (lambda-z)^{-2}.  ``eigenvalues`` excludes the
-    trivial zero; N defaults to M + 1.
+    trivial zero, so N = M + 1.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     m = len(lam)
-    n = m + 1 if n_ambient is None else n_ambient
+    n = m + 1
     w = 1.0 / (lam - z)
     g1 = w.sum()
     g2 = (w ** 2).sum()
@@ -252,7 +253,7 @@ def switch_generator_stieltjes(graph, z):
 
 
 def estimate_seminorm(func, matrices, order, r=8, n_probes=256, scale=1.0,
-                      *, rng, step=None):
+                      *, rng):
     """Sampled estimate of the order-n switching-derivative seminorm.
 
     For each sample H the inner sup over (theta, X) in [0,1]^n x
@@ -275,7 +276,7 @@ def estimate_seminorm(func, matrices, order, r=8, n_probes=256, scale=1.0,
             thetas = rng.uniform(size=order)
             dirs = [switch_direction(n, *site) for site in sites]
             base = h + scale * sum(t * x for t, x in zip(thetas, dirs))
-            value = abs(directional_derivative(func, base, dirs, step=step))
+            value = abs(directional_derivative(func, base, dirs))
             best = max(best, value)
         values.append(best)
     arr = np.asarray(values, dtype=np.float64)
@@ -296,15 +297,15 @@ class DiscrepancyRow:
     n_samples: int
 
 
-def qf_lf_compare(n, degrees, z, n_samples, seed=0, r=8,
-                  seminorm_samples=16, seminorm_probes=64):
+def qf_lf_compare(n, degrees, z, n_samples, seed=0, seminorm_samples=16,
+                  seminorm_probes=64):
     """Measure E|Qf - LF| for F = Im s(z) over uniform graph ensembles.
 
     For each degree d: samples graphs, evaluates the jump generator exactly
     (Woodbury) and the flow generator in closed form, and reports the mean
     absolute discrepancy normalized by D^{-1/2} N max_{1<=k<=4} of the
     sampled order-k seminorms (D = min(d, N^2/d^3)).  The normalized
-    discrepancy should decrease as d grows.
+    discrepancy should decrease as d grows.  The seminorms are L^8 means.
     """
     from .graphs import sample_regular_graph
 
@@ -318,15 +319,13 @@ def qf_lf_compare(n, degrees, z, n_samples, seed=0, r=8,
             graph = sample_regular_graph(n, d, rng=rng)
             h = center_rescale(graph)
             q_val = switch_generator_stieltjes(graph, z).imag
-            l_val = stieltjes_flow_generator(
-                decompose(h).eigenvalues, z, n_ambient=n).imag
+            l_val = stieltjes_flow_generator(decompose(h), z).imag
             discrepancies[s_idx] = abs(q_val - l_val)
             if len(matrices) < seminorm_samples:
                 matrices.append(h)
         seminorm_rng = rng_stream(seed, stream_id=900_000_000 + d_idx)
         seminorm = max(
-            estimate_seminorm(func, matrices, order, r=r,
-                              n_probes=seminorm_probes,
+            estimate_seminorm(func, matrices, order, n_probes=seminorm_probes,
                               scale=1.0 / math.sqrt(d - 1.0),
                               rng=seminorm_rng)
             for order in (1, 2, 3, 4))
@@ -400,20 +399,30 @@ def moment_flow_hops(configs):
                           np.array(coef, dtype=np.float64))
 
 
-def moment_flow_rates(eigenvalues, hops, n_ambient, min_gap=1e-8):
+def _gap_matrix(eigenvalues, context):
+    """lambda_i - lambda_j with an inf diagonal, so 1/gap vanishes there.
+
+    Raises ``SingularityError`` naming ``context`` when two eigenvalues
+    lie closer than ``_MIN_GAP``.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    gap = lam[:, None] - lam[None, :]
+    np.fill_diagonal(gap, np.inf)
+    if np.abs(gap).min() < _MIN_GAP:
+        raise SingularityError(
+            f"eigenvalue gap below {_MIN_GAP:g} during {context}")
+    return gap
+
+
+def moment_flow_rates(eigenvalues, hops, n_ambient):
     """Dense moment-flow generator over configurations for one snapshot.
 
     A particle hops i -> j at rate eta_i (1 + 2 eta_j) W_ij with
     W_ij = 1/(N (lambda_i - lambda_j)^2); ``hops`` is the
     ``moment_flow_hops`` table and rows sum to zero.  Raises
-    ``SingularityError`` when an eigenvalue gap falls below ``min_gap``.
+    ``SingularityError`` when two eigenvalues collide.
     """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    gap = lam[:, None] - lam[None, :]
-    np.fill_diagonal(gap, np.inf)
-    if np.abs(gap).min() < min_gap:
-        raise SingularityError(
-            f"eigenvalue gap below {min_gap:g}; moment-flow rates diverge")
+    gap = _gap_matrix(eigenvalues, "the moment-flow rates")
     w = 1.0 / (n_ambient * gap ** 2)
     rate = hops.coef * w[hops.site_from, hops.site_to]
     gen = np.zeros((hops.n_configs, hops.n_configs))
@@ -468,14 +477,14 @@ class EmfSolution:
 
 
 def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
-              tol=1e-8, cfl=0.25, min_gap=1e-8, max_steps=100_000):
+              tol=1e-8, max_steps=100_000):
     """Integrate the eigenvector moment flow along a frozen eigenvalue path.
 
     The linear ODE df/dt = R(t) f over occupation configurations is driven
     by rates rebuilt from the eigenvalue path (linear interpolation between
     snapshots).  Classic RK4 with step-doubling error control, plus a CFL
-    cap dt * max total exit rate <= ``cfl`` which keeps every accepted step
-    an L-infinity contraction (checked and recorded).
+    cap dt * max total exit rate <= ``_EMF_CFL`` which keeps every accepted
+    step an L-infinity contraction (checked and recorded).
 
     ``t_end`` is one time or a sorted grid of times; a single integration
     from t = 0 lands exactly on each of them (see ``EmfSolution.value_at``),
@@ -501,8 +510,7 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
         gen = cache.get(t)
         if gen is None:
             gen = cache[t] = moment_flow_rates(
-                _path_row(path_times, path_values, t), hops, n_ambient,
-                min_gap=min_gap)
+                _path_row(path_times, path_values, t), hops, n_ambient)
         return gen
 
     def rk4(y, t, dt):
@@ -532,7 +540,7 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
             cache[t] = current
             max_rate = float(-np.diag(current).min())
             if max_rate > 0:
-                dt = min(dt, cfl / max_rate)
+                dt = min(dt, _EMF_CFL / max_rate)
             landing = dt >= target - t
             dt = min(dt, target - t)
             full = rk4(f, t, dt)
@@ -563,15 +571,14 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
 # Eigenvalue and eigenvector SDEs
 
 
-def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None,
-                    min_gap=1e-8, noise=True):
+def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None, noise=True):
     """Euler-Maruyama eigenvalue flow with diagonal noise only.
 
     d lambda_i = dB_ii/sqrt(N) + (1/N) sum_{j != i} dt/(lambda_i - lambda_j)
     - (lambda_i/2) dt, with Var dB_ii = 2 dt.  Returns (times, paths) with
     paths of shape (n_steps+1, M), every row in ascending order (the input
-    is sorted on entry); raises ``SingularityError`` if a gap falls below
-    ``min_gap``.  Each step re-sorts: rank labels are ordered by
+    is sorted on entry); raises ``SingularityError`` if two eigenvalues
+    collide.  Each step re-sorts: rank labels are ordered by
     definition, and the discrete scheme (unlike the continuum flow, whose
     repulsion forbids crossings) can hop across a small gap in one step.
     """
@@ -586,12 +593,7 @@ def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None,
     paths = np.empty((n_steps + 1, m))
     paths[0] = lam
     for step in range(n_steps):
-        diff = lam[:, None] - lam[None, :]
-        off = ~np.eye(m, dtype=bool)
-        if m > 1 and np.abs(diff[off]).min() < min_gap:
-            raise SingularityError("eigenvalue collision during path simulation")
-        inv = np.zeros((m, m))
-        inv[off] = 1.0 / diff[off]
+        inv = 1.0 / _gap_matrix(lam, "the eigenvalue path")
         drift = inv.sum(axis=1) / n_ambient - lam / 2.0
         lam = lam + drift * dt
         if noise:
@@ -602,8 +604,8 @@ def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None,
 
 
 def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
-                    n_ambient=None, n_replicas=1, min_gap=1e-8,
-                    noise=True, renormalize=True, t_start=0.0):
+                    n_ambient=None, n_replicas=1, noise=True,
+                    renormalize=True, t_start=0.0):
     """Euler-Maruyama eigenvector frames along a frozen eigenvalue path.
 
     dv_i = (1/sqrt(N)) sum_{j != i} dB_ij/(lambda_i - lambda_j) v_j
@@ -612,9 +614,9 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
     with symmetric noise (B_ij = B_ji, off-diagonal variance dt per step
     pair) drawn independently per replica, and per-step re-orthonormalization
     by modified Gram-Schmidt (the positive-diagonal QR sign convention).
-    Returns frames of shape (n_replicas, dim, M) whose columns are the
-    eigenvectors; ``v0`` may be a single frame or a per-replica
-    (n_replicas, dim, M) stack, so a run can continue where a previous
+    Returns frames of shape (n_replicas, M, M) whose columns are the
+    eigenvectors.  They start from identity frames, or from ``v0``, a
+    (n_replicas, M, M) stack, so a run can continue where a previous
     segment stopped (pass its output and ``t_start``).
     """
     path_times = np.asarray(path_times, dtype=np.float64)
@@ -623,14 +625,10 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
     if n_ambient is None:
         n_ambient = m
     if v0 is None:
-        v0 = np.eye(m)
-    v0 = np.asarray(v0, dtype=np.float64)
-    if v0.ndim == 3:
-        if v0.shape[0] != n_replicas:
-            raise ValueError("per-replica v0 must have n_replicas frames")
-        frames = v0.copy()
-    else:
-        frames = np.broadcast_to(v0, (n_replicas,) + v0.shape).copy()
+        v0 = np.broadcast_to(np.eye(m), (n_replicas, m, m))
+    if v0.shape != (n_replicas, m, m):
+        raise ValueError("v0 must stack n_replicas frames of shape (M, M)")
+    frames = np.array(v0, dtype=np.float64)
     span = t_end - t_start
     n_steps = int(round(span / dt))
     if abs(n_steps * dt - span) > 1e-9 * max(span, 1.0):
@@ -638,11 +636,8 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
     diag = np.arange(m)
     for step in range(n_steps):
         t = t_start + step * dt
-        lam = _path_row(path_times, path_values, t)
-        gap = lam[:, None] - lam[None, :]
-        np.fill_diagonal(gap, np.inf)
-        if np.abs(gap).min() < min_gap:
-            raise SingularityError("eigenvalue collision during eigenvector flow")
+        gap = _gap_matrix(_path_row(path_times, path_values, t),
+                          "the eigenvector flow")
         if noise:
             raw = rng.normal(size=(n_replicas, m, m))
             coeff = (raw + raw.swapaxes(1, 2)) * math.sqrt(dt / 2.0)
@@ -694,7 +689,7 @@ def _orthonormalize(frames):
 # Free convolution with the semicircle flow
 
 
-def free_conv_stieltjes(initial_spectrum, t, z, tol=1e-12, max_iter=10_000):
+def free_conv_stieltjes(initial_spectrum, t, z, tol=1e-12):
     """Stieltjes transform of the free-convolution evolution at time t.
 
     Solves m = (1/M) sum_i 1/(e^{-t/2} lambda_i - z - (1 - e^{-t}) m) by
@@ -719,7 +714,7 @@ def free_conv_stieltjes(initial_spectrum, t, z, tol=1e-12, max_iter=10_000):
 
     omega = 0.5
     prev_residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(_FREE_CONV_MAX_ITER):
         image = rhs(current)
         residual = abs(image - current)
         if residual < tol:
@@ -730,7 +725,7 @@ def free_conv_stieltjes(initial_spectrum, t, z, tol=1e-12, max_iter=10_000):
         prev_residual = residual
     raise ConvergenceError(
         f"free-convolution fixed point stalled at residual {prev_residual:.3e} "
-        f"(target {tol:g}) after {max_iter} iterations")
+        f"(target {tol:g}) after {_FREE_CONV_MAX_ITER} iterations")
 
 
 def semicircle_semigroup_residual(z, t):

@@ -9,7 +9,6 @@ copies.
 """
 
 import math
-from collections import defaultdict
 
 import numpy as np
 
@@ -162,31 +161,33 @@ def _pair_stubs_rejection(n, d, rng):
 def _pair_stubs_greedy(n, d, rng):
     """Repeated pairing that re-draws only the colliding stubs.
 
-    Each round shuffles the outstanding stubs and keeps every pair that is
-    neither a loop nor a duplicate; leftovers go back into the pool.  A dead
-    end (leftover stubs that can never pair) restarts from scratch.
+    Each round shuffles the outstanding stubs with one ``rng.permutation``
+    draw and keeps every pair that is not a loop, not already an edge, and
+    the first copy of its unordered pair in the round; the stubs of the
+    other pairs go back into the pool in order of first appearance, with
+    their multiplicity.  A dead end (one leftover vertex, or leftover
+    vertices that are all pairwise adjacent) restarts from scratch.
     """
     for _ in range(_MAX_ATTEMPTS):
         adj = np.zeros((n, n), dtype=np.uint8)
-        stubs = list(np.repeat(np.arange(n), d))
-        dead = False
-        while stubs and not dead:
-            leftovers = defaultdict(int)
-            order = rng.permutation(len(stubs))
-            shuffled = [stubs[t] for t in order]
-            for u, v in zip(shuffled[0::2], shuffled[1::2]):
-                if u != v and not adj[u, v]:
-                    adj[u, v] = adj[v, u] = 1
-                else:
-                    leftovers[int(u)] += 1
-                    leftovers[int(v)] += 1
-            stubs = [u for u, c in leftovers.items() for _ in range(c)]
-            if stubs:
-                nodes = list(leftovers)
-                dead = all(adj[u, v] for x, u in enumerate(nodes)
-                           for v in nodes[x + 1:]) and len(nodes) > 1
-                dead = dead or (len(nodes) == 1)
-        if not stubs:
+        stubs = np.repeat(np.arange(n), d)
+        while stubs.size:
+            shuffled = stubs[rng.permutation(stubs.size)]
+            u, v = shuffled[0::2], shuffled[1::2]
+            key = np.minimum(u, v) * n + np.maximum(u, v)
+            first = np.zeros(u.size, dtype=bool)
+            first[np.unique(key, return_index=True)[1]] = True
+            keep = first & (u != v) & (adj[u, v] == 0)
+            adj[u[keep], v[keep]] = adj[v[keep], u[keep]] = 1
+            rejected = np.stack([u[~keep], v[~keep]], axis=1).reshape(-1)
+            nodes, where, counts = np.unique(rejected, return_index=True,
+                                             return_counts=True)
+            by_appearance = np.argsort(where)
+            stubs = np.repeat(nodes[by_appearance], counts[by_appearance])
+            k = nodes.size
+            if k == 1 or adj[np.ix_(nodes, nodes)].sum() == k * (k - 1):
+                break
+        if not stubs.size:
             return adj
     raise SamplingError(
         f"greedy pairing failed after {_MAX_ATTEMPTS} restarts (n={n}, d={d})")

@@ -24,9 +24,9 @@ from .flow import (eigenvalue_path, eigenvector_sde, emf_solve, evolve_exact,
 from .graphs import RegularGraph, sample_regular_graph
 from .matrices import center_rescale
 from .matrices import embed_in_offspace  # noqa: F401  traced by recipebench
-from .spectra import (SpectralDecomposition, bulk_range, bump_product,
-                      bump_test_function, correlation_estimator, decompose,
-                      gap_ensemble, ks_distance, level_repulsion_q,
+from .spectra import (bulk_range, bump_product, bump_test_function,
+                      correlation_estimator, decompose, gap_ensemble,
+                      ks_distance, level_repulsion_q,
                       level_repulsion_q_resolvent, semicircle_cdf,
                       semicircle_m, stieltjes_empirical)
 from .streams import rng_stream
@@ -65,17 +65,15 @@ def goe_reference(n, n_samples, seed):
     the tridiagonal beta = 1 model of ``_tridiagonal_spectrum`` with M = N-1:
     diagonal N(0, 2/N), off-diagonal chi_k / sqrt(N) for k = M-1, ..., 1.
     Trial k draws from stream ``_STREAM_GOE + k``: first M normals, then one
-    ``chisquare`` call with df M-1, ..., 1.  Eigenvalues are descending.
+    ``chisquare`` call with df M-1, ..., 1.  Spectra are descending.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    out = []
+    spectra = []
     for trial in range(n_samples):
         rng = rng_stream(seed, stream_id=_STREAM_GOE + trial)
-        eigenvalues = _tridiagonal_spectrum(n - 1, n, 1, rng)
-        out.append(SpectralDecomposition(
-            n=n, eigenvalues=eigenvalues[::-1].copy()))
-    return out
+        spectra.append(_tridiagonal_spectrum(n - 1, n, 1, rng)[::-1].copy())
+    return spectra
 
 
 def _map_trials(func, arglist, workers):
@@ -94,16 +92,13 @@ def trial_graph(config, trial):
     return sample_regular_graph(config.n, config.d, rng=rng)
 
 
-def _rrg_eigenvalues(args):
-    graph = trial_graph(*args)
-    return decompose(center_rescale(graph), with_vectors=False).eigenvalues
+def _rrg_spectrum(args):
+    return decompose(center_rescale(trial_graph(*args)))
 
 
 def _rrg_ensemble(config):
     args = [(config, k) for k in range(config.n_samples)]
-    eigenvalues = _map_trials(_rrg_eigenvalues, args, config.workers)
-    return [SpectralDecomposition(n=config.n, eigenvalues=lam)
-            for lam in eigenvalues]
+    return _map_trials(_rrg_spectrum, args, config.workers)
 
 
 def _require_samples(config, minimum=1):
@@ -111,13 +106,12 @@ def _require_samples(config, minimum=1):
         raise ConfigError(f"this recipe needs n_samples >= {minimum}")
 
 
-def _gap_table(decomps, kappa):
-    ensemble = gap_ensemble(decomps, kappa=kappa)
-    lo, hi = bulk_range(decomps[0].n, kappa)
-    per_sample = hi - lo + 1
-    indices = np.tile(np.arange(lo, hi + 1), len(decomps))
-    sample_ids = np.repeat(np.arange(len(decomps)), per_sample)
-    return ensemble, indices, sample_ids
+def _gap_table(spectra, kappa):
+    gaps = gap_ensemble(spectra, kappa=kappa)
+    lo, hi = bulk_range(len(spectra[0]) + 1, kappa)
+    indices = np.tile(np.arange(lo, hi + 1), len(spectra))
+    sample_ids = np.repeat(np.arange(len(spectra)), hi - lo + 1)
+    return gaps, indices, sample_ids
 
 
 def _histogram_series(values, bins, span):
@@ -165,7 +159,7 @@ def recipe_evolve(config, out_dir):
         raise ConfigError("t_grid must be sorted and nonnegative")
     z_grid = tuple(config.z_grid) or (-1 + 0.05j, 0.05j, 1 + 0.05j)
     h0 = center_rescale(trial_graph(config, 0))
-    spectrum0 = decompose(h0, with_vectors=False).eigenvalues
+    spectrum0 = decompose(h0)
     flow_rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
     h, t_prev, lam = h0, 0.0, spectrum0
     rows = []
@@ -176,7 +170,7 @@ def recipe_evolve(config, out_dir):
                 h = evolve_exact(h, span, rng=flow_rng)
             else:
                 h = evolve_sde(h, span, min(1e-2, span / 10.0), rng=flow_rng)
-            lam = decompose(h, with_vectors=False).eigenvalues
+            lam = decompose(h)
         t_prev = t
         io.write_matrix(h, out_dir / f"matrix_{k:04d}.bin")
         for z in z_grid:
@@ -193,19 +187,19 @@ def recipe_evolve(config, out_dir):
 def gap_gate(rrg_gaps, goe_gaps):
     """Gate of ``gap-test``: pooled bulk gaps of two ensembles agree.
 
-    Takes the two ``GapEnsemble``s and returns ``(ok, reports)``: the KS
+    Takes the two pooled gap arrays and returns ``(ok, reports)``: the KS
     distance must stay below 0.05 and the difference of mean gaps below 0.03.
     """
     ks = ks_distance(rrg_gaps, goe_gaps)
-    mean_diff = float(rrg_gaps.entries.mean() - goe_gaps.entries.mean())
+    mean_diff = float(rrg_gaps.mean() - goe_gaps.mean())
     reports = [
-        io.report_record("ks_statistic", ks, n_samples=rrg_gaps.entries.size),
+        io.report_record("ks_statistic", ks, n_samples=rrg_gaps.size),
         io.report_record(
             "gap_mean_difference", mean_diff,
             stderr=math.hypot(
-                rrg_gaps.entries.std(ddof=1) / math.sqrt(rrg_gaps.entries.size),
-                goe_gaps.entries.std(ddof=1) / math.sqrt(goe_gaps.entries.size)),
-            n_samples=rrg_gaps.entries.size),
+                rrg_gaps.std(ddof=1) / math.sqrt(rrg_gaps.size),
+                goe_gaps.std(ddof=1) / math.sqrt(goe_gaps.size)),
+            n_samples=rrg_gaps.size),
     ]
     return ks < 0.05 and abs(mean_diff) < 0.03, reports
 
@@ -214,15 +208,15 @@ def recipe_gap_test(config, out_dir):
     """Pooled bulk gap comparison: graph ensemble vs. GOE reference."""
     _require_samples(config)
     config.warn_if_outside_window()
-    decomps = _rrg_ensemble(config)
+    spectra = _rrg_ensemble(config)
     goe = goe_reference(config.n, config.n_samples, config.seed)
-    rrg_gaps, idx_r, sid_r = _gap_table(decomps, config.kappa)
+    rrg_gaps, idx_r, sid_r = _gap_table(spectra, config.kappa)
     goe_gaps, idx_g, sid_g = _gap_table(goe, config.kappa)
-    io.write_gap_csv(out_dir / "gaps_rrg.csv", rrg_gaps.entries, idx_r, sid_r)
-    io.write_gap_csv(out_dir / "gaps_goe.csv", goe_gaps.entries, idx_g, sid_g)
+    io.write_gap_csv(out_dir / "gaps_rrg.csv", rrg_gaps, idx_r, sid_r)
+    io.write_gap_csv(out_dir / "gaps_goe.csv", goe_gaps, idx_g, sid_g)
     io.write_plot_data(out_dir / "gap_overlay.csv", {
-        "rrg": _histogram_series(rrg_gaps.entries, 60, (0.0, 4.0)),
-        "goe": _histogram_series(goe_gaps.entries, 60, (0.0, 4.0)),
+        "rrg": _histogram_series(rrg_gaps, 60, (0.0, 4.0)),
+        "goe": _histogram_series(goe_gaps, 60, (0.0, 4.0)),
     })
     ok, reports = gap_gate(rrg_gaps, goe_gaps)
     io.write_report_json(out_dir / "report.json", reports)
@@ -238,20 +232,20 @@ def recipe_corr_test(config, out_dir):
     """
     _require_samples(config)
     config.warn_if_outside_window()
-    decomps = _rrg_ensemble(config)
+    spectra = _rrg_ensemble(config)
     goe = goe_reference(config.n, config.n_samples, config.seed)
 
     pair_phi = bump_product(bump_test_function(0.0, 3.0),
                             bump_test_function(0.0, 3.0))
 
     def per_sample(ensemble):
-        vals = np.array([correlation_estimator([d], 2, 0.0, pair_phi,
+        vals = np.array([correlation_estimator([lam], 2, 0.0, pair_phi,
                                                 support_radius=3.0)
-                         for d in ensemble])
+                         for lam in ensemble])
         return (float(vals.mean()),
                 float(vals.std(ddof=1)) / math.sqrt(len(vals)))
 
-    mean_r, se_r = per_sample(decomps)
+    mean_r, se_r = per_sample(spectra)
     mean_g, se_g = per_sample(goe)
     diff = mean_r - mean_g
     combined = math.hypot(se_r, se_g)
@@ -272,30 +266,30 @@ def _semicircle_z_grid(config):
     return z_grid
 
 
-def _stieltjes_rows(decomps, z_grid):
+def _stieltjes_rows(spectra, z_grid):
     """(z, ensemble-mean s(z), semicircle m(z)) for each z."""
-    return [(z, np.mean([stieltjes_empirical(d.eigenvalues, z)
-                         for d in decomps]), complex(semicircle_m(z)))
+    return [(z, np.mean([stieltjes_empirical(lam, z) for lam in spectra]),
+             complex(semicircle_m(z)))
             for z in z_grid]
 
 
-def semicircle_gate(decomps, config):
+def semicircle_gate(spectra, config):
     """Gate of ``semicircle-scan``: the spectra follow the semicircle law.
 
-    Takes the ensemble's decompositions and returns ``(ok, reports)``: at
+    Takes the ensemble's spectra and returns ``(ok, reports)``: at
     each z of the config's grid |s(z) - m(z)| must stay within
     10 (D^{-1/4} + (N Im z)^{-1/4}), and the sup distance between the pooled
     empirical CDF and the semicircle CDF must stay below 0.03.
     """
     reports, ok = [], True
-    for z, s, m in _stieltjes_rows(decomps, _semicircle_z_grid(config)):
+    for z, s, m in _stieltjes_rows(spectra, _semicircle_z_grid(config)):
         bound = 10.0 * (config.big_d ** -0.25
                         + (config.n * z.imag) ** -0.25)
         reports.append(io.report_record(
             f"abs_s_minus_m[{z.real:g}{z.imag:+g}j]", abs(s - m),
             n_samples=config.n_samples))
         ok = ok and abs(s - m) <= bound
-    pooled = np.sort(np.concatenate([d.eigenvalues for d in decomps]))
+    pooled = np.sort(np.concatenate(spectra))
     ecdf = np.arange(1, pooled.size + 1) / pooled.size
     cdf = semicircle_cdf(pooled)
     sup_dist = float(np.maximum(np.abs(ecdf - cdf),
@@ -310,10 +304,10 @@ def recipe_semicircle_scan(config, out_dir):
     _require_samples(config)
     config.warn_if_outside_window()
     z_grid = _semicircle_z_grid(config)
-    decomps = _rrg_ensemble(config)
+    spectra = _rrg_ensemble(config)
     io.write_stieltjes_csv(out_dir / "stieltjes.csv",
-                           _stieltjes_rows(decomps, z_grid))
-    ok, reports = semicircle_gate(decomps, config)
+                           _stieltjes_rows(spectra, z_grid))
+    ok, reports = semicircle_gate(spectra, config)
     io.write_report_json(out_dir / "report.json", reports)
     return ok, reports
 
@@ -349,7 +343,7 @@ def recipe_generator_check(config, out_dir):
     return ok, reports
 
 
-def _emf_profile(config, gap_floor=0.05, max_retries=512):
+def _emf_profile(config):
     """Frozen eigenvalue path, observable direction, and time grid.
 
     The path is the first (by sub-seed, so still a pure function of the
@@ -359,6 +353,7 @@ def _emf_profile(config, gap_floor=0.05, max_retries=512):
     Only a few percent of paths clear the floor at small dimension (weak
     level repulsion), hence the deep retry budget.
     """
+    gap_floor, max_retries = 0.05, 512
     m = config.n
     t_grid = tuple(config.t_grid) or (0.1, 0.5)
     # at t = 0 the replicas agree exactly (zero standard error), and a
@@ -423,7 +418,7 @@ def recipe_emf_check(config, out_dir):
 def repulsion_gate(rrg_gaps, goe_gaps, config):
     """Gate of ``repulsion-scan``: level repulsion and its observable.
 
-    Takes the two ``GapEnsemble``s and returns ``(ok, reports)``: the
+    Takes the two pooled gap arrays and returns ``(ok, reports)``: the
     graph's fraction of normalized gaps below 0.05 must stay below 0.02 and
     within 3 sigma of the GOE fraction, and the repulsion observable
     Q_i = (1/N^2) sum_{j != i} (lambda_j - lambda_i)^{-2} must match its
@@ -432,12 +427,12 @@ def repulsion_gate(rrg_gaps, goe_gaps, config):
     """
     threshold = 0.05
 
-    def fraction(entries):
-        p = float((entries < threshold).mean())
-        return p, math.sqrt(max(p * (1 - p), 1e-12) / entries.size)
+    def fraction(gaps):
+        p = float((gaps < threshold).mean())
+        return p, math.sqrt(max(p * (1 - p), 1e-12) / gaps.size)
 
-    p_rrg, se_rrg = fraction(rrg_gaps.entries)
-    p_goe, se_goe = fraction(goe_gaps.entries)
+    p_rrg, se_rrg = fraction(rrg_gaps)
+    p_goe, se_goe = fraction(goe_gaps)
     sigma = abs(p_rrg - p_goe) / math.hypot(se_rrg, se_goe)
 
     rng = rng_stream(config.seed, stream_id=_STREAM_MISC)
@@ -452,9 +447,9 @@ def repulsion_gate(rrg_gaps, goe_gaps, config):
         worst = max(worst, abs(direct - resolvent) / abs(direct))
     reports = [
         io.report_record("small_gap_fraction_rrg", p_rrg, stderr=se_rrg,
-                         n_samples=rrg_gaps.entries.size),
+                         n_samples=rrg_gaps.size),
         io.report_record("small_gap_fraction_goe", p_goe, stderr=se_goe,
-                         n_samples=goe_gaps.entries.size),
+                         n_samples=goe_gaps.size),
         io.report_record("small_gap_sigma", sigma),
         io.report_record("repulsion_identity_max_rel", worst, n_samples=1000),
     ]
@@ -465,10 +460,10 @@ def recipe_repulsion_scan(config, out_dir):
     """Small-gap fraction vs. GOE, plus the repulsion-observable identity."""
     _require_samples(config)
     config.warn_if_outside_window()
-    decomps = _rrg_ensemble(config)
+    spectra = _rrg_ensemble(config)
     goe = goe_reference(config.n, config.n_samples, config.seed)
-    rrg_gaps, idx_r, sid_r = _gap_table(decomps, config.kappa)
-    io.write_gap_csv(out_dir / "gaps_rrg.csv", rrg_gaps.entries, idx_r, sid_r)
+    rrg_gaps, idx_r, sid_r = _gap_table(spectra, config.kappa)
+    io.write_gap_csv(out_dir / "gaps_rrg.csv", rrg_gaps, idx_r, sid_r)
     ok, reports = repulsion_gate(
         rrg_gaps, gap_ensemble(goe, kappa=config.kappa), config)
     io.write_report_json(out_dir / "report.json", reports)
@@ -503,17 +498,18 @@ def _kernel_step(graph, edges, proposal):
     return RegularGraph(adj, validate=False), edges, accepted
 
 
-def involution_suite(n_pairs, seed=0, n_vertices=24, degree=4):
+def involution_suite(n_pairs, seed=0):
     """Random (switching proposal, graph) property checks of the chain's move.
 
-    Runs each of ``n_pairs`` random pairs of directed-edge codes through one
-    kernel step and verifies that the kernel accepts exactly the tuples
+    Runs each of ``n_pairs`` random pairs of directed-edge codes, on
+    4-regular graphs with 24 vertices, through one kernel step and verifies that the kernel accepts exactly the tuples
     (i, j, m, n) they resolve to that ``chain.tuple_switchable`` accepts;
     that after an accepted switch the same codes resolve to the reversed
     tuple (i, m, j, n), which is accepted and restores the graph and its
     edge array; that a rejected proposal leaves both unchanged; and that
     every step conserves all degrees.
     """
+    n_vertices, degree = 24, 4
     rng = rng_stream(seed, stream_id=_STREAM_MISC + 1)
     graphs = [sample_regular_graph(n_vertices, degree, rng=rng)
               for _ in range(max(1, n_pairs // 200))]

@@ -161,29 +161,26 @@ def default_fd_step(h, order):
     return base * (1.0 + float(abs(h).max()))
 
 
-def directional_derivative(func, h, directions, step=None):
+def directional_derivative(func, h, directions):
     """Mixed central-difference derivative of F along matrix directions.
 
-    For directions X_1, ..., X_n (dense matrices, or (i,j,k,l) tuples that
-    are expanded to switching directions), estimates the n-th mixed
+    For dense matrix directions X_1, ..., X_n, estimates the n-th mixed
     derivative d^n/dt_1...dt_n F(H + sum_a t_a X_a) at t = 0 by the
     2^n-corner stencil
 
         sum_{s in {-1,+1}^n} (prod_a s_a) F(H + step * sum_a s_a X_a)
-            / (2 * step)^n.
+            / (2 * step)^n,
 
-    Repeated directions give pure higher-order derivatives; n = 0 returns
-    F(H).  Non-finite F values propagate to the caller.
+    with step = ``default_fd_step(H, n)``.  Repeated directions give pure
+    higher-order derivatives; n = 0 returns F(H).  Non-finite F values
+    propagate to the caller.
     """
-    dirs = [switch_direction(h.shape[0], *x) if isinstance(x, tuple) else x
-            for x in directions]
-    n = len(dirs)
+    n = len(directions)
     if n == 0:
         return func(h)
-    if step is None:
-        step = default_fd_step(h, n)
+    step = default_fd_step(h, n)
     total = 0.0
     for signs in product((1.0, -1.0), repeat=n):
-        point = h + step * sum(s * x for s, x in zip(signs, dirs))
+        point = h + step * sum(s * x for s, x in zip(signs, directions))
         total += float(np.prod(signs)) * func(point)
     return total / (2.0 * step) ** n

@@ -2,13 +2,15 @@
 
 A constrained matrix H (symmetric, H e = 0) has the trivial eigenpair
 (0, e); everything of interest lives in the M = N-1 dimensional complement.
-This module computes deflated eigendecompositions and the statistics built
-on them: the semicircle density/CDF and its Stieltjes transform m(z), the
-classical eigenvalue locations gamma_i, empirical Stieltjes transforms and
-Green-function entries, normalized bulk gap ensembles, locally averaged
-correlation estimators, the level-repulsion statistic Q_i, delocalization
-and rigidity diagnostics, the two-sample Kolmogorov-Smirnov distance, and
-smooth compactly supported test functions.
+A spectrum is a float64 array of the M nontrivial eigenvalues, descending,
+so N is its length plus one: ``decompose`` computes it and ``eigenpairs``
+adds the eigenvectors.  Built on spectra: the semicircle density/CDF and
+its Stieltjes transform m(z), the classical eigenvalue locations gamma_i,
+empirical Stieltjes transforms and Green-function entries, normalized bulk
+gap ensembles (1-D arrays of pooled gaps), locally averaged correlation
+estimators, the level-repulsion statistic Q_i, delocalization and rigidity
+diagnostics, the two-sample Kolmogorov-Smirnov distance, and smooth
+compactly supported test functions.
 
 Normalization conventions, fixed throughout: the semicircle density is
 rho(x) = sqrt((4 - x^2)_+) / (2 pi) on [-2, 2]; m(z) is the root of
@@ -18,64 +20,50 @@ lambda_{i+1}) with eigenvalues sorted descending and ranks 1-based.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .matrices import embed_in_offspace, restrict_to_offspace
+
+# Largest max|H e| / (1 + max|H|) accepted as H e = 0.
+_CONSTRAINT_TOL = 1e-8
+# Level repulsion: a gap to lambda_i at or below this is a degeneracy.
+_REPULSION_MIN_GAP = 1e-12
 
 
 class DeflationError(ValueError):
     """The matrix does not annihilate the uniform vector."""
 
 
-@dataclass
-class SpectralDecomposition:
-    """Deflated eigendecomposition of a constrained matrix.
+def _deflated_core(h):
+    """The (N-1) x (N-1) core of H on the complement of e.
 
-    ``eigenvalues`` are the M = N-1 nontrivial eigenvalues sorted
-    descending; ``eigenvectors`` (optional) stacks the matching unit
-    eigenvectors as columns of an N x M array, each orthogonal to e;
-    ``constraint_residual`` records max|H e|/(1 + max|H|) of the input.
-    """
-
-    n: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = None
-    constraint_residual: float = 0.0
-
-    @property
-    def m(self):
-        return self.n - 1
-
-
-def decompose(h, constraint_tol=1e-8, with_vectors=True):
-    """Full symmetric eigendecomposition with the trivial direction removed.
-
-    The trivial eigenpair e (eigenvalue 0) is deflated exactly, before any
-    eigensolve, by restricting H to the orthogonal complement of e; this is
-    immune to the 0 eigenvalue colliding with bulk values (a rotation inside
-    a degenerate eigh cluster could otherwise smear e across eigenvectors).
-    Remaining pairs are sorted descending.
+    Deflating e (eigenvalue 0) before any eigensolve is immune to the 0
+    eigenvalue colliding with bulk values, which could otherwise smear e
+    across the eigenvectors of a degenerate eigh cluster.
     """
     n = h.shape[0]
     residual = float(np.abs(h @ np.ones(n)).max()) / (1.0 + float(np.abs(h).max()))
-    if residual > constraint_tol:
+    if residual > _CONSTRAINT_TOL:
         raise DeflationError(
             f"matrix does not annihilate the uniform vector "
-            f"(residual {residual:.3e} > {constraint_tol:g})")
-    core = restrict_to_offspace(h)
-    if with_vectors:
-        eigenvalues, core_vectors = np.linalg.eigh(core)
-        vectors = embed_in_offspace(core_vectors[:, ::-1])
-    else:
-        eigenvalues = np.linalg.eigvalsh(core)
-        vectors = None
-    return SpectralDecomposition(
-        n=n,
-        eigenvalues=eigenvalues[::-1].copy(),
-        eigenvectors=vectors,
-        constraint_residual=residual)
+            f"(residual {residual:.3e} > {_CONSTRAINT_TOL:g})")
+    return restrict_to_offspace(h)
+
+
+def decompose(h):
+    """The M = N-1 nontrivial eigenvalues of a constrained H, descending."""
+    return np.linalg.eigvalsh(_deflated_core(h))[::-1].copy()
+
+
+def eigenpairs(h):
+    """The eigenvalues of ``decompose`` and their eigenvectors.
+
+    Returns ``(eigenvalues, vectors)``; column k of the N x M ``vectors``
+    is the unit eigenvector of eigenvalue k, orthogonal to e.
+    """
+    eigenvalues, vectors = np.linalg.eigh(_deflated_core(h))
+    return eigenvalues[::-1].copy(), embed_in_offspace(vectors[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +140,18 @@ def stieltjes_empirical(eigenvalues, z):
     return complex(np.mean(1.0 / (lam - z)))
 
 
-def green_matrix(decomp, z):
+def green_matrix(eigenvalues, eigenvectors, z):
     """G(z) = sum_k v_k v_k^T / (lambda_k - z), the resolvent on e-perp."""
-    v = decomp.eigenvectors
-    return (v / (decomp.eigenvalues - z)) @ v.T
+    return (eigenvectors / (eigenvalues - z)) @ eigenvectors.T
 
 
-def gamma_stat(decomp, z):
+def gamma_stat(eigenvalues, eigenvectors, z):
     """Gamma(z) = max_ij |G_ij(z)|, floored at 1."""
-    return max(1.0, float(np.abs(green_matrix(decomp, z)).max()))
+    return max(1.0, float(np.abs(green_matrix(eigenvalues, eigenvectors, z)).max()))
 
 
 # ---------------------------------------------------------------------------
 # Gap statistics
-
-
-@dataclass
-class GapEnsemble:
-    """Pooled normalized bulk gaps N rho(gamma_i) (lambda_i - lambda_{i+1})."""
-
-    entries: np.ndarray
-    kappa: float
 
 
 def bulk_range(n, kappa):
@@ -184,51 +163,53 @@ def bulk_range(n, kappa):
     return lo, hi
 
 
-def gap_ensemble(decomps, kappa=0.1):
-    """Pool normalized consecutive bulk gaps over an ensemble of decompositions."""
-    decomps = list(decomps)
-    if not decomps:
+def gap_ensemble(spectra, kappa=0.1):
+    """Pooled normalized bulk gaps N rho(gamma_i) (lambda_i - lambda_{i+1}).
+
+    Concatenates, spectrum by spectrum, the gaps at the ranks of
+    ``bulk_range``; every spectrum must have the same length.
+    """
+    spectra = list(spectra)
+    if not spectra:
         raise ValueError("empty ensemble")
-    n = decomps[0].n
+    n = len(spectra[0]) + 1
     lo, hi = bulk_range(n, kappa)
     gamma = classical_locations(n)
     scale = n * semicircle_density(gamma[lo - 1:hi])
-    entries = []
-    for decomp in decomps:
-        if decomp.n != n:
+    gaps = []
+    for lam in spectra:
+        if len(lam) + 1 != n:
             raise ValueError("mixed dimensions in ensemble")
-        lam = decomp.eigenvalues
-        entries.append(scale * (lam[lo - 1:hi] - lam[lo:hi + 1]))
-    return GapEnsemble(entries=np.concatenate(entries), kappa=kappa)
+        gaps.append(scale * (lam[lo - 1:hi] - lam[lo:hi + 1]))
+    return np.concatenate(gaps)
 
 
-def gap_statistic(decomps, i, n_gaps, phi):
+def gap_statistic(spectra, i, n_gaps, phi):
     """Monte Carlo average of phi over normalized gap vectors at rank i.
 
     For each sample, forms (N rho(gamma_i) (lambda_{i+k} - lambda_{i+k+1}))
     for k = 0..n_gaps-1 (ranks 1-based) and applies phi to the vector.
     """
-    decomps = list(decomps)
-    if not decomps:
+    spectra = list(spectra)
+    if not spectra:
         raise ValueError("empty ensemble")
-    n = decomps[0].n
+    n = len(spectra[0]) + 1
     if i < 1 or i + n_gaps > n - 1:
         raise IndexError(f"gap window [{i}, {i + n_gaps}] outside 1..{n - 1}")
     scale = n * semicircle_density(classical_locations(n)[i - 1])
     total = 0.0
-    for decomp in decomps:
-        lam = decomp.eigenvalues
+    for lam in spectra:
         gaps = scale * (lam[i - 1:i + n_gaps - 1] - lam[i:i + n_gaps])
         total += float(phi(*gaps))
-    return total / len(decomps)
+    return total / len(spectra)
 
 
 # ---------------------------------------------------------------------------
 # Correlation estimator
 
 
-def correlation_estimator(decomps, n_point, energy, phi, bandwidth=None,
-                          n_nodes=64, support_radius=1.0):
+def correlation_estimator(spectra, n_point, energy, phi, n_nodes=64,
+                          support_radius=1.0):
     """Locally averaged n-point correlation integral around ``energy``.
 
     Estimates the average over E' in [E - b, E + b] of
@@ -236,19 +217,18 @@ def correlation_estimator(decomps, n_point, energy, phi, bandwidth=None,
         N^n (M-n)!/M! sum_{distinct ordered n-tuples}
             phi((lambda_{t_1} - E') N rho(E), ..., (lambda_{t_n} - E') N rho(E)),
 
-    with b = N^(-1+0.3) by default and a uniform 64-node quadrature grid.
+    with b = N^(-1+0.3) and a uniform ``n_nodes``-node quadrature grid.
     ``phi`` must vanish outside max|x_a| <= support_radius, which bounds the
     eigenvalues that can contribute.
     """
     if n_point not in (1, 2):
         raise ValueError("n_point must be 1 or 2")
-    decomps = list(decomps)
-    if not decomps:
+    spectra = list(spectra)
+    if not spectra:
         raise ValueError("empty ensemble")
-    n = decomps[0].n
-    m = n - 1
-    if bandwidth is None:
-        bandwidth = float(n) ** (-1 + 0.3)
+    m = len(spectra[0])
+    n = m + 1
+    bandwidth = float(n) ** (-1 + 0.3)
     rho = semicircle_density(energy)
     if rho <= 0:
         raise ValueError("energy must lie inside (-2, 2)")
@@ -259,8 +239,7 @@ def correlation_estimator(decomps, n_point, energy, phi, bandwidth=None,
     window = bandwidth + support_radius / scale
 
     total = 0.0
-    for decomp in decomps:
-        lam = decomp.eigenvalues
+    for lam in spectra:
         local = lam[np.abs(lam - energy) <= window]
         if len(local) == 0:
             continue
@@ -272,30 +251,29 @@ def correlation_estimator(decomps, n_point, energy, phi, bandwidth=None,
             pair[:, np.arange(len(local)), np.arange(len(local))] = 0.0
             values = pair.sum(axis=(1, 2))
         total += values.mean()
-    return norm * total / len(decomps)
+    return norm * total / len(spectra)
 
 
 # ---------------------------------------------------------------------------
 # Level repulsion, delocalization, rigidity
 
 
-def level_repulsion_q(eigenvalues, i, n_ambient=None, min_gap=1e-12):
+def level_repulsion_q(eigenvalues, i, n_ambient=None):
     """Q_i = (1/N^2) sum_{j != i} 1/(lambda_j - lambda_i)^2 (1-based rank i).
 
-    Returns +inf when some gap to lambda_i falls below ``min_gap`` (a
-    degenerate eigenvalue), never raises.
+    Returns +inf when some gap to lambda_i is at most 1e-12 (a degenerate
+    eigenvalue), never raises.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if n_ambient is None:
         n_ambient = len(lam) + 1
     diffs = np.delete(lam, i - 1) - lam[i - 1]
-    if len(diffs) and np.abs(diffs).min() <= min_gap:
+    if len(diffs) and np.abs(diffs).min() <= _REPULSION_MIN_GAP:
         return math.inf
     return float((1.0 / diffs ** 2).sum()) / n_ambient ** 2
 
 
-def level_repulsion_q_resolvent(eigenvalues, eigenvectors, i, n_ambient=None,
-                                min_gap=1e-12):
+def level_repulsion_q_resolvent(eigenvalues, eigenvectors, i, n_ambient=None):
     """Q_i computed as tr(R_i^2)/N^2 with R_i = sum_{j != i} v_j v_j^T /
     (lambda_i - lambda_j); the dense cross-check of the spectral sum."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
@@ -303,36 +281,37 @@ def level_repulsion_q_resolvent(eigenvalues, eigenvectors, i, n_ambient=None,
         n_ambient = len(lam) + 1
     keep = np.arange(len(lam)) != (i - 1)
     diffs = lam[i - 1] - lam[keep]
-    if len(diffs) and np.abs(diffs).min() <= min_gap:
+    if len(diffs) and np.abs(diffs).min() <= _REPULSION_MIN_GAP:
         return math.inf
     v = np.asarray(eigenvectors, dtype=np.float64)[:, keep]
     resolvent = (v / diffs) @ v.T
     return float(np.trace(resolvent @ resolvent)) / n_ambient ** 2
 
 
-def delocalization_stat(decomp):
-    """sqrt(N) * max_{k,i} |v_k(i)| over all nontrivial eigenvectors."""
-    return math.sqrt(decomp.n) * float(np.abs(decomp.eigenvectors).max())
+def delocalization_stat(eigenvectors):
+    """sqrt(N) * max_{k,i} |v_k(i)| over the N x M nontrivial eigenvectors."""
+    return math.sqrt(eigenvectors.shape[0]) * float(np.abs(eigenvectors).max())
 
 
-def rigidity_stat(decomp, kappa=0.1):
+def rigidity_stat(eigenvalues, kappa=0.1):
     """max over bulk ranks of |lambda_i - gamma_i|."""
-    lo, hi = bulk_range(decomp.n, kappa)
-    gamma = classical_locations(decomp.n)
-    return float(np.abs(decomp.eigenvalues[lo - 1:hi] - gamma[lo - 1:hi]).max())
+    n = len(eigenvalues) + 1
+    lo, hi = bulk_range(n, kappa)
+    gamma = classical_locations(n)
+    return float(np.abs(eigenvalues[lo - 1:hi] - gamma[lo - 1:hi]).max())
 
 
 # ---------------------------------------------------------------------------
 # Two-sample KS
 
 
-def ks_distance(sample_a, sample_b):
+def ks_distance(a, b):
     """Two-sample Kolmogorov-Smirnov statistic.
 
     The sup-distance of the two empirical CDFs, computed by a sorted merge.
     """
-    a = np.sort(np.asarray(getattr(sample_a, "entries", sample_a), dtype=np.float64))
-    b = np.sort(np.asarray(getattr(sample_b, "entries", sample_b), dtype=np.float64))
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be nonempty")
     grid = np.concatenate([a, b])

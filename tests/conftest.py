@@ -55,19 +55,20 @@ def constrained_goe_covariance(n, i, j, k, l):
         + (delta(i, l) - 1.0 / n) * (delta(j, k) - 1.0 / n) / n
 
 
-def validate_decomposition(decomp, h=None, orth_tol=1e-8, overlap_tol=1e-6,
-                           residual_tol=1e-8):
-    """Check the decomposition invariants; raises AssertionError on failure."""
-    v = decomp.eigenvectors
-    gram = v.T @ v - np.eye(decomp.m)
+def validate_eigenpairs(eigenvalues, eigenvectors, h=None, orth_tol=1e-8,
+                        overlap_tol=1e-6, residual_tol=1e-8):
+    """Check the invariants of deflated eigenpairs; raises AssertionError."""
+    v = eigenvectors
+    n, m = v.shape
+    gram = v.T @ v - np.eye(m)
     if abs(gram).max() > orth_tol:
         raise AssertionError(f"eigenvectors not orthonormal: {abs(gram).max():.2e}")
-    overlaps = abs(uniform_unit(decomp.n) @ v)
+    overlaps = abs(uniform_unit(n) @ v)
     if overlaps.max() > overlap_tol:
         raise AssertionError(f"eigenvector not orthogonal to e: {overlaps.max():.2e}")
     if h is not None:
-        residual = h @ v - v * decomp.eigenvalues
-        bound = residual_tol * (1.0 + abs(decomp.eigenvalues))
+        residual = h @ v - v * eigenvalues
+        bound = residual_tol * (1.0 + abs(eigenvalues))
         worst = (np.sqrt((residual ** 2).sum(axis=0)) / bound).max()
         if worst > 1.0:
             raise AssertionError(f"eigenpair residual exceeds tolerance ({worst:.2e}x)")

@@ -37,9 +37,9 @@ from rrglab.harness import (
 )
 from rrglab.matrices import center_rescale, inner_product, sample_constrained_goe
 from rrglab.spectra import (
-    SpectralDecomposition,
     decompose,
     delocalization_stat,
+    eigenpairs,
     gap_ensemble,
     ks_distance,
     rigidity_stat,
@@ -68,12 +68,12 @@ def bulk_ensembles():
     raw, short, long_ = [], [], []
     for trial in range(config.n_samples):
         h = center_rescale(trial_graph(config, trial))
-        raw.append(decompose(h, with_vectors=False))
+        raw.append(decompose(h))
         flow_rng = rng_stream(config.seed, _STREAM_FLOW + trial)
         h = evolve_exact(h, t_short, rng=flow_rng)
-        short.append(decompose(h, with_vectors=False))
+        short.append(decompose(h))
         h = evolve_exact(h, 5.0 - t_short, rng=flow_rng)
-        long_.append(decompose(h, with_vectors=False))
+        long_.append(decompose(h))
     goe = goe_reference(config.n, config.n_samples, config.seed)
     return {"config": config, "raw": raw, "short": short, "long": long_,
             "goe": goe, "elapsed": time.perf_counter() - start}
@@ -84,15 +84,13 @@ def wide_ensemble():
     """N=2000, d=40, 50 samples with per-sample eigenvector statistics."""
     start = time.perf_counter()
     config = ExperimentConfig(n=2000, d=40, n_samples=50, seed=0)
-    decomps, deloc, rigidity = [], [], []
+    spectra, deloc, rigidity = [], [], []
     for trial in range(config.n_samples):
-        dec = decompose(center_rescale(trial_graph(config, trial)),
-                        with_vectors=True)
-        deloc.append(delocalization_stat(dec))
-        rigidity.append(rigidity_stat(dec, kappa=0.1))
-        decomps.append(SpectralDecomposition(n=config.n,
-                                             eigenvalues=dec.eigenvalues))
-    return {"config": config, "decomps": decomps, "deloc": deloc,
+        lam, vectors = eigenpairs(center_rescale(trial_graph(config, trial)))
+        deloc.append(delocalization_stat(vectors))
+        rigidity.append(rigidity_stat(lam, kappa=0.1))
+        spectra.append(lam)
+    return {"config": config, "spectra": spectra, "deloc": deloc,
             "rigidity": rigidity, "elapsed": time.perf_counter() - start}
 
 
@@ -166,7 +164,7 @@ def test_criterion_04_jump_vs_flow_discrepancy_scaling(tmp_path):
 
 def test_criterion_05_semicircle_law(wide_ensemble):
     start = time.perf_counter()
-    ok, reports = semicircle_gate(wide_ensemble["decomps"],
+    ok, reports = semicircle_gate(wide_ensemble["spectra"],
                                   wide_ensemble["config"])
     elapsed = time.perf_counter() - start + wide_ensemble["elapsed"]
     detail = "; ".join(f"{name} {value:.4f}"

@@ -17,8 +17,8 @@ from scipy import stats
 
 from conftest import cycle_adjacency
 from rrglab.chain import switched_graph, tuple_switchable
-from rrglab.graphs import (RegularGraph, enumerate_regular_graphs,
-                           sample_regular_graph)
+from rrglab.graphs import (RegularGraph, _pair_stubs_greedy,
+                           enumerate_regular_graphs, sample_regular_graph)
 from rrglab.streams import rng_stream
 
 LABELED_CUBIC_8 = 19355  # OEIS A005814
@@ -264,6 +264,44 @@ def test_greedy_pairing_with_burn_in_is_uniform_on_quintic_eight():
         counts[enumerated[graph.canonical_key()]] += 1
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-3
+
+
+def greedy_pairing_reference(n, d, rng):
+    """Greedy pairing, one stub pair at a time: the loop that the sampler's
+    vectorized rounds must reproduce draw for draw."""
+    for _ in range(1000):
+        adj = np.zeros((n, n), dtype=np.uint8)
+        stubs = [int(u) for u in np.repeat(np.arange(n), d)]
+        while stubs:
+            order = rng.permutation(len(stubs))
+            shuffled = [stubs[t] for t in order]
+            leftovers = {}
+            for u, v in zip(shuffled[0::2], shuffled[1::2]):
+                if u != v and not adj[u, v]:
+                    adj[u, v] = adj[v, u] = 1
+                else:
+                    leftovers[u] = leftovers.get(u, 0) + 1
+                    leftovers[v] = leftovers.get(v, 0) + 1
+            stubs = [u for u, c in leftovers.items() for _ in range(c)]
+            nodes = list(leftovers)
+            if len(nodes) == 1 or (len(nodes) > 1 and all(
+                    adj[u, v] for u, v in itertools.combinations(nodes, 2))):
+                break
+        if not stubs:
+            return adj
+    raise AssertionError("greedy pairing kept reaching dead ends")
+
+
+@pytest.mark.parametrize("n, d", [(8, 5), (9, 8), (16, 15), (32, 16),
+                                  (40, 6), (120, 60)])
+def test_greedy_pairing_matches_stub_by_stub_reference(n, d):
+    # (9, 8) and (16, 15) pair into a complete graph, so dead ends and
+    # restarts are frequent; every case also repeats pairs within a round
+    for seed in range(5):
+        fast, slow = rng_stream(seed, stream_id=n), rng_stream(seed, stream_id=n)
+        assert np.array_equal(_pair_stubs_greedy(n, d, fast),
+                              greedy_pairing_reference(n, d, slow))
+        assert fast.integers(1 << 62) == slow.integers(1 << 62)
 
 
 def test_edges_listing_is_sorted_upper_triangle():

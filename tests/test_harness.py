@@ -25,18 +25,16 @@ from rrglab.harness import (
     run_experiment,
 )
 from rrglab.io import read_graph_text, read_matrix
-from rrglab.spectra import SpectralDecomposition, gap_ensemble, ks_distance
+from rrglab.spectra import gap_ensemble, ks_distance
 from rrglab.streams import rng_stream
 
 
 def test_goe_reference_shapes_and_order():
-    decomps = goe_reference(12, 3, seed=5)
-    assert len(decomps) == 3
-    for dec in decomps:
-        assert dec.n == 12
-        assert dec.eigenvalues.shape == (11,)
-        assert (np.diff(dec.eigenvalues) <= 0).all()   # descending
-        assert dec.eigenvectors is None
+    spectra = goe_reference(12, 3, seed=5)
+    assert len(spectra) == 3
+    for lam in spectra:
+        assert lam.shape == (11,) and lam.dtype == np.float64
+        assert (np.diff(lam) <= 0).all()   # descending
 
 
 def test_goe_reference_determinism_and_stream_prefix():
@@ -44,18 +42,18 @@ def test_goe_reference_determinism_and_stream_prefix():
     second = goe_reference(10, 3, seed=5)
     longer = goe_reference(10, 5, seed=5)
     for a, b in zip(first, second):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a, b)
     # trial k draws from stream k, so a longer run extends the shorter one
     for a, b in zip(first, longer):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert not np.array_equal(first[0].eigenvalues, first[1].eigenvalues)
+        assert np.array_equal(a, b)
+    assert not np.array_equal(first[0], first[1])
 
 
 def test_goe_reference_second_moment_matches_constrained_law():
     """E sum(lam^2) = (n-1)n/n = n-1 for the (n-1)-core with variance 1/n."""
     n, n_samples = 40, 200
-    decomps = goe_reference(n, n_samples, seed=17)
-    totals = np.array([np.sum(d.eigenvalues ** 2) for d in decomps])
+    spectra = goe_reference(n, n_samples, seed=17)
+    totals = np.array([np.sum(lam ** 2) for lam in spectra])
     stderr = totals.std(ddof=1) / math.sqrt(n_samples)
     assert abs(totals.mean() - (n - 1)) < 5 * stderr
 
@@ -99,8 +97,7 @@ def test_tridiagonal_gaps_match_dense_goe_oracle():
     for trial in range(n_samples):
         raw = rng_stream(3, stream_id=trial).normal(size=(n - 1, n - 1))
         core = (raw + raw.T) / math.sqrt(2.0 * n)
-        dense.append(SpectralDecomposition(
-            n=n, eigenvalues=np.linalg.eigvalsh(core)[::-1].copy()))
+        dense.append(np.linalg.eigvalsh(core)[::-1])
     tridiagonal = goe_reference(n, n_samples, seed=3)
     ks = ks_distance(gap_ensemble(tridiagonal), gap_ensemble(dense))
     # measured 0.0160 at this seed (6440 gaps each), at most 0.0169 over
@@ -110,9 +107,9 @@ def test_tridiagonal_gaps_match_dense_goe_oracle():
 
 def _gue_control(n=1000, n_samples=20, seed=0):
     """Gap ensembles of beta = 2 spectra and of the GOE reference."""
-    gue = [SpectralDecomposition(n=n, eigenvalues=_tridiagonal_spectrum(
-        n - 1, n, 2, rng_stream(seed, stream_id=trial))[::-1].copy())
-        for trial in range(n_samples)]
+    gue = [_tridiagonal_spectrum(n - 1, n, 2,
+                                 rng_stream(seed, stream_id=trial))[::-1]
+           for trial in range(n_samples)]
     goe = goe_reference(n, n_samples, seed)
     config = ExperimentConfig(n=n, d=32, n_samples=n_samples, seed=seed)
     return gap_ensemble(gue), gap_ensemble(goe), config
@@ -184,8 +181,9 @@ def test_benchmark_tracer_counts_through_recipes(tmp_path):
     finally:
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.take())
-    for name in ("kernels.steps", "chain.accept_ratio",
-                 "flow.eigvec_sde_steps_per_s", "io.bytes_written"):
+    for name in ("kernels.steps", "chain.accept_ratio", "graphs.pairing_s",
+                 "spectra.decompose_calls", "flow.eigvec_sde_steps_per_s",
+                 "io.bytes_written"):
         assert metrics[name] > 0, name
 
 

@@ -147,17 +147,6 @@ def test_directional_derivative_exact_on_cubic():
     assert abs(second - 6 * np.trace(h @ x @ y)) < 1e-5 * abs(second)
     third = directional_derivative(f, h, [x, y, z])
     assert abs(third - 6 * np.trace(x @ y @ z)) < 1e-4 * abs(third)
-
-
-def test_directional_derivative_accepts_index_tuples():
-    h = sample_constrained_goe(8, rng=rng_stream(10))
-
-    def f(m):
-        return float((m * m).sum())
-
-    via_tuple = directional_derivative(f, h, [(0, 2, 4, 6)])
-    via_dense = directional_derivative(f, h, [switch_direction(8, 0, 2, 4, 6)])
-    assert abs(via_tuple - via_dense) < 1e-12
     assert directional_derivative(f, h, []) == f(h)
 
 

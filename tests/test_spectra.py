@@ -1,4 +1,4 @@
-"""Spectral layer: decomposition, semicircle functions, gap statistics.
+"""Spectral layer: eigensolves, semicircle functions, gap statistics.
 
 Closed-form oracles: complete graphs and cycles have explicit adjacency
 spectra; the semicircle transform satisfies m^2 + z m + 1 = 0; classical
@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import cycle_adjacency, validate_decomposition
-from rrglab.graphs import RegularGraph, sample_regular_graph
-from rrglab.matrices import center_rescale, sample_constrained_goe
-from rrglab.spectra import (DeflationError, SpectralDecomposition,
-                            bulk_range, bump, bump_product,
+from conftest import cycle_adjacency, validate_eigenpairs
+from rrglab.graphs import RegularGraph
+from rrglab.matrices import center_rescale
+from rrglab.spectra import (DeflationError, bulk_range, bump, bump_product,
                             bump_test_function, classical_locations,
                             correlation_estimator, decompose,
-                            delocalization_stat, gamma_stat, gap_ensemble,
+                            delocalization_stat, eigenpairs, gamma_stat,
+                            gap_ensemble,
                             gap_statistic, green_matrix, ks_distance,
                             level_repulsion_q, level_repulsion_q_resolvent,
                             rigidity_stat, semicircle_cdf, semicircle_density,
@@ -29,55 +29,56 @@ from rrglab.streams import rng_stream
 
 
 def synthetic_decomposition(n, eigenvalues, seed=0):
-    """A decomposition-shaped record with prescribed eigenvalues."""
+    """A descending spectrum with random orthonormal N x (N-1) vectors."""
     lam = np.sort(np.asarray(eigenvalues, dtype=np.float64))[::-1]
     raw = rng_stream(seed).normal(size=(n, n - 1))
     vectors, _ = np.linalg.qr(raw)
-    return SpectralDecomposition(n=n, eigenvalues=lam, eigenvectors=vectors,
-                                 constraint_residual=0.0)
+    return lam, vectors
 
 
 # ---------------------------------------------------------------------------
-# Decomposition
+# Eigensolves
 
 
 def test_complete_graph_spectrum_is_flat():
     n = 8
     adj = np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8)
-    decomp = decompose(center_rescale(RegularGraph(adj)))
+    lam = decompose(center_rescale(RegularGraph(adj)))
     expected = -1.0 / math.sqrt(n - 2)
-    assert decomp.eigenvalues.shape == (n - 1,)
-    assert np.abs(decomp.eigenvalues - expected).max() < 1e-12
+    assert lam.shape == (n - 1,) and lam.dtype == np.float64
+    assert np.abs(lam - expected).max() < 1e-12
 
 
 def test_cycle_spectrum_matches_cosines():
     n = 12
-    decomp = decompose(center_rescale(RegularGraph(cycle_adjacency(n))))
+    lam = decompose(center_rescale(RegularGraph(cycle_adjacency(n))))
     expected = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(1, n) / n))[::-1]
-    assert np.abs(decomp.eigenvalues - expected).max() < 1e-10
+    assert np.abs(lam - expected).max() < 1e-10
 
 
 def test_decompose_survives_exact_zero_degeneracy():
     # the square's nontrivial adjacency eigenvalues are {0, 0, -2}: two of
     # them coincide exactly with the deflated trivial eigenvalue
-    decomp = decompose(center_rescale(RegularGraph(cycle_adjacency(4))),
-                       with_vectors=True)
-    assert np.abs(decomp.eigenvalues - np.array([0.0, 0.0, -2.0])).max() < 1e-14
-    assert decomp.constraint_residual < 1e-14
-    validate_decomposition(decomp)
+    h = center_rescale(RegularGraph(cycle_adjacency(4)))
+    lam, vectors = eigenpairs(h)
+    assert np.abs(lam - np.array([0.0, 0.0, -2.0])).max() < 1e-14
+    assert np.abs(decompose(h) - lam).max() < 1e-14
+    validate_eigenpairs(lam, vectors)
 
 
 def test_decompose_reconstructs_matrix(h_24_4):
-    decomp = decompose(h_24_4, with_vectors=True)
-    v = decomp.eigenvectors
-    assert np.abs(v @ np.diag(decomp.eigenvalues) @ v.T - h_24_4).max() < 1e-10
-    assert (np.diff(decomp.eigenvalues) <= 0).all()
-    validate_decomposition(decomp, h=h_24_4)
+    lam, v = eigenpairs(h_24_4)
+    assert v.shape == (24, 23)
+    assert np.abs(v @ np.diag(lam) @ v.T - h_24_4).max() < 1e-10
+    assert (np.diff(lam) <= 0).all()
+    validate_eigenpairs(lam, v, h=h_24_4)
 
 
 def test_decompose_rejects_unconstrained_input():
     with pytest.raises(DeflationError):
         decompose(np.ones((6, 6)))
+    with pytest.raises(DeflationError):
+        eigenpairs(np.ones((6, 6)))
 
 
 def test_decompose_eigenvalues_match_dense_solver(h_24_4):
@@ -85,7 +86,8 @@ def test_decompose_eigenvalues_match_dense_solver(h_24_4):
     # drop the trivial zero from the dense spectrum
     trivial = int(np.argmin(np.abs(dense)))
     kept = np.delete(dense, trivial)
-    assert np.abs(np.sort(decompose(h_24_4).eigenvalues) - kept).max() < 1e-10
+    assert np.abs(np.sort(decompose(h_24_4)) - kept).max() < 1e-10
+    assert np.abs(decompose(h_24_4) - eigenpairs(h_24_4)[0]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +154,22 @@ def test_stieltjes_empirical_is_mean_resolvent_trace():
 
 
 def test_green_matrix_is_resolvent_on_offspace(h_24_4):
-    decomp = decompose(h_24_4, with_vectors=True)
+    lam, vectors = eigenpairs(h_24_4)
     z = 0.2 + 0.4j
-    n = decomp.n
+    n = len(lam) + 1
     dense = np.linalg.inv(h_24_4 - z * np.eye(n))
     # the dense resolvent carries the trivial eigenvalue's -1/z on e
     reduced = dense + np.ones((n, n)) / (n * z)
-    assert np.abs(green_matrix(decomp, z) - reduced).max() < 1e-10
+    assert np.abs(green_matrix(lam, vectors, z) - reduced).max() < 1e-10
 
 
 def test_gamma_stat_is_floored_max_entry(h_24_4):
-    decomp = decompose(h_24_4, with_vectors=True)
+    lam, vectors = eigenpairs(h_24_4)
     z = 0.1 + 2.0j  # far from the spectrum: all entries tiny, floor binds
-    assert gamma_stat(decomp, z) == 1.0
+    assert gamma_stat(lam, vectors, z) == 1.0
     z = 0.1 + 0.05j
-    expected = np.abs(green_matrix(decomp, z)).max()
-    assert gamma_stat(decomp, z) == max(1.0, expected)
+    expected = np.abs(green_matrix(lam, vectors, z)).max()
+    assert gamma_stat(lam, vectors, z) == max(1.0, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -183,39 +185,43 @@ def test_bulk_range_bounds():
 
 def test_gap_ensemble_of_classical_locations_is_near_one():
     n = 2000
-    decomp = SpectralDecomposition(
-        n=n, eigenvalues=classical_locations(n)[:n - 1], eigenvectors=None,
-        constraint_residual=0.0)
-    gaps = gap_ensemble([decomp, decomp], kappa=0.1)
+    lam = classical_locations(n)[:n - 1]
+    gaps = gap_ensemble([lam, lam], kappa=0.1)
     lo, hi = bulk_range(n, 0.1)
-    assert gaps.entries.shape == (2 * (hi - lo + 1),)
-    assert (gaps.entries > 0).all()
-    assert abs(gaps.entries.mean() - 1.0) < 5e-3
-    assert np.abs(gaps.entries - 1.0).max() < 0.05
+    assert gaps.shape == (2 * (hi - lo + 1),)
+    assert (gaps > 0).all()
+    assert abs(gaps.mean() - 1.0) < 5e-3
+    assert np.abs(gaps - 1.0).max() < 0.05
+
+
+def test_gap_ensemble_refuses_mixed_lengths():
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        gap_ensemble([classical_locations(100)[:99],
+                      classical_locations(101)[:100]])
+    with pytest.raises(ValueError, match="empty ensemble"):
+        gap_ensemble([])
 
 
 def test_gap_statistic_matches_naive_average():
     lam_a = np.array([1.2, 0.8, 0.5, -0.1, -0.9])
     lam_b = np.array([1.1, 0.9, 0.3, -0.2, -0.8])
-    decomps = [synthetic_decomposition(6, lam) for lam in (lam_a, lam_b)]
     scale = 6 * semicircle_density(classical_locations(6)[1])
     expected = 0.5 * (scale * (lam_a[1] - lam_a[2])
                       + scale * (lam_b[1] - lam_b[2]))
-    got = gap_statistic(decomps, 2, 1, lambda g: g)
+    got = gap_statistic([lam_a, lam_b], 2, 1, lambda g: g)
     assert abs(got - expected) < 1e-12
     with pytest.raises(IndexError):
-        gap_statistic(decomps, 5, 1, lambda g: g)
+        gap_statistic([lam_a, lam_b], 5, 1, lambda g: g)
 
 
 def test_correlation_estimator_matches_naive_sum():
     rng = rng_stream(20)
     n = 30
-    decomps = [synthetic_decomposition(n, np.sort(rng.uniform(-1.9, 1.9, n - 1)),
-                                       seed=k) for k in range(2)]
+    spectra = [np.sort(rng.uniform(-1.9, 1.9, n - 1))[::-1] for _ in range(2)]
     energy, radius = 0.1, 2.0
     pair_phi = bump_product(bump_test_function(0.0, radius),
                             bump_test_function(0.0, radius))
-    got = correlation_estimator(decomps, 2, energy, pair_phi, n_nodes=16,
+    got = correlation_estimator(spectra, 2, energy, pair_phi, n_nodes=16,
                                 support_radius=radius)
 
     rho = semicircle_density(energy)
@@ -224,8 +230,7 @@ def test_correlation_estimator_matches_naive_sum():
     nodes = np.linspace(energy - bandwidth, energy + bandwidth, 16)
     m = n - 1
     total = 0.0
-    for decomp in decomps:
-        lam = decomp.eigenvalues
+    for lam in spectra:
         per_node = []
         for node in nodes:
             acc = 0.0
@@ -236,18 +241,17 @@ def test_correlation_estimator_matches_naive_sum():
                                         scale * (lam[b] - node))
             per_node.append(acc)
         total += np.mean(per_node)
-    naive = n ** 2 / (m * (m - 1)) * total / len(decomps)
+    naive = n ** 2 / (m * (m - 1)) * total / len(spectra)
     assert abs(got - naive) < 1e-10 * max(1.0, abs(naive))
     assert got != 0.0  # the probe actually caught eigenvalue pairs
 
 
 def test_correlation_estimator_one_point_matches_naive_sum():
     n = 40
-    lam = np.linspace(-1.5, 1.5, n - 1)
-    decomp = synthetic_decomposition(n, lam)
+    lam = np.linspace(1.5, -1.5, n - 1)
     radius = 3.0
     phi = bump_test_function(0.0, radius)
-    got = correlation_estimator([decomp], 1, 0.0, phi, n_nodes=8,
+    got = correlation_estimator([lam], 1, 0.0, phi, n_nodes=8,
                                 support_radius=radius)
     scale = n * semicircle_density(0.0)
     nodes = np.linspace(-float(n) ** (-0.7), float(n) ** (-0.7), 8)
@@ -255,9 +259,9 @@ def test_correlation_estimator_one_point_matches_naive_sum():
         [phi(scale * (lam - node)).sum() for node in nodes])
     assert abs(got - naive) < 1e-10
     with pytest.raises(ValueError):
-        correlation_estimator([decomp], 3, 0.0, phi)
+        correlation_estimator([lam], 3, 0.0, phi)
     with pytest.raises(ValueError):
-        correlation_estimator([decomp], 1, 2.5, phi)
+        correlation_estimator([lam], 1, 2.5, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +273,10 @@ def test_level_repulsion_identity_holds():
     for trial in range(5):
         n = 20
         lam = np.sort(rng.normal(size=n - 1))[::-1]
-        decomp = synthetic_decomposition(n, lam, seed=trial)
+        lam, vectors = synthetic_decomposition(n, lam, seed=trial)
         for i in (1, 7, 19):
-            q_spec = level_repulsion_q(decomp.eigenvalues, i)
-            q_res = level_repulsion_q_resolvent(decomp.eigenvalues,
-                                                decomp.eigenvectors, i)
+            q_spec = level_repulsion_q(lam, i)
+            q_res = level_repulsion_q_resolvent(lam, vectors, i)
             assert abs(q_spec - q_res) < 1e-12 * q_spec
 
 
@@ -290,22 +293,17 @@ def test_level_repulsion_guards_degenerate_gaps():
 
 
 def test_delocalization_stat_is_scaled_max_entry(h_24_4):
-    decomp = decompose(h_24_4, with_vectors=True)
-    expected = math.sqrt(24) * np.abs(decomp.eigenvectors).max()
-    assert delocalization_stat(decomp) == expected
+    _, vectors = eigenpairs(h_24_4)
+    expected = math.sqrt(24) * np.abs(vectors).max()
+    assert delocalization_stat(vectors) == expected
     assert expected >= 1.0  # a unit vector has an entry >= 1/sqrt(N)
 
 
 def test_rigidity_stat_vanishes_on_classical_locations():
     n = 300
-    decomp = SpectralDecomposition(
-        n=n, eigenvalues=classical_locations(n)[:n - 1], eigenvectors=None,
-        constraint_residual=0.0)
-    assert rigidity_stat(decomp) == 0.0
-    shifted = SpectralDecomposition(
-        n=n, eigenvalues=decomp.eigenvalues + 0.01, eigenvectors=None,
-        constraint_residual=0.0)
-    assert abs(rigidity_stat(shifted) - 0.01) < 1e-12
+    lam = classical_locations(n)[:n - 1]
+    assert rigidity_stat(lam) == 0.0
+    assert abs(rigidity_stat(lam + 0.01) - 0.01) < 1e-12
 
 
 # ---------------------------------------------------------------------------
