@@ -39,17 +39,17 @@ _INVARIANCE_RTOL = 1e-10
 
 # Proposals are drawn from the RNG in blocks of this many; any block size
 # yields the same trajectory because draws are consumed element by element.
-DEFAULT_BLOCK_SIZE = 1 << 15
+BLOCK_SIZE = 1 << 15
 
 
-def run_chain(graph, n_steps, *, rng, block_size=DEFAULT_BLOCK_SIZE):
+def run_chain(graph, n_steps, *, rng):
     """Run ``n_steps`` vertex-tuple steps; returns (final graph, accepted count).
 
     ``n_steps`` counts steps of the vertex-tuple chain.  Only the
     Binomial(n_steps, (d/N)^2) steps whose two pairs are edges are drawn,
     as pairs of directed-edge codes in [0, N*d); the law of the final graph
     is that of ``n_steps`` tuple steps.  Deterministic given (graph,
-    n_steps, rng state): the draws do not depend on the block size.
+    n_steps, rng state): the draws do not depend on ``BLOCK_SIZE``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -61,7 +61,7 @@ def run_chain(graph, n_steps, *, rng, block_size=DEFAULT_BLOCK_SIZE):
     edges = edge_array(adj)
     accepted = 0
     while remaining:
-        block = min(block_size, remaining)
+        block = min(BLOCK_SIZE, remaining)
         proposals = rng.integers(0, n * d, size=(block, 2), dtype=np.int64)
         accepted += _kernels.run_switch_steps(adj, proposals, edges)
         remaining -= block

@@ -25,14 +25,13 @@ The jump generator Q of the switching chain applied to the same Stieltjes
 observables is evaluated exactly by batched rank-4 Woodbury resolvent
 updates over the switchable-tuple support.
 
-Also here: the eigenvector moment flow (occupation-configuration ODE driven
-by a frozen eigenvalue path), the eigenvalue and eigenvector SDEs, and the
-free-convolution Stieltjes fixed point.
+Also here: the eigenvector moment flow at p = 1 (an ODE over the M
+eigenvector sites driven by a frozen eigenvalue path), the eigenvalue and
+eigenvector SDEs, and the free-convolution Stieltjes fixed point.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -172,15 +171,16 @@ def flow_generator_entrywise(func, h, step=None):
     return diffusion / n - 0.5 * drift
 
 
-def stieltjes_observable(z, n_ambient):
+def stieltjes_observable(z):
     """F(H) = Im s(H; z), s = (1/M) tr G(z) on the nontrivial spectrum.
 
-    Works for any H in M without eigenvector deflation: the trivial
-    eigenvalue sits exactly at 0, so M s(z) = tr (H - z)^{-1} + 1/z.
+    Works for any N x N H in M without eigenvector deflation: the trivial
+    eigenvalue sits exactly at 0, so M s(z) = tr (H - z)^{-1} + 1/z with
+    M = N - 1.
     """
     def func(h):
         lam = np.linalg.eigvalsh(h)
-        value = (np.sum(1.0 / (lam - z)) + 1.0 / z) / (n_ambient - 1)
+        value = (np.sum(1.0 / (lam - z)) + 1.0 / z) / (h.shape[0] - 1)
         return float(value.imag)
 
     return func
@@ -309,7 +309,7 @@ def qf_lf_compare(n, degrees, z, n_samples, seed=0, seminorm_samples=16,
     """
     from .graphs import sample_regular_graph
 
-    func = stieltjes_observable(z, n)
+    func = stieltjes_observable(z)
     rows = []
     for d_idx, d in enumerate(degrees):
         discrepancies = np.empty(n_samples)
@@ -344,61 +344,6 @@ def qf_lf_compare(n, degrees, z, n_samples, seed=0, seminorm_samples=16,
 # Eigenvector moment flow
 
 
-def enumerate_configs(n_sites, p):
-    """All occupation vectors eta on n_sites sites with sum eta_i = p."""
-    configs = []
-    for combo in combinations_with_replacement(range(n_sites), p):
-        eta = [0] * n_sites
-        for site in combo:
-            eta[site] += 1
-        configs.append(tuple(eta))
-    return configs
-
-
-@dataclass(frozen=True)
-class MomentFlowHops:
-    """Every single-particle hop between occupation configurations.
-
-    Hop k moves one particle from site ``site_from[k]`` to ``site_to[k]``,
-    taking configuration ``source[k]`` to ``target[k]`` at rate
-    ``coef[k] * W[site_from[k], site_to[k]]`` with coef = eta_i (1 + 2 eta_j).
-    """
-
-    n_configs: int
-    source: np.ndarray
-    target: np.ndarray
-    site_from: np.ndarray
-    site_to: np.ndarray
-    coef: np.ndarray
-
-
-def moment_flow_hops(configs):
-    """The hop table of ``configs``, in (configuration, i, j) order.
-
-    It depends only on the configurations, so one table serves every rate
-    matrix of a solve; distinct (i, j) from one configuration reach distinct
-    targets, so each off-diagonal generator entry is a single hop.
-    """
-    index = {eta: k for k, eta in enumerate(configs)}
-    hops, coef = [], []
-    for a, eta in enumerate(configs):
-        for i, n_i in enumerate(eta):
-            if n_i == 0:
-                continue
-            for j, n_j in enumerate(eta):
-                if j == i:
-                    continue
-                hopped = list(eta)
-                hopped[i] -= 1
-                hopped[j] += 1
-                hops.append((a, index[tuple(hopped)], i, j))
-                coef.append(n_i * (1.0 + 2.0 * n_j))
-    source, target, site_from, site_to = (
-        np.array(hops, dtype=np.intp).reshape(-1, 4).T)
-    return MomentFlowHops(len(configs), source, target, site_from, site_to,
-                          np.array(coef, dtype=np.float64))
-
-
 def _gap_matrix(eigenvalues, context):
     """lambda_i - lambda_j with an inf diagonal, so 1/gap vanishes there.
 
@@ -414,21 +359,19 @@ def _gap_matrix(eigenvalues, context):
     return gap
 
 
-def moment_flow_rates(eigenvalues, hops, n_ambient):
-    """Dense moment-flow generator over configurations for one snapshot.
+def moment_flow_rates(eigenvalues):
+    """The p = 1 moment-flow generator over the M eigenvector sites.
 
-    A particle hops i -> j at rate eta_i (1 + 2 eta_j) W_ij with
-    W_ij = 1/(N (lambda_i - lambda_j)^2); ``hops`` is the
-    ``moment_flow_hops`` table and rows sum to zero.  Raises
-    ``SingularityError`` when two eigenvalues collide.
+    The particle hops i -> j at rate W_ij = 1/(M (lambda_i - lambda_j)^2),
+    M = len(eigenvalues); each diagonal entry is minus its row's sum, so
+    rows sum to zero.  Raises ``SingularityError`` when two eigenvalues
+    collide.
     """
     gap = _gap_matrix(eigenvalues, "the moment-flow rates")
-    w = 1.0 / (n_ambient * gap ** 2)
-    rate = hops.coef * w[hops.site_from, hops.site_to]
-    gen = np.zeros((hops.n_configs, hops.n_configs))
-    gen[hops.source, hops.target] = rate
-    # the diagonal accumulates in hop order, as a loop over hops would
-    np.subtract.at(gen, (hops.source, hops.source), rate)
+    gen = 1.0 / (len(gap) * gap ** 2)  # the inf diagonal gives 0
+    # a running sum adds each row's hops in site order; a plain row sum
+    # may add them pairwise, which changes the last bits
+    np.fill_diagonal(gen, -np.add.accumulate(gen, axis=1)[:, -1])
     return gen
 
 
@@ -456,9 +399,8 @@ def _path_row(path_times, path_values, t):
 class EmfSolution:
     """Adaptive moment-flow solution with per-step contraction diagnostics."""
 
-    configs: list
     times: np.ndarray
-    values: np.ndarray  # (len(times), n_configs)
+    values: np.ndarray  # (len(times), M)
     sup_norms: np.ndarray
     contraction_ok: bool
     n_accepted: int
@@ -476,15 +418,16 @@ class EmfSolution:
         return self.values[hits[0]]
 
 
-def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
-              tol=1e-8, max_steps=100_000):
-    """Integrate the eigenvector moment flow along a frozen eigenvalue path.
+def emf_solve(path_times, path_values, f0, t_end, tol=1e-8,
+              max_steps=100_000):
+    """Integrate the p = 1 eigenvector moment flow along an eigenvalue path.
 
-    The linear ODE df/dt = R(t) f over occupation configurations is driven
-    by rates rebuilt from the eigenvalue path (linear interpolation between
-    snapshots).  Classic RK4 with step-doubling error control, plus a CFL
-    cap dt * max total exit rate <= ``_EMF_CFL`` which keeps every accepted
-    step an L-infinity contraction (checked and recorded).
+    The linear ODE df/dt = R(t) f over the M sites, M the path's width, is
+    driven by ``moment_flow_rates`` rebuilt from the eigenvalue path
+    (linear interpolation between snapshots).  Classic RK4 with
+    step-doubling error control, plus a CFL cap dt * max total exit rate
+    <= ``_EMF_CFL`` which keeps every accepted step an L-infinity
+    contraction (checked and recorded).
 
     ``t_end`` is one time or a sorted grid of times; a single integration
     from t = 0 lands exactly on each of them (see ``EmfSolution.value_at``),
@@ -493,14 +436,10 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
     path_times = np.asarray(path_times, dtype=np.float64)
     path_values = np.asarray(path_values, dtype=np.float64)
     m = path_values.shape[1]
-    if n_ambient is None:
-        n_ambient = m
-    configs = enumerate_configs(m, p)
-    hops = moment_flow_hops(configs)
     f = np.asarray(f0, dtype=np.float64).copy()
-    if f.shape != (len(configs),):
-        raise ValueError(f"f0 must have one value per configuration "
-                         f"({len(configs)}), got shape {f.shape}")
+    if f.shape != (m,):
+        raise ValueError(f"f0 must have one value per site ({m}), "
+                         f"got shape {f.shape}")
 
     # rate matrices by exact time; the step loop keeps only the current
     # attempt's times, so each distinct time is built once
@@ -510,7 +449,7 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
         gen = cache.get(t)
         if gen is None:
             gen = cache[t] = moment_flow_rates(
-                _path_row(path_times, path_values, t), hops, n_ambient)
+                _path_row(path_times, path_values, t))
         return gen
 
     def rk4(y, t, dt):
@@ -561,7 +500,7 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
             history.append(f.copy())
             sup_norms.append(new_sup)
             dt *= min(2.0, 0.9 * (tol / err) ** 0.2) if err > 0 else 2.0
-    return EmfSolution(configs=configs, times=np.array(times),
+    return EmfSolution(times=np.array(times),
                        values=np.stack(history), sup_norms=np.array(sup_norms),
                        contraction_ok=contraction_ok,
                        n_accepted=n_accepted, n_rejected=n_rejected)
@@ -571,11 +510,12 @@ def emf_solve(path_times, path_values, p, f0, t_end, n_ambient=None,
 # Eigenvalue and eigenvector SDEs
 
 
-def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None, noise=True):
+def eigenvalue_path(lambda0, t_end, dt, *, rng, noise=True):
     """Euler-Maruyama eigenvalue flow with diagonal noise only.
 
-    d lambda_i = dB_ii/sqrt(N) + (1/N) sum_{j != i} dt/(lambda_i - lambda_j)
-    - (lambda_i/2) dt, with Var dB_ii = 2 dt.  Returns (times, paths) with
+    d lambda_i = dB_ii/sqrt(M) + (1/M) sum_{j != i} dt/(lambda_i - lambda_j)
+    - (lambda_i/2) dt, with Var dB_ii = 2 dt and M = len(lambda0): the
+    Dyson flow of an M x M matrix.  Returns (times, paths) with
     paths of shape (n_steps+1, M), every row in ascending order (the input
     is sorted on entry); raises ``SingularityError`` if two eigenvalues
     collide.  Each step re-sorts: rank labels are ordered by
@@ -584,8 +524,6 @@ def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None, noise=True):
     """
     lam = np.sort(np.asarray(lambda0, dtype=np.float64))
     m = len(lam)
-    if n_ambient is None:
-        n_ambient = m
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -594,26 +532,27 @@ def eigenvalue_path(lambda0, t_end, dt, *, rng, n_ambient=None, noise=True):
     paths[0] = lam
     for step in range(n_steps):
         inv = 1.0 / _gap_matrix(lam, "the eigenvalue path")
-        drift = inv.sum(axis=1) / n_ambient - lam / 2.0
+        drift = inv.sum(axis=1) / m - lam / 2.0
         lam = lam + drift * dt
         if noise:
-            lam = lam + rng.normal(scale=math.sqrt(2.0 * dt), size=m) / math.sqrt(n_ambient)
+            lam = lam + (rng.normal(scale=math.sqrt(2.0 * dt), size=m)
+                         / math.sqrt(m))
         lam = np.sort(lam)
         paths[step + 1] = lam
     return times, paths
 
 
 def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
-                    n_ambient=None, n_replicas=1, noise=True,
-                    renormalize=True, t_start=0.0):
+                    n_replicas=1, noise=True, renormalize=True, t_start=0.0):
     """Euler-Maruyama eigenvector frames along a frozen eigenvalue path.
 
-    dv_i = (1/sqrt(N)) sum_{j != i} dB_ij/(lambda_i - lambda_j) v_j
-         - (1/(2N)) sum_{j != i} dt/(lambda_i - lambda_j)^2 v_i,
+    dv_i = (1/sqrt(M)) sum_{j != i} dB_ij/(lambda_i - lambda_j) v_j
+         - (1/(2M)) sum_{j != i} dt/(lambda_i - lambda_j)^2 v_i,
 
-    with symmetric noise (B_ij = B_ji, off-diagonal variance dt per step
-    pair) drawn independently per replica, and per-step re-orthonormalization
-    by modified Gram-Schmidt (the positive-diagonal QR sign convention).
+    M the path's width, with symmetric noise (B_ij = B_ji, off-diagonal
+    variance dt per step pair) drawn independently per replica, and
+    per-step re-orthonormalization by modified Gram-Schmidt (the
+    positive-diagonal QR sign convention).
     Returns frames of shape (n_replicas, M, M) whose columns are the
     eigenvectors.  They start from identity frames, or from ``v0``, a
     (n_replicas, M, M) stack, so a run can continue where a previous
@@ -622,8 +561,6 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
     path_times = np.asarray(path_times, dtype=np.float64)
     path_values = np.asarray(path_values, dtype=np.float64)
     m = path_values.shape[1]
-    if n_ambient is None:
-        n_ambient = m
     if v0 is None:
         v0 = np.broadcast_to(np.eye(m), (n_replicas, m, m))
     if v0.shape != (n_replicas, m, m):
@@ -641,10 +578,10 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
         if noise:
             raw = rng.normal(size=(n_replicas, m, m))
             coeff = (raw + raw.swapaxes(1, 2)) * math.sqrt(dt / 2.0)
-            coeff /= gap * math.sqrt(n_ambient)  # the inf diagonal gives 0
+            coeff /= gap * math.sqrt(m)  # the inf diagonal gives 0
         else:
             coeff = np.zeros((n_replicas, m, m))
-        decay = -(dt / (2.0 * n_ambient)) * (1.0 / gap ** 2).sum(axis=1)
+        decay = -(dt / (2.0 * m)) * (1.0 / gap ** 2).sum(axis=1)
         coeff[:, diag, diag] = decay
         frames = frames + frames @ coeff.swapaxes(1, 2)
         if renormalize:

@@ -1,10 +1,12 @@
 """Experiment recipes: deterministic pipelines from config to artifacts.
 
-Each recipe consumes an ``ExperimentConfig``, writes its CSV/JSON artifacts
-plus a manifest into the output directory, and reports whether its built-in
-acceptance thresholds held.  Every artifact is a pure function of (config,
-recipe): trials draw from counter-based streams keyed by trial index, so
-worker counts and retries cannot reshuffle randomness.  The gates of
+Each recipe consumes an ``ExperimentConfig``, writes its data artifacts
+into the output directory, and returns ``(ok, reports)``: whether its
+built-in acceptance thresholds held, and the records that
+``run_experiment`` writes to ``report.json`` next to the manifest.  Every
+artifact is a pure function of (config, recipe): trials draw from
+counter-based streams keyed by trial index, so worker counts and retries
+cannot reshuffle randomness.  The gates of
 ``gap-test``, ``repulsion-scan`` and ``semicircle-scan`` are public so that
 the acceptance battery applies them to its shared ensembles.
 """
@@ -26,9 +28,8 @@ from .matrices import center_rescale
 from .matrices import embed_in_offspace  # noqa: F401  traced by recipebench
 from .spectra import (bulk_range, bump_product, bump_test_function,
                       correlation_estimator, decompose, gap_ensemble,
-                      ks_distance, level_repulsion_q,
-                      level_repulsion_q_resolvent, semicircle_cdf,
-                      semicircle_m, stieltjes_empirical)
+                      ks_distance, semicircle_cdf, semicircle_m,
+                      stieltjes_empirical)
 from .streams import rng_stream
 
 # Disjoint stream-id blocks so ensembles inside one recipe never collide.
@@ -147,7 +148,6 @@ def recipe_sample(config, out_dir):
                     current, graph_dir / f"snapshot_{step_count:08d}.txt")
     reports = [io.report_record("samples_written", config.n_samples,
                                 n_samples=config.n_samples)]
-    io.write_report_json(out_dir / "report.json", reports)
     return True, reports
 
 
@@ -180,7 +180,6 @@ def recipe_evolve(config, out_dir):
     worst = max(abs(s - m) for _, s, m in rows)
     reports = [io.report_record("max_abs_s_minus_fc", worst,
                                 n_samples=len(rows))]
-    io.write_report_json(out_dir / "report.json", reports)
     return True, reports
 
 
@@ -218,9 +217,7 @@ def recipe_gap_test(config, out_dir):
         "rrg": _histogram_series(rrg_gaps, 60, (0.0, 4.0)),
         "goe": _histogram_series(goe_gaps, 60, (0.0, 4.0)),
     })
-    ok, reports = gap_gate(rrg_gaps, goe_gaps)
-    io.write_report_json(out_dir / "report.json", reports)
-    return ok, reports
+    return gap_gate(rrg_gaps, goe_gaps)
 
 
 def recipe_corr_test(config, out_dir):
@@ -255,7 +252,6 @@ def recipe_corr_test(config, out_dir):
     io.write_csv(out_dir / "correlation.csv",
                  ["statistic", "value_rrg", "stderr_rrg", "value_goe",
                   "stderr_goe", "difference", "combined_stderr"], rows)
-    io.write_report_json(out_dir / "report.json", reports)
     return abs(diff) <= 4.0 * combined, reports
 
 
@@ -307,9 +303,7 @@ def recipe_semicircle_scan(config, out_dir):
     spectra = _rrg_ensemble(config)
     io.write_stieltjes_csv(out_dir / "stieltjes.csv",
                            _stieltjes_rows(spectra, z_grid))
-    ok, reports = semicircle_gate(spectra, config)
-    io.write_report_json(out_dir / "report.json", reports)
-    return ok, reports
+    return semicircle_gate(spectra, config)
 
 
 def recipe_generator_check(config, out_dir):
@@ -329,7 +323,6 @@ def recipe_generator_check(config, out_dir):
     reports = [io.report_record(f"normalized_discrepancy[d={r.degree}]",
                                 r.normalized, stderr=r.normalized_stderr,
                                 n_samples=r.n_samples) for r in rows]
-    io.write_report_json(out_dir / "report.json", reports)
     # Decrease must exceed combined errors inside the window d <= N^{2/3}
     # (where the bandwidth D equals d); the endpoint decrease must hold too.
     regime = config.n ** (2.0 / 3.0)
@@ -344,7 +337,7 @@ def recipe_generator_check(config, out_dir):
 
 
 def _emf_profile(config):
-    """Frozen eigenvalue path, observable direction, and time grid.
+    """Sorted time grid, frozen eigenvalue path, and observable direction.
 
     The path is the first (by sub-seed, so still a pure function of the
     config) whose gaps stay above ``gap_floor`` throughout: near-collisions
@@ -355,7 +348,7 @@ def _emf_profile(config):
     """
     gap_floor, max_retries = 0.05, 512
     m = config.n
-    t_grid = tuple(config.t_grid) or (0.1, 0.5)
+    t_grid = tuple(sorted(config.t_grid)) or (0.1, 0.5)
     # at t = 0 the replicas agree exactly (zero standard error), and a
     # repeated time would repeat its report record
     if min(t_grid) <= 0 or len(set(t_grid)) < len(t_grid):
@@ -370,7 +363,7 @@ def _emf_profile(config):
         if np.diff(lam0).min() < gap_floor:
             continue
         times, path = eigenvalue_path(
-            lam0, t_end, 1e-3, n_ambient=m,
+            lam0, t_end, 1e-3,
             rng=rng_stream(config.seed, stream_id=_STREAM_FLOW + 1 + attempt))
         if np.diff(path, axis=1).min() >= gap_floor:
             return t_grid, times, path, q
@@ -384,8 +377,8 @@ def recipe_emf_check(config, out_dir):
     _require_samples(config, minimum=2)
     t_grid, times, path, q = _emf_profile(config)
     m = config.n
-    f0 = q ** 2  # p = 1, identity initial frame: f_0(e_i) = (q . v_i)^2
-    solution = emf_solve(times, path, 1, f0, sorted(t_grid), n_ambient=m)
+    f0 = q ** 2  # identity initial frame: f_0(i) = (q . v_i)^2
+    solution = emf_solve(times, path, f0, t_grid)
     io.write_emf_csv(out_dir / "emf.csv", list(t_grid),
                      np.stack([solution.value_at(t) for t in t_grid]))
 
@@ -393,9 +386,9 @@ def recipe_emf_check(config, out_dir):
     frames, t_prev = None, 0.0
     reports, sigmas = [], []
     mc_rows = []
-    for k, t in enumerate(sorted(t_grid)):
+    for k, t in enumerate(t_grid):
         frames = eigenvector_sde(
-            times, path, t, 5e-4, v0=frames, n_ambient=m,
+            times, path, t, 5e-4, v0=frames,
             n_replicas=replicas, t_start=t_prev,
             rng=rng_stream(config.seed, stream_id=_STREAM_FLOW + 2 + k))
         t_prev = t
@@ -411,19 +404,15 @@ def recipe_emf_check(config, out_dir):
                  ["time", "configuration_id", "value", "stderr"], mc_rows)
     contraction = solution.contraction_ok
     reports.append(io.report_record("emf_contraction_ok", float(contraction)))
-    io.write_report_json(out_dir / "report.json", reports)
     return contraction and all(s <= 4.0 for s in sigmas), reports
 
 
-def repulsion_gate(rrg_gaps, goe_gaps, config):
-    """Gate of ``repulsion-scan``: level repulsion and its observable.
+def repulsion_gate(rrg_gaps, goe_gaps):
+    """Gate of ``repulsion-scan``: the graph's gaps repel like the GOE's.
 
     Takes the two pooled gap arrays and returns ``(ok, reports)``: the
     graph's fraction of normalized gaps below 0.05 must stay below 0.02 and
-    within 3 sigma of the GOE fraction, and the repulsion observable
-    Q_i = (1/N^2) sum_{j != i} (lambda_j - lambda_i)^{-2} must match its
-    resolvent-trace evaluation to 1e-10 on 1000 synthetic spectra drawn
-    from the config's seed.
+    within 3 sigma of the GOE fraction.
     """
     threshold = 0.05
 
@@ -434,40 +423,25 @@ def repulsion_gate(rrg_gaps, goe_gaps, config):
     p_rrg, se_rrg = fraction(rrg_gaps)
     p_goe, se_goe = fraction(goe_gaps)
     sigma = abs(p_rrg - p_goe) / math.hypot(se_rrg, se_goe)
-
-    rng = rng_stream(config.seed, stream_id=_STREAM_MISC)
-    worst = 0.0
-    for _ in range(1000):
-        lam = np.sort(rng.uniform(-2.0, 2.0, size=64))[::-1]
-        i = int(rng.integers(8, 56))
-        direct = level_repulsion_q(lam, i, n_ambient=config.n)
-        basis = np.eye(64)
-        resolvent = level_repulsion_q_resolvent(lam, basis, i,
-                                                n_ambient=config.n)
-        worst = max(worst, abs(direct - resolvent) / abs(direct))
     reports = [
         io.report_record("small_gap_fraction_rrg", p_rrg, stderr=se_rrg,
                          n_samples=rrg_gaps.size),
         io.report_record("small_gap_fraction_goe", p_goe, stderr=se_goe,
                          n_samples=goe_gaps.size),
         io.report_record("small_gap_sigma", sigma),
-        io.report_record("repulsion_identity_max_rel", worst, n_samples=1000),
     ]
-    return p_rrg < 0.02 and sigma <= 3.0 and worst < 1e-10, reports
+    return p_rrg < 0.02 and sigma <= 3.0, reports
 
 
 def recipe_repulsion_scan(config, out_dir):
-    """Small-gap fraction vs. GOE, plus the repulsion-observable identity."""
+    """Small-gap fraction of the graph ensemble vs. the GOE reference."""
     _require_samples(config)
     config.warn_if_outside_window()
     spectra = _rrg_ensemble(config)
     goe = goe_reference(config.n, config.n_samples, config.seed)
     rrg_gaps, idx_r, sid_r = _gap_table(spectra, config.kappa)
     io.write_gap_csv(out_dir / "gaps_rrg.csv", rrg_gaps, idx_r, sid_r)
-    ok, reports = repulsion_gate(
-        rrg_gaps, gap_ensemble(goe, kappa=config.kappa), config)
-    io.write_report_json(out_dir / "report.json", reports)
-    return ok, reports
+    return repulsion_gate(rrg_gaps, gap_ensemble(goe, kappa=config.kappa))
 
 
 def recipe_verify_small(config, out_dir):
@@ -487,7 +461,6 @@ def recipe_verify_small(config, out_dir):
         reports.append(io.report_record(f"involution_{key}", float(value),
                                         n_samples=10_000))
     ok = ok and all(suite.values())
-    io.write_report_json(out_dir / "report.json", reports)
     return ok, reports
 
 
@@ -570,7 +543,8 @@ def run_experiment(config, recipe):
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    ok, _ = RECIPES[recipe](config, out_dir)
+    ok, reports = RECIPES[recipe](config, out_dir)
+    io.write_report_json(out_dir / "report.json", reports)
     io.write_manifest(out_dir / "manifest.json", config, recipe,
                       time.perf_counter() - start,
                       extra={"acceptance_ok": bool(ok)})

@@ -97,7 +97,10 @@ def write_stieltjes_csv(path, rows):
 
 
 def write_emf_csv(path, times, values):
-    """Moment-flow table: one (time, configuration-id, value) row per cell."""
+    """Moment-flow table: one (time, site, value) row per cell.
+
+    The site column is named ``configuration_id``.
+    """
     write_csv(path, ["time", "configuration_id", "value"],
               ((t, cid, values[ti, cid])
                for ti, t in enumerate(times)

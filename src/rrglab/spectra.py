@@ -258,34 +258,31 @@ def correlation_estimator(spectra, n_point, energy, phi, n_nodes=64,
 # Level repulsion, delocalization, rigidity
 
 
-def level_repulsion_q(eigenvalues, i, n_ambient=None):
+def level_repulsion_q(eigenvalues, i):
     """Q_i = (1/N^2) sum_{j != i} 1/(lambda_j - lambda_i)^2 (1-based rank i).
 
-    Returns +inf when some gap to lambda_i is at most 1e-12 (a degenerate
-    eigenvalue), never raises.
+    N is the length of the nontrivial spectrum plus one.  Returns +inf when
+    some gap to lambda_i is at most 1e-12 (a degenerate eigenvalue), never
+    raises.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    if n_ambient is None:
-        n_ambient = len(lam) + 1
     diffs = np.delete(lam, i - 1) - lam[i - 1]
     if len(diffs) and np.abs(diffs).min() <= _REPULSION_MIN_GAP:
         return math.inf
-    return float((1.0 / diffs ** 2).sum()) / n_ambient ** 2
+    return float((1.0 / diffs ** 2).sum()) / (len(lam) + 1) ** 2
 
 
-def level_repulsion_q_resolvent(eigenvalues, eigenvectors, i, n_ambient=None):
+def level_repulsion_q_resolvent(eigenvalues, eigenvectors, i):
     """Q_i computed as tr(R_i^2)/N^2 with R_i = sum_{j != i} v_j v_j^T /
     (lambda_i - lambda_j); the dense cross-check of the spectral sum."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    if n_ambient is None:
-        n_ambient = len(lam) + 1
     keep = np.arange(len(lam)) != (i - 1)
     diffs = lam[i - 1] - lam[keep]
     if len(diffs) and np.abs(diffs).min() <= _REPULSION_MIN_GAP:
         return math.inf
     v = np.asarray(eigenvectors, dtype=np.float64)[:, keep]
     resolvent = (v / diffs) @ v.T
-    return float(np.trace(resolvent @ resolvent)) / n_ambient ** 2
+    return float(np.trace(resolvent @ resolvent)) / (len(lam) + 1) ** 2
 
 
 def delocalization_stat(eigenvectors):

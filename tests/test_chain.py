@@ -11,6 +11,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import cycle_adjacency
+from rrglab import chain
 from rrglab._kernels import run_switch_steps
 from rrglab.chain import (edge_array, invariance_report, resolve_proposals,
                           run_chain, switchable_tuples, switched_graph,
@@ -56,9 +57,11 @@ def test_invariance_on_cubic_eight():
     assert report.reversible
 
 
-def test_run_chain_is_block_size_invariant(graph_24_4):
-    results = [run_chain(graph_24_4, 5000, rng=rng_stream(21), block_size=b)
-               for b in (1, 7, 64, 4096)]
+def test_run_chain_is_block_size_invariant(graph_24_4, monkeypatch):
+    results = []
+    for b in (1, 7, 64, 4096):
+        monkeypatch.setattr(chain, "BLOCK_SIZE", b)
+        results.append(run_chain(graph_24_4, 5000, rng=rng_stream(21)))
     final, accepted = results[0]
     assert accepted > 0
     for g, a in results[1:]:

@@ -115,6 +115,24 @@ def test_emf_check_refuses_zero_or_repeated_times(tmp_path, capsys, t_grid):
     assert not (out / "report.json").exists()
 
 
+def test_emf_check_lists_an_unsorted_grid_in_ascending_time(tmp_path):
+    cfg = tmp_path / "emf.cfg"
+    cfg.write_text("n = 6\nt_grid = 0.04 0.02\n")
+    out = tmp_path / "out"
+    status = main(["emf-check", "--config", str(cfg), "--samples", "20",
+                   "--seed", "2", "--out", str(out)])
+    assert status == EXIT_OK
+    times = [float(line.split(",")[0]) for line in
+             (out / "emf.csv").read_text().splitlines()[1:]]
+    assert times == sorted(times) and times[0] == 0.02
+    mc_times = [float(line.split(",")[0]) for line in
+                (out / "emf_mc.csv").read_text().splitlines()[1:]]
+    assert mc_times == times
+    reports = json.loads((out / "report.json").read_text())
+    assert [r["name"] for r in reports][:2] == ["emf_max_sigma[t=0.02]",
+                                                "emf_max_sigma[t=0.04]"]
+
+
 def test_repeat_runs_write_identical_artifacts(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 120\nd = 6\n")

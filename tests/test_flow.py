@@ -16,11 +16,10 @@ import pytest
 from conftest import constraint_violation
 from rrglab import flow
 from rrglab.flow import (ConvergenceError, SingularityError, _orthonormalize,
-                         _path_row, emf_solve, enumerate_configs,
-                         estimate_seminorm, eigenvalue_path, eigenvector_sde,
-                         evolve_exact, evolve_sde, flow_generator,
-                         flow_generator_entrywise, free_conv_stieltjes,
-                         moment_flow_hops, moment_flow_rates, qf_lf_compare,
+                         _path_row, emf_solve, estimate_seminorm,
+                         eigenvalue_path, eigenvector_sde, evolve_exact,
+                         evolve_sde, flow_generator, flow_generator_entrywise,
+                         free_conv_stieltjes, moment_flow_rates, qf_lf_compare,
                          semicircle_semigroup_residual,
                          stieltjes_flow_generator, stieltjes_observable,
                          switch_generator_stieltjes)
@@ -121,7 +120,7 @@ def test_flow_generator_forms_agree_on_stieltjes_observable():
     # order O(step^2)
     n = 8
     h = center_rescale(sample_regular_graph(n, 3, rng=rng_stream(12)))
-    func = stieltjes_observable(0.2 + 0.5j, n)
+    func = stieltjes_observable(0.2 + 0.5j)
     gaps = []
     for step in (4e-3, 2e-3):
         dense = flow_generator(func, h, step=step)
@@ -135,14 +134,14 @@ def test_stieltjes_observable_uses_deflated_spectrum():
     h = center_rescale(sample_regular_graph(12, 3, rng=rng_stream(15)))
     z = -0.3 + 0.4j
     expected = stieltjes_empirical(decompose(h), z)
-    assert abs(stieltjes_observable(z, 12)(h) - expected.imag) < 1e-12
+    assert abs(stieltjes_observable(z)(h) - expected.imag) < 1e-12
 
 
 def test_stieltjes_flow_generator_matches_finite_differences():
     n = 10
     h = center_rescale(sample_regular_graph(n, 3, rng=rng_stream(16)))
     z = 0.0 + 0.5j
-    func = stieltjes_observable(z, n)
+    func = stieltjes_observable(z)
     closed = stieltjes_flow_generator(decompose(h), z).imag
     step = 1e-4 * (1.0 + np.abs(h).max())
     fd = flow_generator(func, h, step=step)
@@ -178,7 +177,7 @@ def test_switch_generator_vanishes_without_moves():
 
 
 def test_estimate_seminorm_order_zero_is_lr_mean():
-    func = stieltjes_observable(0.5j, 8)
+    func = stieltjes_observable(0.5j)
     mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1, 2)]
     got = estimate_seminorm(func, mats, 0, r=8, rng=rng_stream(0))
     expected = float(np.mean([abs(func(m)) ** 8 for m in mats]) ** (1 / 8))
@@ -188,7 +187,7 @@ def test_estimate_seminorm_order_zero_is_lr_mean():
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():
-    func = stieltjes_observable(0.5j, 10)
+    func = stieltjes_observable(0.5j)
     mats = [center_rescale(sample_regular_graph(10, 3, rng=rng_stream(19)))]
     a = estimate_seminorm(func, mats, 2, n_probes=16, rng=rng_stream(20))
     b = estimate_seminorm(func, mats, 2, n_probes=16, rng=rng_stream(20))
@@ -211,67 +210,45 @@ def test_qf_lf_compare_row_contents():
 # Eigenvector moment flow
 
 
-def test_enumerate_configs_counts_multisets():
-    configs = enumerate_configs(3, 2)
-    assert len(configs) == math.comb(4, 2)
-    assert all(sum(c) == 2 for c in configs)
-    assert len(set(configs)) == len(configs)
-    assert enumerate_configs(4, 1) == [(1, 0, 0, 0), (0, 1, 0, 0),
-                                       (0, 0, 1, 0), (0, 0, 0, 1)]
-
-
-def _loop_moment_flow_rates(eigenvalues, configs, n_ambient):
-    """Reference generator: the hop-by-hop triple loop over configurations."""
+def _loop_moment_flow_rates(eigenvalues):
+    """Reference generator: the hop-by-hop double loop over the M sites."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     m = len(lam)
     diff = lam[:, None] - lam[None, :]
     off = ~np.eye(m, dtype=bool)
     w = np.zeros((m, m))
-    w[off] = 1.0 / (n_ambient * diff[off] ** 2)
-    config_index = {eta: k for k, eta in enumerate(configs)}
-    gen = np.zeros((len(configs), len(configs)))
-    for a, eta in enumerate(configs):
-        for i in range(m):
-            if eta[i] == 0:
+    w[off] = 1.0 / (m * diff[off] ** 2)
+    gen = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if j == i:
                 continue
-            for j in range(m):
-                if j == i:
-                    continue
-                rate = eta[i] * (1.0 + 2.0 * eta[j]) * w[i, j]
-                hopped = list(eta)
-                hopped[i] -= 1
-                hopped[j] += 1
-                b = config_index[tuple(hopped)]
-                gen[a, b] += rate
-                gen[a, a] -= rate
+            gen[i, j] += w[i, j]
+            gen[i, i] -= w[i, j]
     return gen
 
 
 def test_moment_flow_rates_equal_the_hop_loop():
+    # bit for bit: the exit rates add each row's hops in site order, which
+    # a row sum such as -w.sum(axis=1) does not guarantee
     rng = rng_stream(29)
-    for p in (1, 2, 3):
-        for m in range(2, 7):
-            configs = enumerate_configs(m, p)
-            hops = moment_flow_hops(configs)
-            for _ in range(3):
-                lam = np.sort(rng.normal(size=m))
-                n_amb = m + int(rng.integers(0, 3))
-                assert np.array_equal(
-                    moment_flow_rates(lam, hops, n_amb),
-                    _loop_moment_flow_rates(lam, configs, n_amb)), (p, m)
+    for m in range(2, 13):
+        for _ in range(20):
+            lam = np.sort(rng.normal(size=m))
+            assert np.array_equal(moment_flow_rates(lam),
+                                  _loop_moment_flow_rates(lam)), m
 
 
 def test_moment_flow_rates_conserve_mass():
     lam = np.array([1.0, 0.3, -0.8])
-    configs = enumerate_configs(3, 2)
-    rates = moment_flow_rates(lam, moment_flow_hops(configs), n_ambient=4)
-    assert rates.shape == (len(configs), len(configs))
+    rates = moment_flow_rates(lam)
+    assert rates.shape == (3, 3)
+    assert rates[0, 1] == pytest.approx(1.0 / (3 * 0.7 ** 2), rel=1e-14)
     assert np.abs(rates.sum(axis=1)).max() < 1e-12
     off = rates - np.diag(np.diag(rates))
     assert (off >= 0).all()
-    pair = moment_flow_hops(enumerate_configs(2, 1))
     with pytest.raises(SingularityError):
-        moment_flow_rates(np.array([1.0, 1.0 + 1e-12]), pair, n_ambient=3)
+        moment_flow_rates(np.array([1.0, 1.0 + 1e-12]))
 
 
 def test_path_row_equals_columnwise_interp():
@@ -318,18 +295,17 @@ def test_emf_solve_builds_each_rate_matrix_once(monkeypatch):
     path_t, path = eigenvalue_path(np.array([1.2, 0.3, -0.4, -1.3]), 0.2,
                                    1e-3, rng=rng_stream(33))
     f0 = np.array([0.4, 0.3, 0.2, 0.1])
-    sol = emf_solve(path_t, path, 1, f0, [0.04, 0.2], n_ambient=4)
+    sol = emf_solve(path_t, path, f0, [0.04, 0.2])
     assert sol.n_rejected > 0  # rejected attempts reuse their start time
     assert len(calls) <= 6 * (sol.n_accepted + sol.n_rejected) + 1
 
 
 def test_two_state_moment_flow_matches_exponential():
     lam_pair = np.array([0.7, -0.7])
-    w = 1.0 / (3 * (1.4) ** 2)
+    w = 1.0 / (2 * (1.4) ** 2)
     path_t = np.array([0.0, 1.0])
     path = np.vstack([lam_pair, lam_pair])
-    sol = emf_solve(path_t, path, 1, np.array([1.0, 0.0]), 0.9, n_ambient=3,
-                    tol=1e-10)
+    sol = emf_solve(path_t, path, np.array([1.0, 0.0]), 0.9, tol=1e-10)
     decay = np.exp(-2 * w * sol.times)
     exact = np.stack([0.5 + 0.5 * decay, 0.5 - 0.5 * decay], axis=1)
     assert np.abs(sol.values - exact).max() < 1e-6
@@ -344,7 +320,7 @@ def test_emf_solve_approaches_uniform_equilibrium():
     path_t = np.array([0.0, 80.0])
     path = np.vstack([lam, lam])
     f0 = np.array([1.0, 0.0, 0.0, 0.0])
-    sol = emf_solve(path_t, path, 1, f0, 80.0, n_ambient=5)
+    sol = emf_solve(path_t, path, f0, 80.0)
     assert np.abs(sol.final - 0.25).max() < 1e-5
 
 
@@ -354,9 +330,9 @@ def test_emf_solve_grid_matches_separate_solves():
     path_t = np.array([0.0, 1.0])
     path = np.vstack([[-1.0, 0.1, 0.9], [-0.8, -0.1, 1.1]])
     f0 = np.array([1.0, 0.0, 0.0])
-    grid = emf_solve(path_t, path, 1, f0, [0.1, 0.5], n_ambient=4)
-    first = emf_solve(path_t, path, 1, f0, 0.1, n_ambient=4)
-    last = emf_solve(path_t, path, 1, f0, 0.5, n_ambient=4)
+    grid = emf_solve(path_t, path, f0, [0.1, 0.5])
+    first = emf_solve(path_t, path, f0, 0.1)
+    last = emf_solve(path_t, path, f0, 0.5)
     assert np.array_equal(grid.value_at(0.1), first.final)
     assert np.array_equal(grid.value_at(0.5), grid.final)
     assert np.abs(grid.final - last.final).max() < 1e-7
@@ -364,15 +340,15 @@ def test_emf_solve_grid_matches_separate_solves():
     with pytest.raises(ValueError, match="not a time"):
         grid.value_at(0.3)
     with pytest.raises(ValueError, match="sorted grid"):
-        emf_solve(path_t, path, 1, f0, [0.5, 0.1], n_ambient=4)
+        emf_solve(path_t, path, f0, [0.5, 0.1])
 
 
 def test_emf_solve_respects_step_budget():
     lam = np.array([0.5, -0.5])
     path = np.vstack([lam, lam])
     with pytest.raises(ConvergenceError):
-        emf_solve(np.array([0.0, 1.0]), path, 1, np.array([1.0, 0.0]), 1.0,
-                  n_ambient=3, max_steps=2)
+        emf_solve(np.array([0.0, 1.0]), path, np.array([1.0, 0.0]), 1.0,
+                  max_steps=2)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +367,9 @@ def test_eigenvalue_path_shape_start_and_order():
 
 def test_eigenvalue_path_zero_noise_follows_documented_drift():
     lam0 = np.array([-0.8, 0.8])
-    dt, n_amb = 1e-3, 3
-    _, paths = eigenvalue_path(lam0, dt, dt, rng=rng_stream(0), noise=False,
-                               n_ambient=n_amb)
-    drift = np.array([-1.0 / 1.6, 1.0 / 1.6]) / n_amb - lam0 / 2.0
+    dt = 1e-3
+    _, paths = eigenvalue_path(lam0, dt, dt, rng=rng_stream(0), noise=False)
+    drift = np.array([-1.0 / 1.6, 1.0 / 1.6]) / 2 - lam0 / 2.0
     assert np.abs(paths[1] - (lam0 + drift * dt)).max() < 1e-15
 
 
@@ -424,11 +399,11 @@ def test_eigenvector_sde_zero_noise_norm_decay():
     lam = np.array([1.0, -1.0])
     path_t = np.array([0.0, 1.0])
     path = np.vstack([lam, lam])
-    t, dt, n_amb = 0.5, 1e-4, 2
+    t, dt = 0.5, 1e-4
     frames = eigenvector_sde(path_t, path, t, dt, rng=rng_stream(0),
-                             noise=False, renormalize=False, n_ambient=n_amb)
-    # each column decays at rate (1/2N) sum_j (lambda_i - lambda_j)^-2
-    rate = 1.0 / (2 * n_amb * 4.0)
+                             noise=False, renormalize=False)
+    # each column decays at rate (1/2M) sum_j (lambda_i - lambda_j)^-2
+    rate = 1.0 / (2 * 2 * 4.0)
     expected = math.exp(-rate * t)
     norms = np.linalg.norm(frames[0], axis=0)
     assert np.abs(norms - expected).max() < 1e-4

@@ -111,21 +111,18 @@ def _gue_control(n=1000, n_samples=20, seed=0):
                                  rng_stream(seed, stream_id=trial))[::-1]
            for trial in range(n_samples)]
     goe = goe_reference(n, n_samples, seed)
-    config = ExperimentConfig(n=n, d=32, n_samples=n_samples, seed=seed)
-    return gap_ensemble(gue), gap_ensemble(goe), config
+    return gap_ensemble(gue), gap_ensemble(goe)
 
 
 def test_repulsion_gate_rejects_gue():
-    gue, goe, config = _gue_control()
-    ok, reports = repulsion_gate(gue, goe, config)
+    ok, reports = repulsion_gate(*_gue_control())
     sigma = {r["name"]: r["value"] for r in reports}["small_gap_sigma"]
     # measured 5.12 sigma against the 3 sigma bound
     assert not ok and sigma > 3.0
 
 
 def test_gap_gate_rejects_gue():
-    gue, goe, _ = _gue_control()
-    ok, reports = gap_gate(gue, goe)
+    ok, reports = gap_gate(*_gue_control())
     ks = {r["name"]: r["value"] for r in reports}["ks_statistic"]
     # measured KS 0.0778 against the 0.05 bound
     assert not ok and ks >= 0.05
@@ -182,7 +179,8 @@ def test_benchmark_tracer_counts_through_recipes(tmp_path):
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.take())
     for name in ("kernels.steps", "chain.accept_ratio", "graphs.pairing_s",
-                 "spectra.decompose_calls", "flow.eigvec_sde_steps_per_s",
+                 "spectra.decompose_calls", "flow.eigval_path_s",
+                 "flow.emf_steps", "flow.eigvec_sde_steps_per_s",
                  "io.bytes_written"):
         assert metrics[name] > 0, name
 
@@ -311,8 +309,7 @@ def test_gap_test_artifacts_do_not_depend_on_worker_count(tmp_path):
      ["abs_s_minus_m[-1+0.05j]", "abs_s_minus_m[0+0.05j]",
       "abs_s_minus_m[1+0.05j]", "cdf_sup_distance"]),
     ("repulsion-scan", {}, ["gaps_rrg.csv"],
-     ["small_gap_fraction_rrg", "small_gap_fraction_goe", "small_gap_sigma",
-      "repulsion_identity_max_rel"]),
+     ["small_gap_fraction_rrg", "small_gap_fraction_goe", "small_gap_sigma"]),
     ("corr-test", {}, ["correlation.csv"], ["two_point_difference"]),
     ("evolve", {"n": 60, "t_grid": (0.0, 0.01, 1.0)},
      ["matrix_0000.bin", "matrix_0001.bin", "matrix_0002.bin",

@@ -282,7 +282,7 @@ def test_level_repulsion_identity_holds():
 
 def test_level_repulsion_q_is_inverse_square_sum():
     lam = np.array([2.0, 1.0, -0.5])
-    got = level_repulsion_q(lam, 2, n_ambient=4)
+    got = level_repulsion_q(lam, 2)
     expected = (1.0 + 1.0 / 1.5 ** 2) / 16.0
     assert abs(got - expected) < 1e-15
 
