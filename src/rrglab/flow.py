@@ -26,7 +26,8 @@ observables is evaluated exactly by batched rank-4 Woodbury resolvent
 updates over the switchable-tuple support.
 
 Also here: the eigenvector moment flow at p = 1 (an ODE over the M
-eigenvector sites driven by a frozen eigenvalue path), the eigenvalue and
+eigenvector sites driven by a frozen eigenvalue path, integrated by RK4 on
+a fixed grid that lands on every knot of the path), the eigenvalue and
 eigenvector SDEs, and the free-convolution Stieltjes fixed point.
 """
 
@@ -47,6 +48,8 @@ DENSE_GENERATOR_LIMIT = 40
 # Eigenvalue gaps below this make the flows' 1/gap terms unsafe.
 _MIN_GAP = 1e-8
 _EMF_CFL = 0.25  # emf_solve's cap on dt * (max total exit rate)
+_EMF_SUBSTEPS = 4  # emf_solve's fewest RK4 steps between two knots
+_EMF_MAX_STEPS = 100_000  # emf_solve's step budget
 _FREE_CONV_MAX_ITER = 10_000
 
 
@@ -72,13 +75,13 @@ def evolve_exact(h0, t, *, rng):
     return math.exp(-t / 2.0) * h0 + math.sqrt(1.0 - math.exp(-t)) * w
 
 
-def evolve_sde(h0, t, dt, *, rng, noise=True):
+def evolve_sde(h0, t, dt, *, rng):
     """Euler-Maruyama endpoint of dH = -(1/2) H dt + noise, staying in M.
 
     Noise increments are sampled as sqrt(dt) times a fresh draw of the
     stationary Gaussian ensemble, which realizes the projected Brownian
-    increments' covariance exactly; ``noise=False`` is the deterministic
-    test hook (pure drift).  The final partial step lands exactly on t.
+    increments' covariance exactly.  The final partial step lands exactly
+    on t.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -94,8 +97,7 @@ def evolve_sde(h0, t, dt, *, rng, noise=True):
     h = h0.copy()
     for step in steps:
         h *= 1.0 - step / 2.0
-        if noise:
-            h += math.sqrt(step) * sample_constrained_goe(n, rng=rng)
+        h += math.sqrt(step) * sample_constrained_goe(n, rng=rng)
     return h
 
 
@@ -208,12 +210,7 @@ def stieltjes_flow_generator(eigenvalues, z):
 # Jump generator on Stieltjes observables (exact, Woodbury-accelerated)
 
 # xi_ijmn restricted to the rows/columns (i, j, m, n), in that basis order.
-_SWITCH_PATTERN = np.array([
-    [0.0, 1.0, -1.0, 0.0],
-    [1.0, 0.0, 0.0, -1.0],
-    [-1.0, 0.0, 0.0, 1.0],
-    [0.0, -1.0, 1.0, 0.0],
-])
+_SWITCH_PATTERN = switch_direction(4, 0, 1, 2, 3)
 
 
 def switch_generator_stieltjes(graph, z):
@@ -397,7 +394,10 @@ def _path_row(path_times, path_values, t):
 
 @dataclass
 class EmfSolution:
-    """Adaptive moment-flow solution with per-step contraction diagnostics."""
+    """Fixed-grid moment-flow solution with per-step contraction diagnostics.
+
+    ``n_rejected`` is always 0: the fixed grid rejects no step.
+    """
 
     times: np.ndarray
     values: np.ndarray  # (len(times), M)
@@ -418,16 +418,19 @@ class EmfSolution:
         return self.values[hits[0]]
 
 
-def emf_solve(path_times, path_values, f0, t_end, tol=1e-8,
-              max_steps=100_000):
+def emf_solve(path_times, path_values, f0, t_end):
     """Integrate the p = 1 eigenvector moment flow along an eigenvalue path.
 
     The linear ODE df/dt = R(t) f over the M sites, M the path's width, is
     driven by ``moment_flow_rates`` rebuilt from the eigenvalue path
-    (linear interpolation between snapshots).  Classic RK4 with
-    step-doubling error control, plus a CFL cap dt * max total exit rate
-    <= ``_EMF_CFL`` which keeps every accepted step an L-infinity
-    contraction (checked and recorded).
+    (linear interpolation between snapshots).  Classic RK4 on a fixed grid:
+    the path's knots and the requested times split [0, max t_end] into
+    pieces on which the path is linear, so each total exit rate is convex
+    along a piece and the largest is at one of its ends.  Each piece takes
+    max(``_EMF_SUBSTEPS``, ceil(length * max exit rate / ``_EMF_CFL``))
+    equal steps, which keeps every step an L-infinity contraction (checked
+    and recorded).  A solve that would take more than ``_EMF_MAX_STEPS``
+    steps raises ``ConvergenceError`` before the piece that crosses it.
 
     ``t_end`` is one time or a sorted grid of times; a single integration
     from t = 0 lands exactly on each of them (see ``EmfSolution.value_at``),
@@ -440,77 +443,61 @@ def emf_solve(path_times, path_values, f0, t_end, tol=1e-8,
     if f.shape != (m,):
         raise ValueError(f"f0 must have one value per site ({m}), "
                          f"got shape {f.shape}")
-
-    # rate matrices by exact time; the step loop keeps only the current
-    # attempt's times, so each distinct time is built once
-    cache = {}
-
-    def rates(t):
-        gen = cache.get(t)
-        if gen is None:
-            gen = cache[t] = moment_flow_rates(
-                _path_row(path_times, path_values, t))
-        return gen
-
-    def rk4(y, t, dt):
-        k1 = rates(t) @ y
-        k2 = rates(t + dt / 2.0) @ (y + dt / 2.0 * k1)
-        k3 = rates(t + dt / 2.0) @ (y + dt / 2.0 * k2)
-        k4 = rates(t + dt) @ (y + dt * k3)
-        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     targets = np.atleast_1d(np.asarray(t_end, dtype=np.float64))
     if (np.diff(targets) < 0).any() or (targets < 0).any():
         raise ValueError("t_end must be a nonnegative time or sorted grid")
+
+    def rates(t):
+        return moment_flow_rates(_path_row(path_times, path_values, t))
+
+    def max_exit_rate(gen):
+        return float(-np.diag(gen).min())
+
+    t_max = float(targets.max(initial=0.0))
+    knots = path_times[(path_times > 0.0) & (path_times < t_max)]
+    edges = sorted({0.0, *knots.tolist(), *targets.tolist()})
 
     times = [0.0]
     history = [f.copy()]
     sup_norms = [float(np.abs(f).max())]
     contraction_ok = True
-    t = 0.0
-    dt = 1e-3
-    n_accepted = n_rejected = 0
-    for target in targets.tolist():
-        while t < target:
-            if n_accepted + n_rejected > max_steps:
-                raise ConvergenceError("moment-flow step budget exhausted")
-            current = rates(t)
-            cache.clear()
-            cache[t] = current
-            max_rate = float(-np.diag(current).min())
-            if max_rate > 0:
-                dt = min(dt, _EMF_CFL / max_rate)
-            landing = dt >= target - t
-            dt = min(dt, target - t)
-            full = rk4(f, t, dt)
-            half = rk4(rk4(f, t, dt / 2.0), t + dt / 2.0, dt / 2.0)
-            err = (float(np.abs(half - full).max())
-                   / max(float(np.abs(half).max()), 1.0))
-            if err > tol:
-                n_rejected += 1
-                dt *= max(0.2, 0.9 * (tol / err) ** 0.2)
-                continue
-            new_sup = float(np.abs(half).max())
+    n_steps = 0
+    r_start = rates(0.0)
+    for a, b in zip(edges[:-1], edges[1:]):
+        r_end = rates(b)
+        fastest = max(max_exit_rate(r_start), max_exit_rate(r_end))
+        n_piece = max(_EMF_SUBSTEPS, math.ceil((b - a) * fastest / _EMF_CFL))
+        if n_steps + n_piece > _EMF_MAX_STEPS:
+            raise ConvergenceError("moment-flow step budget exhausted")
+        grid = np.linspace(a, b, n_piece + 1).tolist()
+        for step, (t0, t1) in enumerate(zip(grid[:-1], grid[1:])):
+            dt = t1 - t0
+            r_mid = rates(t0 + dt / 2.0)
+            r_next = r_end if step == n_piece - 1 else rates(t1)
+            k1 = r_start @ f
+            k2 = r_mid @ (f + dt / 2.0 * k1)
+            k3 = r_mid @ (f + dt / 2.0 * k2)
+            k4 = r_next @ (f + dt * k3)
+            f = f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            new_sup = float(np.abs(f).max())
             if new_sup > sup_norms[-1] * (1.0 + 1e-12) + 1e-300:
                 contraction_ok = False
-            f = half
-            t = target if landing else t + dt
-            n_accepted += 1
-            times.append(t)
-            history.append(f.copy())
+            times.append(t1)
+            history.append(f)
             sup_norms.append(new_sup)
-            dt *= min(2.0, 0.9 * (tol / err) ** 0.2) if err > 0 else 2.0
+            r_start = r_next
+        n_steps += n_piece
     return EmfSolution(times=np.array(times),
                        values=np.stack(history), sup_norms=np.array(sup_norms),
                        contraction_ok=contraction_ok,
-                       n_accepted=n_accepted, n_rejected=n_rejected)
+                       n_accepted=n_steps, n_rejected=0)
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue and eigenvector SDEs
 
 
-def eigenvalue_path(lambda0, t_end, dt, *, rng, noise=True):
+def eigenvalue_path(lambda0, t_end, dt, *, rng):
     """Euler-Maruyama eigenvalue flow with diagonal noise only.
 
     d lambda_i = dB_ii/sqrt(M) + (1/M) sum_{j != i} dt/(lambda_i - lambda_j)
@@ -534,16 +521,15 @@ def eigenvalue_path(lambda0, t_end, dt, *, rng, noise=True):
         inv = 1.0 / _gap_matrix(lam, "the eigenvalue path")
         drift = inv.sum(axis=1) / m - lam / 2.0
         lam = lam + drift * dt
-        if noise:
-            lam = lam + (rng.normal(scale=math.sqrt(2.0 * dt), size=m)
-                         / math.sqrt(m))
+        lam = lam + (rng.normal(scale=math.sqrt(2.0 * dt), size=m)
+                     / math.sqrt(m))
         lam = np.sort(lam)
         paths[step + 1] = lam
     return times, paths
 
 
 def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
-                    n_replicas=1, noise=True, renormalize=True, t_start=0.0):
+                    n_replicas=1, renormalize=True, t_start=0.0):
     """Euler-Maruyama eigenvector frames along a frozen eigenvalue path.
 
     dv_i = (1/sqrt(M)) sum_{j != i} dB_ij/(lambda_i - lambda_j) v_j
@@ -575,12 +561,9 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
         t = t_start + step * dt
         gap = _gap_matrix(_path_row(path_times, path_values, t),
                           "the eigenvector flow")
-        if noise:
-            raw = rng.normal(size=(n_replicas, m, m))
-            coeff = (raw + raw.swapaxes(1, 2)) * math.sqrt(dt / 2.0)
-            coeff /= gap * math.sqrt(m)  # the inf diagonal gives 0
-        else:
-            coeff = np.zeros((n_replicas, m, m))
+        raw = rng.normal(size=(n_replicas, m, m))
+        coeff = (raw + raw.swapaxes(1, 2)) * math.sqrt(dt / 2.0)
+        coeff /= gap * math.sqrt(m)  # the inf diagonal gives 0
         decay = -(dt / (2.0 * m)) * (1.0 / gap ** 2).sum(axis=1)
         coeff[:, diag, diag] = decay
         frames = frames + frames @ coeff.swapaxes(1, 2)

@@ -121,6 +121,14 @@ def _histogram_series(values, bins, span):
     return centers, density
 
 
+def _z_grid(config):
+    """The config's z grid, or the default one; every z above the real axis."""
+    z_grid = tuple(config.z_grid) or (-1 + 0.05j, 0.05j, 1 + 0.05j)
+    if any(z.imag <= 0 for z in z_grid):
+        raise ConfigError("z_grid must lie in the upper half plane")
+    return z_grid
+
+
 # ---------------------------------------------------------------------------
 # Recipes
 
@@ -157,7 +165,7 @@ def recipe_evolve(config, out_dir):
     t_grid = tuple(config.t_grid) or (0.0, config.n ** -1.2, 5.0)
     if sorted(t_grid) != list(t_grid) or t_grid[0] < 0:
         raise ConfigError("t_grid must be sorted and nonnegative")
-    z_grid = tuple(config.z_grid) or (-1 + 0.05j, 0.05j, 1 + 0.05j)
+    z_grid = _z_grid(config)
     h0 = center_rescale(trial_graph(config, 0))
     spectrum0 = decompose(h0)
     flow_rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
@@ -227,7 +235,8 @@ def recipe_corr_test(config, out_dir):
     the spectral center (a local observable, universal in the bulk); its
     graph-vs-GOE difference must stay within 4 combined standard errors.
     """
-    _require_samples(config)
+    # the gate divides by the samples' standard error, which needs two
+    _require_samples(config, minimum=2)
     config.warn_if_outside_window()
     spectra = _rrg_ensemble(config)
     goe = goe_reference(config.n, config.n_samples, config.seed)
@@ -255,13 +264,6 @@ def recipe_corr_test(config, out_dir):
     return abs(diff) <= 4.0 * combined, reports
 
 
-def _semicircle_z_grid(config):
-    z_grid = tuple(config.z_grid) or (-1 + 0.05j, 0.05j, 1 + 0.05j)
-    if any(z.imag <= 0 for z in z_grid):
-        raise ConfigError("z_grid must lie in the upper half plane")
-    return z_grid
-
-
 def _stieltjes_rows(spectra, z_grid):
     """(z, ensemble-mean s(z), semicircle m(z)) for each z."""
     return [(z, np.mean([stieltjes_empirical(lam, z) for lam in spectra]),
@@ -278,7 +280,7 @@ def semicircle_gate(spectra, config):
     empirical CDF and the semicircle CDF must stay below 0.03.
     """
     reports, ok = [], True
-    for z, s, m in _stieltjes_rows(spectra, _semicircle_z_grid(config)):
+    for z, s, m in _stieltjes_rows(spectra, _z_grid(config)):
         bound = 10.0 * (config.big_d ** -0.25
                         + (config.n * z.imag) ** -0.25)
         reports.append(io.report_record(
@@ -299,7 +301,7 @@ def recipe_semicircle_scan(config, out_dir):
     """Stieltjes transform vs. the semicircle at fixed z, plus CDF distance."""
     _require_samples(config)
     config.warn_if_outside_window()
-    z_grid = _semicircle_z_grid(config)
+    z_grid = _z_grid(config)
     spectra = _rrg_ensemble(config)
     io.write_stieltjes_csv(out_dir / "stieltjes.csv",
                            _stieltjes_rows(spectra, z_grid))
@@ -308,7 +310,8 @@ def recipe_semicircle_scan(config, out_dir):
 
 def recipe_generator_check(config, out_dir):
     """Jump-vs-flow generator discrepancy scan over the degree grid."""
-    _require_samples(config)
+    # the gate compares standard errors, which need two samples per degree
+    _require_samples(config, minimum=2)
     degrees = (4, 8, 16)
     for d in degrees:
         replace(config, d=d).warn_if_outside_window()

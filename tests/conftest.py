@@ -30,6 +30,17 @@ def rng():
     return rng_stream(104)
 
 
+class ZeroNoise:
+    """Generator stand-in whose normal draws are all zero.
+
+    Passed as ``rng`` to an SDE solver, it leaves only the drift: the
+    noiseless limit that the zero-noise tests compare with closed forms.
+    """
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.full(size, float(loc))
+
+
 def cycle_adjacency(n):
     adj = np.zeros((n, n), dtype=np.uint8)
     for u in range(n):

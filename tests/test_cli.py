@@ -102,6 +102,36 @@ def test_single_replica_emf_check_fails(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("recipe, config_text", [
+    ("corr-test", "n = 120\nd = 6\n"),
+    ("generator-check", ""),
+], ids=["corr-test", "generator-check"])
+def test_single_sample_standard_error_gates_fail(tmp_path, capsys, recipe,
+                                                 config_text):
+    """Both gates divide by a standard error: one sample is refused first."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main([recipe, "--config", str(cfg), "--samples", "1",
+                       "--seed", "0", "--out", str(out)])
+    assert status == EXIT_PARAMETER
+    assert "n_samples >= 2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_evolve_refuses_a_real_z_before_any_work(tmp_path, capsys):
+    cfg = tmp_path / "evolve.cfg"
+    cfg.write_text("n = 40\nd = 6\nt_grid = 0 0.1\nz_grid = 0.5\n")
+    out = tmp_path / "out"
+    status = main(["evolve", "--config", str(cfg), "--seed", "0",
+                   "--out", str(out)])
+    assert status == EXIT_PARAMETER
+    assert "upper half plane" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("t_grid", ["0 0.04", "0.04 0.04", "0.04 -0.1"])
 def test_emf_check_refuses_zero_or_repeated_times(tmp_path, capsys, t_grid):
     """A t = 0 row has zero standard error; a repeated time, a repeated record."""

@@ -183,6 +183,7 @@ def test_benchmark_tracer_counts_through_recipes(tmp_path):
                  "flow.emf_steps", "flow.eigvec_sde_steps_per_s",
                  "io.bytes_written"):
         assert metrics[name] > 0, name
+    assert metrics["flow.emf_accept_ratio"] == 1.0  # the fixed grid rejects none
 
 
 def test_recipe_registry_and_defaults():
