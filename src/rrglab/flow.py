@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import switchable_tuples
-from .matrices import (center_rescale, default_fd_step, directional_derivative,
+from .matrices import (center_rescale, directional_derivative,
                        h_switch_component, project_constrained,
                        sample_constrained_goe, switch_direction)
 from .spectra import decompose, semicircle_m
@@ -51,6 +51,11 @@ _EMF_CFL = 0.25  # emf_solve's cap on dt * (max total exit rate)
 _EMF_SUBSTEPS = 4  # emf_solve's fewest RK4 steps between two knots
 _EMF_MAX_STEPS = 100_000  # emf_solve's step budget
 _FREE_CONV_MAX_ITER = 10_000
+# estimate_seminorm: the power of its mean over samples and its random
+# (theta, X) probes per sample; qf_lf_compare: samples per degree it uses
+_SEMINORM_POWER = 8
+_SEMINORM_PROBES = 64
+_SEMINORM_SAMPLES = 16
 
 
 class SingularityError(RuntimeError):
@@ -105,21 +110,19 @@ def evolve_sde(h0, t, dt, *, rng):
 # Flow generator: switching-direction and entrywise forms
 
 
-def flow_generator(func, h, step=None):
+def flow_generator(func, h, step):
     """Finite-difference evaluation of the flow generator L F(H).
 
     Uses the switching-direction form: the dense sum over all N^4 vertex
-    4-tuples (i,j,k,l) of second differences along xi_ijkl weighted
-    1/(16 N^3) minus tr(xi H) times first differences weighted 1/(32 N^2).
-    It costs O(N^4) observable evaluations, so it is refused above
-    N = ``DENSE_GENERATOR_LIMIT``.
+    4-tuples (i,j,k,l) of second differences along xi_ijkl, at distance
+    ``step``, weighted 1/(16 N^3) minus tr(xi H) times first differences
+    weighted 1/(32 N^2).  It costs O(N^4) observable evaluations, so it is
+    refused above N = ``DENSE_GENERATOR_LIMIT``.
     """
     n = h.shape[0]
     if n > DENSE_GENERATOR_LIMIT:
         raise ValueError(
             f"dense generator sum is gated at N <= {DENSE_GENERATOR_LIMIT}")
-    if step is None:
-        step = default_fd_step(h, 2)
 
     f0 = func(h)
     diffusion_w = 1.0 / (16.0 * n ** 3)
@@ -149,17 +152,16 @@ def _entry_direction(n, i, j):
     return 0.5 * project_constrained(delta)
 
 
-def flow_generator_entrywise(func, h, step=None):
+def flow_generator_entrywise(func, h, step):
     """The entrywise form L F = (1/N) sum_ij d_ij^2 F - (1/2) d_H F.
 
-    Derivatives run along the projected coordinate directions
-    (1/2) P Delta_ij P (for the diffusion) and along H itself (for the
-    drift); evaluation points differ from ``flow_generator``'s, making the
-    agreement of the two forms a genuine numerical identity check.
+    Derivatives are central differences at distance ``step`` along the
+    projected coordinate directions (1/2) P Delta_ij P (for the diffusion)
+    and along H itself (for the drift); evaluation points differ from
+    ``flow_generator``'s, making the agreement of the two forms a genuine
+    numerical identity check.
     """
     n = h.shape[0]
-    if step is None:
-        step = default_fd_step(h, 2)
     f0 = func(h)
     diffusion = 0.0
     for i in range(n):
@@ -249,26 +251,23 @@ def switch_generator_stieltjes(graph, z):
 # Seminorm estimation and the Q-vs-L discrepancy scan
 
 
-def estimate_seminorm(func, matrices, order, r=8, n_probes=256, scale=1.0,
-                      *, rng):
-    """Sampled estimate of the order-n switching-derivative seminorm.
+def estimate_seminorm(func, matrices, order, scale, *, rng):
+    """Sampled estimate of the order-n (1..4) switching-derivative seminorm.
 
     For each sample H the inner sup over (theta, X) in [0,1]^n x
-    (switching directions)^n is replaced by a max over ``n_probes`` random
-    draws of |d_{X_1}...d_{X_n} F| evaluated at H + scale * sum theta_a X_a;
-    the outer average is the L^r mean over samples.  A sampled max can only
-    undershoot: the estimate is a lower bound of the true seminorm.
+    (switching directions)^n is replaced by a max over ``_SEMINORM_PROBES``
+    random draws of |d_{X_1}...d_{X_n} F| evaluated at
+    H + scale * sum theta_a X_a; the outer average is the L^r mean over
+    samples, r = ``_SEMINORM_POWER``.  A sampled max can only undershoot:
+    the estimate is a lower bound of the true seminorm.
     """
-    if order < 0 or order > 4:
-        raise ValueError("order must be in 0..4")
+    if order < 1 or order > 4:
+        raise ValueError("order must be in 1..4")
     values = []
     for h in matrices:
         n = h.shape[0]
-        if order == 0:
-            values.append(abs(func(h)))
-            continue
         best = 0.0
-        for _ in range(n_probes):
+        for _ in range(_SEMINORM_PROBES):
             sites = rng.integers(0, n, size=(order, 4))
             thetas = rng.uniform(size=order)
             dirs = [switch_direction(n, *site) for site in sites]
@@ -277,7 +276,7 @@ def estimate_seminorm(func, matrices, order, r=8, n_probes=256, scale=1.0,
             best = max(best, value)
         values.append(best)
     arr = np.asarray(values, dtype=np.float64)
-    return float(np.mean(arr ** r) ** (1.0 / r))
+    return float(np.mean(arr ** _SEMINORM_POWER) ** (1.0 / _SEMINORM_POWER))
 
 
 @dataclass(frozen=True)
@@ -294,16 +293,20 @@ class DiscrepancyRow:
     n_samples: int
 
 
-def qf_lf_compare(n, degrees, z, n_samples, seed=0, seminorm_samples=16,
-                  seminorm_probes=64):
+def qf_lf_compare(n, degrees, z, n_samples, seed):
     """Measure E|Qf - LF| for F = Im s(z) over uniform graph ensembles.
 
     For each degree d: samples graphs, evaluates the jump generator exactly
     (Woodbury) and the flow generator in closed form, and reports the mean
     absolute discrepancy normalized by D^{-1/2} N max_{1<=k<=4} of the
     sampled order-k seminorms (D = min(d, N^2/d^3)).  The normalized
-    discrepancy should decrease as d grows.  The seminorms are L^8 means.
+    discrepancy should decrease as d grows.  The seminorms are L^8 means
+    over the first ``_SEMINORM_SAMPLES`` graphs of each degree.
     """
+    # imported here, not at the top, so that the traced benchmark's wrapper
+    # of graphs.sample_regular_graph sees generator-check's pairing: a
+    # top-level import would bind the unwrapped function and make
+    # graphs.pairing_s read 0
     from .graphs import sample_regular_graph
 
     func = stieltjes_observable(z)
@@ -318,12 +321,11 @@ def qf_lf_compare(n, degrees, z, n_samples, seed=0, seminorm_samples=16,
             q_val = switch_generator_stieltjes(graph, z).imag
             l_val = stieltjes_flow_generator(decompose(h), z).imag
             discrepancies[s_idx] = abs(q_val - l_val)
-            if len(matrices) < seminorm_samples:
+            if len(matrices) < _SEMINORM_SAMPLES:
                 matrices.append(h)
         seminorm_rng = rng_stream(seed, stream_id=900_000_000 + d_idx)
         seminorm = max(
-            estimate_seminorm(func, matrices, order, n_probes=seminorm_probes,
-                              scale=1.0 / math.sqrt(d - 1.0),
+            estimate_seminorm(func, matrices, order, 1.0 / math.sqrt(d - 1.0),
                               rng=seminorm_rng)
             for order in (1, 2, 3, 4))
         big_d = min(float(d), n ** 2 / d ** 3)

@@ -38,6 +38,11 @@ _STREAM_GOE = 1 << 32
 _STREAM_FLOW = 1 << 33
 _STREAM_MISC = 1 << 34
 
+# Random proposal pairs that verify-small's involution suite runs.
+_INVOLUTION_PAIRS = 10_000
+# emf-check's eigenvalue-path step: each t_grid time must be a multiple.
+_EMF_PATH_DT = 1e-3
+
 
 def _tridiagonal_spectrum(m, n, beta, rng):
     """Ascending spectrum of the m x m beta-Hermite tridiagonal model.
@@ -356,6 +361,12 @@ def _emf_profile(config):
     # repeated time would repeat its report record
     if min(t_grid) <= 0 or len(set(t_grid)) < len(t_grid):
         raise ConfigError("t_grid times must be positive and distinct")
+    # eigenvalue_path's own test, applied to every time before any draw
+    for t in t_grid:
+        off_grid = abs(round(t / _EMF_PATH_DT) * _EMF_PATH_DT - t)
+        if off_grid > 1e-9 * max(t, 1.0):
+            raise ConfigError(f"t_grid times must be multiples of "
+                              f"{_EMF_PATH_DT:g}, got {t:g}")
     t_end = max(t_grid)
     rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
     q = rng.normal(size=m)
@@ -366,7 +377,7 @@ def _emf_profile(config):
         if np.diff(lam0).min() < gap_floor:
             continue
         times, path = eigenvalue_path(
-            lam0, t_end, 1e-3,
+            lam0, t_end, _EMF_PATH_DT,
             rng=rng_stream(config.seed, stream_id=_STREAM_FLOW + 1 + attempt))
         if np.diff(path, axis=1).min() >= gap_floor:
             return t_grid, times, path, q
@@ -448,21 +459,18 @@ def recipe_repulsion_scan(config, out_dir):
 
 
 def recipe_verify_small(config, out_dir):
-    """Exhaustive invariance + reversibility, and the involution suite."""
+    """Exhaustive reversibility (hence invariance) and the involution suite."""
     reports, ok = [], True
     for n, d in ((6, 3), (8, 3)):
-        rep = chain.invariance_report(n, d, n_observables=10, seed=config.seed)
-        reports.append(io.report_record(
-            f"invariance_max_rel_sum[{n},{d}]", rep.max_relative_sum,
-            n_samples=rep.n_graphs))
+        rep = chain.invariance_report(n, d)
         reports.append(io.report_record(
             f"reversible[{n},{d}]", float(rep.reversible),
             n_samples=rep.n_transitions))
-        ok = ok and rep.passed
-    suite = involution_suite(10_000, seed=config.seed)
+        ok = ok and rep.reversible
+    suite = involution_suite(config.seed)
     for key, value in suite.items():
         reports.append(io.report_record(f"involution_{key}", float(value),
-                                        n_samples=10_000))
+                                        n_samples=_INVOLUTION_PAIRS))
     ok = ok and all(suite.values())
     return ok, reports
 
@@ -474,11 +482,12 @@ def _kernel_step(graph, edges, proposal):
     return RegularGraph(adj, validate=False), edges, accepted
 
 
-def involution_suite(n_pairs, seed=0):
+def involution_suite(seed):
     """Random (switching proposal, graph) property checks of the chain's move.
 
-    Runs each of ``n_pairs`` random pairs of directed-edge codes, on
-    4-regular graphs with 24 vertices, through one kernel step and verifies that the kernel accepts exactly the tuples
+    Runs each of ``_INVOLUTION_PAIRS`` random pairs of directed-edge codes,
+    on 4-regular graphs with 24 vertices, through one kernel step and
+    verifies that the kernel accepts exactly the tuples
     (i, j, m, n) they resolve to that ``chain.tuple_switchable`` accepts;
     that after an accepted switch the same codes resolve to the reversed
     tuple (i, m, j, n), which is accepted and restores the graph and its
@@ -488,10 +497,10 @@ def involution_suite(n_pairs, seed=0):
     n_vertices, degree = 24, 4
     rng = rng_stream(seed, stream_id=_STREAM_MISC + 1)
     graphs = [sample_regular_graph(n_vertices, degree, rng=rng)
-              for _ in range(max(1, n_pairs // 200))]
+              for _ in range(_INVOLUTION_PAIRS // 200)]
     edge_arrays = [chain.edge_array(g.adjacency) for g in graphs]
     involution = conservation = indicator = True
-    for _ in range(n_pairs):
+    for _ in range(_INVOLUTION_PAIRS):
         k = int(rng.integers(len(graphs)))
         graph, edges = graphs[k], edge_arrays[k]
         proposal = rng.integers(0, n_vertices * degree, size=2, dtype=np.int64)

@@ -19,11 +19,6 @@ from itertools import product
 
 import numpy as np
 
-# Central-difference steps (scaled by 1 + max|H|): balance truncation vs.
-# 64-bit rounding for low and high derivative orders.
-FD_STEP_LOW = 1e-5
-FD_STEP_HIGH = 1e-3
-
 
 def uniform_unit(n):
     """The unit vector e = (1, ..., 1)/sqrt(n)."""
@@ -155,12 +150,6 @@ def sample_constrained_goe(n, *, rng):
     return 0.5 * (w + w.T)
 
 
-def default_fd_step(h, order):
-    """Default central-difference step for the given derivative order."""
-    base = FD_STEP_LOW if order <= 2 else FD_STEP_HIGH
-    return base * (1.0 + float(abs(h).max()))
-
-
 def directional_derivative(func, h, directions):
     """Mixed central-difference derivative of F along matrix directions.
 
@@ -171,14 +160,16 @@ def directional_derivative(func, h, directions):
         sum_{s in {-1,+1}^n} (prod_a s_a) F(H + step * sum_a s_a X_a)
             / (2 * step)^n,
 
-    with step = ``default_fd_step(H, n)``.  Repeated directions give pure
-    higher-order derivatives; n = 0 returns F(H).  Non-finite F values
-    propagate to the caller.
+    with step = base * (1 + max|H|), base 1e-5 for n <= 2 and 1e-3 above:
+    each balances truncation against 64-bit rounding at its orders.
+    Repeated directions give pure higher-order derivatives; n = 0 returns
+    F(H).  Non-finite F values propagate to the caller.
     """
     n = len(directions)
     if n == 0:
         return func(h)
-    step = default_fd_step(h, n)
+    base = 1e-5 if n <= 2 else 1e-3
+    step = base * (1.0 + float(abs(h).max()))
     total = 0.0
     for signs in product((1.0, -1.0), repeat=n):
         point = h + step * sum(s * x for s, x in zip(signs, directions))

@@ -96,21 +96,21 @@ def wide_ensemble():
 
 def test_criterion_01_exhaustive_invariance_and_reversibility():
     start = time.perf_counter()
-    worst, ok = 0.0, True
-    for n, d in ((6, 3), (8, 3)):
-        rep = invariance_report(n, d, n_observables=10, seed=0)
-        worst = max(worst, rep.max_relative_sum)
-        ok = ok and rep.passed
+    reports = [invariance_report(n, d) for n, d in ((6, 3), (8, 3))]
+    ok = all(rep.reversible for rep in reports)
     elapsed = time.perf_counter() - start
-    report_line(1, "exhaustive jump-generator invariance and reversibility",
-                ok, f"max relative sum {worst:.2e}; {elapsed:.1f}s")
+    counts = ", ".join(f"({rep.n_vertices},{rep.degree}) {rep.n_transitions}"
+                       for rep in reports)
+    report_line(1, "exhaustive jump-generator reversibility, hence invariance",
+                ok, f"symmetric transition multisets: {counts}; "
+                    f"{elapsed:.1f}s")
     assert ok
     assert elapsed < 60
 
 
 def test_criterion_02_involution_and_conservation_suite():
     start = time.perf_counter()
-    suite = involution_suite(10_000, seed=0)
+    suite = involution_suite(0)
     ok = all(suite.values())
     elapsed = time.perf_counter() - start
     report_line(2, "switch involution/conservation suite on 10^4 pairs", ok,

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from rrglab import chain
 from rrglab.cli import EXIT_ACCEPTANCE, EXIT_OK, EXIT_PARAMETER, main
 
 
@@ -12,8 +13,6 @@ def test_verify_small_passes(tmp_path):
     assert main(["verify-small", "--out", str(tmp_path), "--seed", "0"]) == EXIT_OK
     reports = {r["name"]: r for r in
                json.loads((tmp_path / "report.json").read_text())}
-    assert reports["invariance_max_rel_sum[6,3]"]["value"] == 0.0
-    assert reports["invariance_max_rel_sum[8,3]"]["value"] < 1e-10
     assert reports["reversible[6,3]"]["value"] == 1.0
     assert reports["reversible[8,3]"]["value"] == 1.0
     for key in ("involution_involution", "involution_degree_conservation",
@@ -22,6 +21,30 @@ def test_verify_small_passes(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["acceptance_ok"] is True
     assert manifest["config"]["n"] == 6 and manifest["config"]["d"] == 3
+
+
+def test_verify_small_fails_on_an_irreversible_chain(tmp_path, monkeypatch):
+    """Negative control: no moves leave a graph that holds the edge {0, 1}.
+
+    Dropping one orientation of each move instead would be no control:
+    each move has four tuple spellings, two survive in each direction, and
+    that chain stays reversible.
+    """
+    full = chain.switchable_tuples
+
+    def blocked(graph):
+        tuples = full(graph)
+        return tuples[:0] if graph.adjacency[0, 1] else tuples
+
+    monkeypatch.setattr(chain, "switchable_tuples", blocked)
+    report = chain.invariance_report(8, 3)
+    assert report.n_transitions == 812_160
+    assert not report.reversible
+    assert main(["verify-small", "--out", str(tmp_path),
+                 "--seed", "0"]) == EXIT_ACCEPTANCE
+    reports = {r["name"]: r["value"] for r in
+               json.loads((tmp_path / "report.json").read_text())}
+    assert reports["reversible[8,3]"] == 0.0
 
 
 def test_sample_honors_config_file_and_flag_precedence(tmp_path):
@@ -142,6 +165,19 @@ def test_emf_check_refuses_zero_or_repeated_times(tmp_path, capsys, t_grid):
                    "--seed", "0", "--out", str(out)])
     assert status == EXIT_PARAMETER
     assert "positive and distinct" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_emf_check_refuses_off_grid_times_before_any_work(tmp_path, capsys):
+    """Times off the eigenvalue path's grid are named as t_grid errors."""
+    cfg = tmp_path / "emf.cfg"
+    cfg.write_text("t_grid = 0.002 0.0025\n")
+    out = tmp_path / "out"
+    status = main(["emf-check", "--config", str(cfg), "--samples", "20",
+                   "--seed", "0", "--out", str(out)])
+    assert status == EXIT_PARAMETER
+    assert ("t_grid times must be multiples of 0.001, got 0.0025"
+            in capsys.readouterr().err)
     assert not (out / "report.json").exists()
 
 

@@ -1,10 +1,14 @@
 """Config parsing, precedence, validation, and manifest serialization."""
 
+import importlib
+import inspect
+import pkgutil
 import warnings
 from pathlib import Path
 
 import pytest
 
+import rrglab
 from rrglab.config import (
     ConfigError,
     DegreeWindowWarning,
@@ -173,3 +177,17 @@ def test_config_is_frozen():
     config = ExperimentConfig()
     with pytest.raises(AttributeError):
         config.n = 5
+
+
+def test_defaulted_parameters_do_not_grow():
+    """Option ratchet: a new defaulted parameter must raise this bound."""
+    count = 0
+    for info in pkgutil.iter_modules(rrglab.__path__):
+        module = importlib.import_module(f"rrglab.{info.name}")
+        for func in vars(module).values():
+            if (inspect.isfunction(func)
+                    and func.__module__ == module.__name__):
+                count += sum(
+                    param.default is not param.empty
+                    for param in inspect.signature(func).parameters.values())
+    assert count <= 21

@@ -27,7 +27,8 @@ from rrglab.flow import (ConvergenceError, SingularityError, _orthonormalize,
 from rrglab.graphs import sample_regular_graph
 from rrglab.chain import switchable_tuples, switched_graph
 from rrglab.matrices import (center_rescale, h_switch_component,
-                             inner_product, sample_constrained_goe)
+                             inner_product, sample_constrained_goe,
+                             switch_direction)
 from rrglab.spectra import decompose, semicircle_m, stieltjes_empirical
 from rrglab.streams import rng_stream
 
@@ -177,27 +178,41 @@ def test_switch_generator_vanishes_without_moves():
 # Seminorms and the discrepancy scan
 
 
-def test_estimate_seminorm_order_zero_is_lr_mean():
-    func = stieltjes_observable(0.5j)
+def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
+    # F(H) = tr(xi_0123 H) is linear, so its derivative along a probe X is
+    # F(X) wherever the probe lands; replaying the probe stream gives each
+    # sample's max exactly, and the maxima differ, which pins the L^8 mean
+    def func(mat):
+        return h_switch_component(mat, 0, 1, 2, 3)
+
     mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1, 2)]
-    got = estimate_seminorm(func, mats, 0, r=8, rng=rng_stream(0))
-    expected = float(np.mean([abs(func(m)) ** 8 for m in mats]) ** (1 / 8))
-    assert abs(got - expected) < 1e-12
-    with pytest.raises(ValueError):
-        estimate_seminorm(func, mats, 5, rng=rng_stream(0))
+    got = estimate_seminorm(func, mats, 1, 0.5, rng=rng_stream(0))
+    replay, maxima = rng_stream(0), []
+    for _ in mats:
+        probes = []
+        for _ in range(64):
+            site = replay.integers(0, 8, size=(1, 4))[0]
+            replay.uniform(size=1)
+            probes.append(abs(func(switch_direction(8, *site))))
+        maxima.append(max(probes))
+    assert len(set(maxima)) > 1
+    expected = float(np.mean(np.array(maxima) ** 8) ** (1 / 8))
+    assert got == pytest.approx(expected, rel=1e-9)
+    for order in (0, 5):
+        with pytest.raises(ValueError):
+            estimate_seminorm(func, mats, order, 0.5, rng=rng_stream(0))
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():
     func = stieltjes_observable(0.5j)
     mats = [center_rescale(sample_regular_graph(10, 3, rng=rng_stream(19)))]
-    a = estimate_seminorm(func, mats, 2, n_probes=16, rng=rng_stream(20))
-    b = estimate_seminorm(func, mats, 2, n_probes=16, rng=rng_stream(20))
+    a = estimate_seminorm(func, mats, 2, 1.0, rng=rng_stream(20))
+    b = estimate_seminorm(func, mats, 2, 1.0, rng=rng_stream(20))
     assert a == b > 0
 
 
 def test_qf_lf_compare_row_contents():
-    rows = qf_lf_compare(16, (4, 8), 0.5j, 4, seed=0,
-                         seminorm_samples=2, seminorm_probes=4)
+    rows = qf_lf_compare(16, (4, 8), 0.5j, 4, seed=0)
     assert [r.degree for r in rows] == [4, 8]
     for r in rows:
         assert r.big_d == min(r.degree, 16 ** 2 / r.degree ** 3)
