@@ -23,7 +23,11 @@ which is what the jump-generator comparison runs at scale.
 
 The jump generator Q of the switching chain applied to the same Stieltjes
 observables is evaluated exactly by batched rank-4 Woodbury resolvent
-updates over the switchable-tuple support.
+updates over the switchable-tuple support.  The switching-derivative
+seminorms that normalize the Q-vs-L discrepancy are estimated for
+F = Im s(z) only, by central-difference stencils whose corners are
+low-rank updates of each probe's resolvent: the same Woodbury solve
+(``_woodbury_solve``) that evaluates Q.
 
 Also here: the eigenvector moment flow at p = 1 (an ODE over the M
 eigenvector sites driven by a frozen eigenvalue path, integrated by RK4 on
@@ -33,13 +37,14 @@ eigenvector SDEs, and the free-convolution Stieltjes fixed point.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .chain import switchable_tuples
-from .matrices import (center_rescale, directional_derivative,
-                       h_switch_component, project_constrained,
-                       sample_constrained_goe, switch_direction)
+from .matrices import (center_rescale, h_switch_component,
+                       project_constrained, sample_constrained_goe,
+                       switch_direction)
 from .spectra import decompose, semicircle_m
 from .streams import rng_stream
 
@@ -215,14 +220,34 @@ def stieltjes_flow_generator(eigenvalues, z):
 _SWITCH_PATTERN = switch_direction(4, 0, 1, 2, 3)
 
 
+def _woodbury_solve(c, c_g):
+    """(I + C G_UU)^{-1} C for stacked symmetric low-rank updates U C U^T.
+
+    With G = (H - z)^{-1} and U an N x k basis of the update (site
+    selectors for Q, difference pairs for the seminorm), the Woodbury
+    identity gives the resolvent trace shift
+
+        tr (H + U C U^T - z)^{-1} - tr G = -tr[(I + C G_UU)^{-1} C (G^2)_UU]
+
+    with G_UU = U^T G U and (G^2)_UU = U^T G^2 U, k x k; callers take the
+    trace against their (G^2)_UU.  ``c_g`` is the product C G_UU, which
+    becomes I + C G_UU in place: a block of Q's tuples is megabytes, so
+    neither G_UU nor a second copy stays alive through the solve.  For
+    Im z != 0, I + C G_UU is invertible: its determinant is
+    det(H + U C U^T - z) / det(H - z).
+    """
+    c_g += np.eye(c.shape[-1])
+    return np.linalg.solve(c_g, np.broadcast_to(c, c_g.shape).copy())
+
+
 def switch_generator_stieltjes(graph, z):
     """Q applied to A -> s(H_A; z), exactly, via rank-4 resolvent updates.
 
     Each accepted switching changes H by a rank-4 symmetric update
-    U C U^T (C = -xi[S,S]/sqrt(d-1)); the resolvent trace moves by
-    -tr[(I + C M)^{-1} C (G^2)[S,S]] with M = G[S,S], which the Woodbury
-    identity gives without re-decomposing.  The batched 4x4 solves run in
-    fixed-size blocks of tuples to bound peak memory.
+    U C U^T (C = -xi[S,S]/sqrt(d-1)), whose resolvent trace shift the
+    Woodbury identity gives without re-decomposing (``_woodbury_solve``).
+    The batched 4x4 solves run in fixed-size blocks of tuples to bound peak
+    memory.
     """
     n, d = graph.n_vertices, graph.degree
     m = n - 1
@@ -233,15 +258,13 @@ def switch_generator_stieltjes(graph, z):
         return 0j
     g_sq = g @ g
     c = -_SWITCH_PATTERN / math.sqrt(d - 1.0)
-    eye = np.eye(4)
     total = 0j
     block = 1 << 15
     for start in range(0, len(tuples), block):
         chunk = tuples[start:start + block]
         rows = chunk[:, :, None]
         cols = chunk[:, None, :]
-        lhs = eye + np.matmul(c, g[rows, cols])
-        solved = np.linalg.solve(lhs, np.broadcast_to(c, lhs.shape).copy())
+        solved = _woodbury_solve(c, np.matmul(c, g[rows, cols]))
         trace_shift = -np.einsum("kab,kba->k", solved, g_sq[rows, cols])
         total += complex(trace_shift.sum())
     return total / m / (8.0 * n * d)
@@ -251,30 +274,90 @@ def switch_generator_stieltjes(graph, z):
 # Seminorm estimation and the Q-vs-L discrepancy scan
 
 
-def estimate_seminorm(func, matrices, order, scale, *, rng):
-    """Sampled estimate of the order-n (1..4) switching-derivative seminorm.
+# A switching direction has rank 2: xi_ijkl = v w^T + w v^T with
+# v = e_i - e_l and w = e_j - e_k, so in the basis (v, w) it is this block.
+_SWITCH_PAIR = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _seminorm_stencils(h, sites, thetas, scale, z):
+    """Central-difference derivatives of F = Im s(z) at a stack of probes.
+
+    Probe p (``sites`` (P, r, 4), ``thetas`` (P, r), r the order) sits at
+    B_p = H + scale * sum_a thetas[p, a] X_a, X_a the switching direction
+    at sites[p, a]; its value is the 2^r-corner stencil
+
+        sum_{s in {-1,+1}^r} (prod_a s_a) F(B_p + step_p sum_a s_a X_a)
+            / (2 step_p)^r,
+
+    step_p = base * (1 + max|B_p|), base 1e-5 for r <= 2 and 1e-3 above.
+    Each corner is the rank-2r update V C V^T of B_p, with V holding the
+    pair (v_a, w_a) of every X_a and C = step_p blockdiag(s_a
+    ``_SWITCH_PAIR``), so its shift of tr G from the base is one Woodbury
+    solve (``_woodbury_solve``) against G = (B_p - z)^{-1}, of which
+    only G V is solved for.  The stencil weights sum to zero, so F(B_p) and
+    the trivial eigenvalue's -1/z cancel: the corner differences are formed
+    directly, never as differences of F's rounded values.
+    """
+    n_probes, order = thetas.shape
+    n = h.shape[0]
+    eye = np.eye(n)
+    i, j, k, l = np.moveaxis(sites, -1, 0)
+    v, w = eye[i] - eye[l], eye[j] - eye[k]  # (P, order, n)
+    offset = 0.0
+    for a in range(order):
+        # integer entries, so this is switch_direction(n, *site) exactly
+        half = v[:, a, :, None] * w[:, a, None, :]
+        direction = half + half.swapaxes(1, 2)
+        offset = offset + thetas[:, a, None, None] * direction
+    base = h + scale * offset
+    # the dense stencil's step rule (truncation against F's rounding), which
+    # the tests' dense oracle shares
+    step = (1e-5 if order <= 2 else 1e-3) * (1.0 + abs(base).max(axis=(1, 2)))
+
+    pairs = np.stack((v, w), axis=2).reshape(n_probes, 2 * order, n)
+    pairs = pairs.swapaxes(1, 2)  # columns v_1, w_1, v_2, w_2, ...
+    g_pairs = np.linalg.solve(base - z * eye, pairs)
+    # G is complex symmetric, so V^T G^2 V = (G V)^T (G V)
+    g_vv = np.matmul(pairs.swapaxes(1, 2), g_pairs)
+    g_sq_vv = np.matmul(g_pairs.swapaxes(1, 2), g_pairs)
+    signs = np.array(list(product((1.0, -1.0), repeat=order)))
+    corners = np.einsum("ca,ab,qr->caqbr", signs, np.eye(order),
+                        _SWITCH_PAIR).reshape(len(signs), 2 * order,
+                                              2 * order)
+    c = step[:, None, None, None] * corners
+    solved = _woodbury_solve(c, np.matmul(c, g_vv[:, None]))
+    shifts = -np.einsum("pcab,pba->pc", solved, g_sq_vv)
+    total = (shifts @ signs.prod(axis=1)).imag / (n - 1)
+    return total / (2.0 * step) ** order
+
+
+def estimate_seminorm(z, matrices, order, scale, *, rng):
+    """Sampled order-n (1..4) switching-derivative seminorm of F = Im s(z).
 
     For each sample H the inner sup over (theta, X) in [0,1]^n x
     (switching directions)^n is replaced by a max over ``_SEMINORM_PROBES``
     random draws of |d_{X_1}...d_{X_n} F| evaluated at
-    H + scale * sum theta_a X_a; the outer average is the L^r mean over
-    samples, r = ``_SEMINORM_POWER``.  A sampled max can only undershoot:
-    the estimate is a lower bound of the true seminorm.
+    H + scale * sum theta_a X_a (each probe draws its (n, 4) sites, then its
+    n thetas); the outer average is the L^r mean over samples, r =
+    ``_SEMINORM_POWER``.  The derivatives are the probes' central-difference
+    stencils, all probes of a sample at once, whose corners are Woodbury
+    updates of each probe's resolvent, the identity that
+    ``switch_generator_stieltjes`` uses for Q (see ``_seminorm_stencils``).
+    A sampled max can only undershoot: the estimate is a lower bound of the
+    true seminorm.
     """
     if order < 1 or order > 4:
         raise ValueError("order must be in 1..4")
     values = []
     for h in matrices:
         n = h.shape[0]
-        best = 0.0
-        for _ in range(_SEMINORM_PROBES):
-            sites = rng.integers(0, n, size=(order, 4))
-            thetas = rng.uniform(size=order)
-            dirs = [switch_direction(n, *site) for site in sites]
-            base = h + scale * sum(t * x for t, x in zip(thetas, dirs))
-            value = abs(directional_derivative(func, base, dirs))
-            best = max(best, value)
-        values.append(best)
+        sites = np.empty((_SEMINORM_PROBES, order, 4), dtype=np.int64)
+        thetas = np.empty((_SEMINORM_PROBES, order))
+        for p in range(_SEMINORM_PROBES):
+            sites[p] = rng.integers(0, n, size=(order, 4))
+            thetas[p] = rng.uniform(size=order)
+        stencils = _seminorm_stencils(h, sites, thetas, scale, z)
+        values.append(float(np.abs(stencils).max()))
     arr = np.asarray(values, dtype=np.float64)
     return float(np.mean(arr ** _SEMINORM_POWER) ** (1.0 / _SEMINORM_POWER))
 
@@ -309,7 +392,6 @@ def qf_lf_compare(n, degrees, z, n_samples, seed):
     # graphs.pairing_s read 0
     from .graphs import sample_regular_graph
 
-    func = stieltjes_observable(z)
     rows = []
     for d_idx, d in enumerate(degrees):
         discrepancies = np.empty(n_samples)
@@ -325,7 +407,7 @@ def qf_lf_compare(n, degrees, z, n_samples, seed):
                 matrices.append(h)
         seminorm_rng = rng_stream(seed, stream_id=900_000_000 + d_idx)
         seminorm = max(
-            estimate_seminorm(func, matrices, order, 1.0 / math.sqrt(d - 1.0),
+            estimate_seminorm(z, matrices, order, 1.0 / math.sqrt(d - 1.0),
                               rng=seminorm_rng)
             for order in (1, 2, 3, 4))
         big_d = min(float(d), n ** 2 / d ** 3)

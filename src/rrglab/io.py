@@ -9,18 +9,27 @@ Formats:
     in shortest round-trip form so identical runs are byte-identical;
   * JSON reports: {name, value, stderr, n_samples} records;
   * manifest: full config echo (defaults included), git describe, wall time,
-    and the pinned RNG stream algorithm.
+    the pinned RNG stream algorithm, and the run environment (versions,
+    cores, BLAS/OpenMP thread settings, chain kernel backend): seeded
+    floats can differ in their last bits with the BLAS thread count.
 """
 
 import json
+import os
+import platform
 import struct
 import subprocess
 from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .graphs import RegularGraph
 from .streams import STREAM_ALGORITHM
+
+# the thread settings that BLAS and OpenMP builds read at import; None in
+# the manifest when unset
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 MATRIX_MAGIC = b"RRGMAT\x00\x01"
 
@@ -147,6 +156,14 @@ def write_manifest(path, config, recipe, wall_time_seconds, extra=None):
         "git_describe": git_describe(),
         "wall_time_seconds": float(wall_time_seconds),
         "rng_algorithm": STREAM_ALGORITHM,
+        # read from what is already loaded or set: microseconds
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+            "kernel_backend": _kernels.BACKEND,
+        },
     }
     if extra:
         manifest.update(extra)

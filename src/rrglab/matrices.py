@@ -7,15 +7,13 @@ Centered, rescaled adjacency matrices live in
 equipped with the inner product <X, Y> = (N/2) tr(XY).  This module houses
 the projection onto that space, the centering map A -> (A - (d/N) J) /
 sqrt(d-1), the switching directions xi_ijkl = Delta_ij + Delta_kl -
-Delta_ik - Delta_jl (the tangent moves of the jump chain), the Gaussian
-stationary ensemble of the constrained matrix flow, and finite-difference
-directional derivatives of matrix observables.
+Delta_ik - Delta_jl (the tangent moves of the jump chain), and the
+Gaussian stationary ensemble of the constrained matrix flow.
 
 Matrices are plain float64 numpy arrays, not a wrapper type.
 """
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -148,30 +146,3 @@ def sample_constrained_goe(n, *, rng):
     block[:m, :m] = core
     w = _householder_conjugate(block)
     return 0.5 * (w + w.T)
-
-
-def directional_derivative(func, h, directions):
-    """Mixed central-difference derivative of F along matrix directions.
-
-    For dense matrix directions X_1, ..., X_n, estimates the n-th mixed
-    derivative d^n/dt_1...dt_n F(H + sum_a t_a X_a) at t = 0 by the
-    2^n-corner stencil
-
-        sum_{s in {-1,+1}^n} (prod_a s_a) F(H + step * sum_a s_a X_a)
-            / (2 * step)^n,
-
-    with step = base * (1 + max|H|), base 1e-5 for n <= 2 and 1e-3 above:
-    each balances truncation against 64-bit rounding at its orders.
-    Repeated directions give pure higher-order derivatives; n = 0 returns
-    F(H).  Non-finite F values propagate to the caller.
-    """
-    n = len(directions)
-    if n == 0:
-        return func(h)
-    base = 1e-5 if n <= 2 else 1e-3
-    step = base * (1.0 + float(abs(h).max()))
-    total = 0.0
-    for signs in product((1.0, -1.0), repeat=n):
-        point = h + step * sum(s * x for s, x in zip(signs, directions))
-        total += float(np.prod(signs)) * func(point)
-    return total / (2.0 * step) ** n

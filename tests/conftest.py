@@ -1,6 +1,8 @@
 """Shared fixtures: small graphs and matrices reused across test modules,
 and the oracles that several test modules check the library against."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,27 @@ def validate_eigenpairs(eigenvalues, eigenvectors, h=None, orth_tol=1e-8,
         worst = (np.sqrt((residual ** 2).sum(axis=0)) / bound).max()
         if worst > 1.0:
             raise AssertionError(f"eigenpair residual exceeds tolerance ({worst:.2e}x)")
+
+
+def directional_derivative(func, h, directions):
+    """Mixed central-difference derivative of F along matrix directions.
+
+    The dense-stencil oracle: for dense matrix directions X_1, ..., X_n
+    (n >= 1), estimates the n-th mixed derivative d^n/dt_1...dt_n
+    F(H + sum_a t_a X_a) at t = 0 by the 2^n-corner stencil
+
+        sum_{s in {-1,+1}^n} (prod_a s_a) F(H + step * sum_a s_a X_a)
+            / (2 * step)^n,
+
+    with step = base * (1 + max|H|), base 1e-5 for n <= 2 and 1e-3 above,
+    the step rule of ``flow.estimate_seminorm``.  Every corner is a full
+    evaluation of F, so F's rounding is divided by (2 * step)^n.
+    """
+    n = len(directions)
+    base = 1e-5 if n <= 2 else 1e-3
+    step = base * (1.0 + float(abs(h).max()))
+    total = 0.0
+    for signs in product((1.0, -1.0), repeat=n):
+        point = h + step * sum(s * x for s, x in zip(signs, directions))
+        total += float(np.prod(signs)) * func(point)
+    return total / (2.0 * step) ** n

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from rrglab import chain
+from rrglab import chain, flow
 from rrglab.cli import EXIT_ACCEPTANCE, EXIT_OK, EXIT_PARAMETER, main
 
 
@@ -209,3 +209,24 @@ def test_repeat_runs_write_identical_artifacts(tmp_path):
                  "gap_overlay.csv"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+def test_emf_check_fails_on_doubled_moment_flow_rates(tmp_path, monkeypatch):
+    """Negative control: the gate rejects a moment flow running twice as fast.
+
+    At the benchmark's config (n = 8, t_grid 0.04 0.2, 200 replicas, seed 0)
+    the true flow measured max sigma 1.05 and 1.08 at the two times, the
+    doubled one 6.19 and 6.52.
+    """
+    true_rates = flow.moment_flow_rates
+    monkeypatch.setattr(flow, "moment_flow_rates",
+                        lambda eigenvalues: 2.0 * true_rates(eigenvalues))
+    cfg = tmp_path / "emf.cfg"
+    cfg.write_text("n = 8\nt_grid = 0.04 0.2\n")
+    out = tmp_path / "out"
+    status = main(["emf-check", "--config", str(cfg), "--samples", "200",
+                   "--seed", "0", "--out", str(out)])
+    assert status == EXIT_ACCEPTANCE
+    sigmas = [r["value"] for r in json.loads((out / "report.json").read_text())
+              if r["name"].startswith("emf_max_sigma")]
+    assert min(sigmas) > 3.0

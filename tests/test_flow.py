@@ -9,17 +9,19 @@ empirical transform at t=0, and converge to the semicircle transform as
 t grows; zero-noise SDE paths follow their deterministic reductions.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import ZeroNoise, constraint_violation
+from conftest import ZeroNoise, constraint_violation, directional_derivative
 from rrglab import flow
 from rrglab.flow import (ConvergenceError, SingularityError, _orthonormalize,
-                         _path_row, emf_solve, estimate_seminorm,
-                         eigenvalue_path, eigenvector_sde, evolve_exact,
-                         evolve_sde, flow_generator, flow_generator_entrywise,
+                         _path_row, _seminorm_stencils, emf_solve,
+                         estimate_seminorm, eigenvalue_path, eigenvector_sde,
+                         evolve_exact, evolve_sde, flow_generator,
+                         flow_generator_entrywise,
                          free_conv_stieltjes, moment_flow_rates, qf_lf_compare,
                          semicircle_semigroup_residual,
                          stieltjes_flow_generator, stieltjes_observable,
@@ -178,36 +180,99 @@ def test_switch_generator_vanishes_without_moves():
 # Seminorms and the discrepancy scan
 
 
-def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
-    # F(H) = tr(xi_0123 H) is linear, so its derivative along a probe X is
-    # F(X) wherever the probe lands; replaying the probe stream gives each
-    # sample's max exactly, and the maxima differ, which pins the L^8 mean
-    def func(mat):
-        return h_switch_component(mat, 0, 1, 2, 3)
+# The dense oracle's rounding, fixed from F's rounding (about 1e-16 at
+# N = 8) over (2 step)^n with step >= 1.3e-5 (orders 1, 2) or 1.3e-3
+# (orders 3, 4), relative to maxima of 0.05 or more, with a factor 10
+_ORACLE_RTOL = {1: 1e-9, 2: 3e-5, 3: 1e-6, 4: 5e-4}
 
+
+def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
+    # replaying the probe stream, the dense-stencil oracle gives each
+    # sample's max over its probes; their L^8 mean is the estimate up to
+    # the oracle's own rounding
+    z = 0.1 + 0.5j
+    func = stieltjes_observable(z)
     mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1, 2)]
-    got = estimate_seminorm(func, mats, 1, 0.5, rng=rng_stream(0))
-    replay, maxima = rng_stream(0), []
-    for _ in mats:
-        probes = []
-        for _ in range(64):
-            site = replay.integers(0, 8, size=(1, 4))[0]
-            replay.uniform(size=1)
-            probes.append(abs(func(switch_direction(8, *site))))
-        maxima.append(max(probes))
-    assert len(set(maxima)) > 1
-    expected = float(np.mean(np.array(maxima) ** 8) ** (1 / 8))
-    assert got == pytest.approx(expected, rel=1e-9)
+    for order, rtol in _ORACLE_RTOL.items():
+        got = estimate_seminorm(z, mats, order, 0.5, rng=rng_stream(order))
+        replay, maxima = rng_stream(order), []
+        for h in mats:
+            best = 0.0
+            for _ in range(64):
+                sites = replay.integers(0, 8, size=(order, 4))
+                thetas = replay.uniform(size=order)
+                dirs = [switch_direction(8, *site) for site in sites]
+                base = h + 0.5 * sum(t * x for t, x in zip(thetas, dirs))
+                best = max(best, abs(directional_derivative(func, base, dirs)))
+            maxima.append(best)
+        assert len(set(maxima)) > 1
+        expected = float(np.mean(np.array(maxima) ** 8) ** (1 / 8))
+        assert got == pytest.approx(expected, rel=rtol), order
     for order in (0, 5):
         with pytest.raises(ValueError):
-            estimate_seminorm(func, mats, order, 0.5, rng=rng_stream(0))
+            estimate_seminorm(z, mats, order, 0.5, rng=rng_stream(0))
+
+
+def test_seminorm_stencil_matches_a_40_digit_reference():
+    # one probe per order at N = 8: the same base, step and 2^n corners
+    # evaluated in 40-digit arithmetic.  The Woodbury stencil differences
+    # the corners directly; the dense oracle divides F's rounding by
+    # (2 step)^n, so it must be the one farther from the reference
+    import mpmath
+
+    n, z, scale = 8, 0.1 + 0.5j, 0.5
+    h = sample_constrained_goe(n, rng=rng_stream(3))
+    all_sites = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [1, 3, 5, 7],
+                          [6, 4, 2, 0]])
+    with mpmath.workdps(40):
+        z_mp = mpmath.mpc(z.real, z.imag)
+        for order in (1, 2, 3, 4):
+            sites = all_sites[:order]
+            thetas = np.linspace(0.2, 0.8, order)
+            woodbury = _seminorm_stencils(h, sites[None], thetas[None],
+                                          scale, z)[0]
+            dirs = [switch_direction(n, *site) for site in sites]
+            base = h + scale * sum(t * x for t, x in zip(thetas, dirs))
+            dense = directional_derivative(stieltjes_observable(z), base, dirs)
+            step = mpmath.mpf((1e-5 if order <= 2 else 1e-3)
+                              * (1.0 + float(abs(base).max())))
+            total = mpmath.mpf(0)
+            for signs in itertools.product((1, -1), repeat=order):
+                corner = mpmath.matrix(base.tolist())
+                for sign, x in zip(signs, dirs):
+                    corner += step * sign * mpmath.matrix(x.tolist())
+                g = mpmath.inverse(corner - z_mp * mpmath.eye(n))
+                trace = sum(g[q, q] for q in range(n))
+                total += math.prod(signs) * mpmath.im((trace + 1 / z_mp)
+                                                      / (n - 1))
+            reference = float(total / (2 * step) ** order)
+            woodbury_err = abs(woodbury - reference)
+            dense_err = abs(dense - reference)
+            print(f"order {order}: reference {reference:.12e}, Woodbury "
+                  f"error {woodbury_err:.1e}, dense error {dense_err:.1e}")
+            assert woodbury_err <= dense_err
+            assert woodbury_err < 1e-7 * max(1.0, abs(reference))
+
+
+def test_estimate_seminorm_draws_the_probe_stream_unchanged():
+    # each probe draws its (order, 4) sites, then its order thetas, 64
+    # probes per matrix: the generator must end where that replay ends
+    mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1)]
+    for order in (1, 2, 3, 4):
+        rng, replay = rng_stream(order), rng_stream(order)
+        estimate_seminorm(0.5j, mats, order, 0.5, rng=rng)
+        for _ in range(64 * len(mats)):
+            replay.integers(0, 8, size=(order, 4))
+            replay.uniform(size=order)
+        # Philox state: counter, key and buffer arrays, plus scalars
+        assert repr(rng.bit_generator.state) == repr(
+            replay.bit_generator.state)
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():
-    func = stieltjes_observable(0.5j)
     mats = [center_rescale(sample_regular_graph(10, 3, rng=rng_stream(19)))]
-    a = estimate_seminorm(func, mats, 2, 1.0, rng=rng_stream(20))
-    b = estimate_seminorm(func, mats, 2, 1.0, rng=rng_stream(20))
+    a = estimate_seminorm(0.5j, mats, 2, 1.0, rng=rng_stream(20))
+    b = estimate_seminorm(0.5j, mats, 2, 1.0, rng=rng_stream(20))
     assert a == b > 0
 
 

@@ -175,12 +175,19 @@ def test_benchmark_tracer_counts_through_recipes(tmp_path):
                                         t_grid=(0.02,),
                                         output_dir=tmp_path / "emf"),
                        "emf-check")
+        # the two generator layers are wrapped by name in flow's namespace,
+        # so a rename or a caller-bound import would read 0 here
+        with pytest.warns(DegreeWindowWarning):
+            run_experiment(ExperimentConfig(n=20, d=4, n_samples=2, seed=0,
+                                            output_dir=tmp_path / "gen"),
+                           "generator-check")
     finally:
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.take())
     for name in ("kernels.steps", "chain.accept_ratio", "graphs.pairing_s",
                  "spectra.decompose_calls", "flow.eigval_path_s",
                  "flow.emf_steps", "flow.eigvec_sde_steps_per_s",
+                 "flow.seminorm_s", "flow.jump_generator_s",
                  "io.bytes_written"):
         assert metrics[name] > 0, name
     assert metrics["flow.emf_accept_ratio"] == 1.0  # the fixed grid rejects none

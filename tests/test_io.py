@@ -1,11 +1,14 @@
 """Serialization round-trips and exact on-disk formats for every artifact."""
 
 import json
+import os
+import platform
 import struct
 
 import numpy as np
 import pytest
 
+from rrglab import _kernels
 from rrglab.config import ExperimentConfig
 from rrglab.graphs import RegularGraph, sample_regular_graph
 from rrglab.io import (
@@ -177,6 +180,26 @@ def test_manifest_contents(tmp_path):
     assert echo["n_samples"] == 100 and echo["kappa"] == 0.1
     assert echo["z_grid"] == ["0.05j"]
     assert echo["big_d"] == config.big_d
+
+
+def test_manifest_records_the_run_environment(tmp_path, monkeypatch):
+    # seeded floats can move with the BLAS thread count: the manifest says
+    # what it was, and null for a variable that is unset
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = tmp_path / "manifest.json"
+    write_manifest(path, ExperimentConfig(n=100, d=4), recipe="sample",
+                   wall_time_seconds=0.1)
+    env = json.loads(path.read_text())["environment"]
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "threads": {"OPENBLAS_NUM_THREADS":
+                    os.environ.get("OPENBLAS_NUM_THREADS"),
+                    "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None},
+        "kernel_backend": _kernels.BACKEND,
+    }
 
 
 def test_snapshot_chain_survives_graph_io(tmp_path):

@@ -1,4 +1,5 @@
-"""Constrained matrix space: projections, directions, Gaussian law, FD.
+"""Constrained matrix space: projections, directions, Gaussian law, and
+the dense finite-difference oracle of ``conftest``.
 
 Oracles: closed-form traces for centered adjacency matrices, the exact
 entry covariance of the constrained Gaussian ensemble, and polynomial
@@ -11,13 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constrained_goe_covariance
+from conftest import constrained_goe_covariance, directional_derivative
 from rrglab.graphs import sample_regular_graph
-from rrglab.matrices import (center_rescale, directional_derivative,
-                             embed_in_offspace, h_switch_component,
-                             inner_product, project_constrained,
-                             restrict_to_offspace, sample_constrained_goe,
-                             switch_direction, uniform_unit)
+from rrglab.matrices import (center_rescale, embed_in_offspace,
+                             h_switch_component, inner_product,
+                             project_constrained, restrict_to_offspace,
+                             sample_constrained_goe, switch_direction,
+                             uniform_unit)
 from rrglab.streams import rng_stream
 
 
@@ -150,4 +151,3 @@ def test_directional_derivative_exact_on_cubic():
         assert abs(second - 6 * np.trace(h @ x @ y)) < 1e-5 * abs(second)
         third = directional_derivative(f, h, [x, y, z])
         assert abs(third - 6 * np.trace(x @ y @ z)) < 1e-4 * abs(third)
-        assert directional_derivative(f, h, []) == f(h)
