@@ -22,12 +22,13 @@ g_k = sum_i (lambda_i - z)^{-k} and h_2 = sum_i lambda_i (lambda_i-z)^{-2},
 which is what the jump-generator comparison runs at scale.
 
 The jump generator Q of the switching chain applied to the same Stieltjes
-observables is evaluated exactly by batched rank-4 Woodbury resolvent
-updates over the switchable-tuple support.  The switching-derivative
-seminorms that normalize the Q-vs-L discrepancy are estimated for
-F = Im s(z) only, by central-difference stencils whose corners are
-low-rank updates of each probe's resolvent: the same Woodbury solve
-(``_woodbury_solve``) that evaluates Q.
+observables is evaluated exactly, once per distinct switching: a switching
+is a rank-2 update of H, so its resolvent trace shift is the logarithmic
+derivative of a 2x2 determinant (matrix determinant lemma).  The
+switching-derivative seminorms that normalize the Q-vs-L discrepancy are
+estimated for F = Im s(z) only, by central-difference stencils whose
+corners are low-rank Woodbury updates of each probe's resolvent, written in
+the same rank-2 basis of a switching direction.
 
 Also here: the eigenvector moment flow at p = 1 (an ODE over the M
 eigenvector sites driven by a frozen eigenvalue path, integrated by RK4 on
@@ -180,21 +181,6 @@ def flow_generator_entrywise(func, h, step):
     return diffusion / n - 0.5 * drift
 
 
-def stieltjes_observable(z):
-    """F(H) = Im s(H; z), s = (1/M) tr G(z) on the nontrivial spectrum.
-
-    Works for any N x N H in M without eigenvector deflation: the trivial
-    eigenvalue sits exactly at 0, so M s(z) = tr (H - z)^{-1} + 1/z with
-    M = N - 1.
-    """
-    def func(h):
-        lam = np.linalg.eigvalsh(h)
-        value = (np.sum(1.0 / (lam - z)) + 1.0 / z) / (h.shape[0] - 1)
-        return float(value.imag)
-
-    return func
-
-
 def stieltjes_flow_generator(eigenvalues, z):
     """Closed-form L s(z) on a nontrivial spectrum: no finite differences.
 
@@ -214,69 +200,71 @@ def stieltjes_flow_generator(eigenvalues, z):
 
 
 # ---------------------------------------------------------------------------
-# Jump generator on Stieltjes observables (exact, Woodbury-accelerated)
-
-# xi_ijmn restricted to the rows/columns (i, j, m, n), in that basis order.
-_SWITCH_PATTERN = switch_direction(4, 0, 1, 2, 3)
-
-
-def _woodbury_solve(c, c_g):
-    """(I + C G_UU)^{-1} C for stacked symmetric low-rank updates U C U^T.
-
-    With G = (H - z)^{-1} and U an N x k basis of the update (site
-    selectors for Q, difference pairs for the seminorm), the Woodbury
-    identity gives the resolvent trace shift
-
-        tr (H + U C U^T - z)^{-1} - tr G = -tr[(I + C G_UU)^{-1} C (G^2)_UU]
-
-    with G_UU = U^T G U and (G^2)_UU = U^T G^2 U, k x k; callers take the
-    trace against their (G^2)_UU.  ``c_g`` is the product C G_UU, which
-    becomes I + C G_UU in place: a block of Q's tuples is megabytes, so
-    neither G_UU nor a second copy stays alive through the solve.  For
-    Im z != 0, I + C G_UU is invertible: its determinant is
-    det(H + U C U^T - z) / det(H - z).
-    """
-    c_g += np.eye(c.shape[-1])
-    return np.linalg.solve(c_g, np.broadcast_to(c, c_g.shape).copy())
-
-
-def switch_generator_stieltjes(graph, z):
-    """Q applied to A -> s(H_A; z), exactly, via rank-4 resolvent updates.
-
-    Each accepted switching changes H by a rank-4 symmetric update
-    U C U^T (C = -xi[S,S]/sqrt(d-1)), whose resolvent trace shift the
-    Woodbury identity gives without re-decomposing (``_woodbury_solve``).
-    The batched 4x4 solves run in fixed-size blocks of tuples to bound peak
-    memory.
-    """
-    n, d = graph.n_vertices, graph.degree
-    m = n - 1
-    h = center_rescale(graph)
-    g = np.linalg.inv(h - z * np.eye(n))
-    tuples = switchable_tuples(graph)
-    if len(tuples) == 0:
-        return 0j
-    g_sq = g @ g
-    c = -_SWITCH_PATTERN / math.sqrt(d - 1.0)
-    total = 0j
-    block = 1 << 15
-    for start in range(0, len(tuples), block):
-        chunk = tuples[start:start + block]
-        rows = chunk[:, :, None]
-        cols = chunk[:, None, :]
-        solved = _woodbury_solve(c, np.matmul(c, g[rows, cols]))
-        trace_shift = -np.einsum("kab,kba->k", solved, g_sq[rows, cols])
-        total += complex(trace_shift.sum())
-    return total / m / (8.0 * n * d)
-
-
-# ---------------------------------------------------------------------------
-# Seminorm estimation and the Q-vs-L discrepancy scan
+# Jump generator on Stieltjes observables (exact, by rank-2 determinants)
 
 
 # A switching direction has rank 2: xi_ijkl = v w^T + w v^T with
 # v = e_i - e_l and w = e_j - e_k, so in the basis (v, w) it is this block.
 _SWITCH_PAIR = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _one_per_switching(tuples, n):
+    """The rows of ``switchable_tuples`` that name each switching once.
+
+    (i,j,k,l), (k,l,i,j), (j,i,l,k) and (l,k,j,i) remove the same edges
+    {i,j}, {k,l} and add the same {i,k}, {j,l}; no other tuple does.  Of
+    those four, the kept row has i < j and its first edge {i,j} before
+    {k,l} in the lexicographic edge order.  ``n`` is the vertex count.
+    """
+    i, j, k, l = tuples.T
+    first = i * n + j
+    second = np.minimum(k, l) * n + np.maximum(k, l)
+    return tuples[(i < j) & (first < second)]
+
+
+def switch_generator_stieltjes(graph, z):
+    """Q applied to A -> s(H_A; z), exactly, via rank-2 determinant updates.
+
+    Each switching appears four times in the support, so the sum runs over
+    one tuple per switching (``_one_per_switching``) with weight 4, turning
+    Q's prefactor 1/(8Nd) into 1/(2Nd).  The switching (i,j,k,l) changes H
+    by c (v w^T + w v^T), c = -1/sqrt(d-1), v = e_i - e_l, w = e_j - e_k.
+    With G = (H - z)^{-1}, V = [v, w] and J the 2x2 swap (``_SWITCH_PAIR``),
+    det(H' - z) = det(H - z) det K with K = I + c J V^T G V, so the
+    resolvent trace shift is -(d/dz det K) / det K, where d/dz V^T G V =
+    V^T G^2 V.  The six entries of V^T G V and V^T G^2 V are gathers from
+    G and G^2, so each switching costs a few elementwise operations.
+    """
+    n, d = graph.n_vertices, graph.degree
+    tuples = _one_per_switching(switchable_tuples(graph), n)
+    if len(tuples) == 0:
+        return 0j
+    h = center_rescale(graph)
+    g = np.linalg.inv(h - z * np.eye(n))
+    g_sq = g @ g
+    i, j, k, l = tuples.T
+
+    def bilinear(mat, a, b, p, q):
+        """(e_a - e_b)^T mat (e_p - e_q), one value per switching."""
+        return mat[a, p] - mat[a, q] - mat[b, p] + mat[b, q]
+
+    c = -1.0 / math.sqrt(d - 1.0)
+    g_vv, g_ww, g_vw = (bilinear(g, i, l, i, l), bilinear(g, j, k, j, k),
+                        bilinear(g, i, l, j, k))
+    dg_vv, dg_ww, dg_vw = (bilinear(g_sq, i, l, i, l),
+                           bilinear(g_sq, j, k, j, k),
+                           bilinear(g_sq, i, l, j, k))
+    # K = [[1 + c g_wv, c g_ww], [c g_vv, 1 + c g_vw]], and g_wv = g_vw
+    # because G is complex symmetric
+    diag = 1.0 + c * g_vw
+    det = diag * diag - c * c * g_vv * g_ww
+    d_det = 2.0 * c * diag * dg_vw - c * c * (dg_vv * g_ww + g_vv * dg_ww)
+    total = complex((-d_det / det).sum())
+    return total / (n - 1) / (2.0 * n * d)
+
+
+# ---------------------------------------------------------------------------
+# Seminorm estimation and the Q-vs-L discrepancy scan
 
 
 def _seminorm_stencils(h, sites, thetas, scale, z):
@@ -292,11 +280,17 @@ def _seminorm_stencils(h, sites, thetas, scale, z):
     step_p = base * (1 + max|B_p|), base 1e-5 for r <= 2 and 1e-3 above.
     Each corner is the rank-2r update V C V^T of B_p, with V holding the
     pair (v_a, w_a) of every X_a and C = step_p blockdiag(s_a
-    ``_SWITCH_PAIR``), so its shift of tr G from the base is one Woodbury
-    solve (``_woodbury_solve``) against G = (B_p - z)^{-1}, of which
-    only G V is solved for.  The stencil weights sum to zero, so F(B_p) and
-    the trivial eigenvalue's -1/z cancel: the corner differences are formed
-    directly, never as differences of F's rounded values.
+    ``_SWITCH_PAIR``).  With G = (B_p - z)^{-1}, of which only G V is
+    solved for, the Woodbury identity gives its shift of tr G from the base
+
+        tr (B_p + V C V^T - z)^{-1} - tr G = -tr[(I + C G_VV)^{-1} C (G^2)_VV]
+
+    with G_VV = V^T G V and (G^2)_VV = V^T G^2 V, one stacked 2r x 2r
+    solve for all corners of all probes.  For Im z != 0, I + C G_VV is
+    invertible: its determinant is det(B_p + V C V^T - z) / det(B_p - z).
+    The stencil weights sum to zero, so F(B_p) and the trivial eigenvalue's
+    -1/z cancel: the corner differences are formed directly, never as
+    differences of F's rounded values.
     """
     n_probes, order = thetas.shape
     n = h.shape[0]
@@ -325,7 +319,8 @@ def _seminorm_stencils(h, sites, thetas, scale, z):
                         _SWITCH_PAIR).reshape(len(signs), 2 * order,
                                               2 * order)
     c = step[:, None, None, None] * corners
-    solved = _woodbury_solve(c, np.matmul(c, g_vv[:, None]))
+    solved = np.linalg.solve(np.matmul(c, g_vv[:, None]) + np.eye(2 * order),
+                             c)
     shifts = -np.einsum("pcab,pba->pc", solved, g_sq_vv)
     total = (shifts @ signs.prod(axis=1)).imag / (n - 1)
     return total / (2.0 * step) ** order
@@ -340,9 +335,8 @@ def estimate_seminorm(z, matrices, order, scale, *, rng):
     H + scale * sum theta_a X_a (each probe draws its (n, 4) sites, then its
     n thetas); the outer average is the L^r mean over samples, r =
     ``_SEMINORM_POWER``.  The derivatives are the probes' central-difference
-    stencils, all probes of a sample at once, whose corners are Woodbury
-    updates of each probe's resolvent, the identity that
-    ``switch_generator_stieltjes`` uses for Q (see ``_seminorm_stencils``).
+    stencils, all probes of a sample at once, whose corners are low-rank
+    Woodbury updates of each probe's resolvent (see ``_seminorm_stencils``).
     A sampled max can only undershoot: the estimate is a lower bound of the
     true seminorm.
     """
@@ -380,11 +374,12 @@ def qf_lf_compare(n, degrees, z, n_samples, seed):
     """Measure E|Qf - LF| for F = Im s(z) over uniform graph ensembles.
 
     For each degree d: samples graphs, evaluates the jump generator exactly
-    (Woodbury) and the flow generator in closed form, and reports the mean
-    absolute discrepancy normalized by D^{-1/2} N max_{1<=k<=4} of the
-    sampled order-k seminorms (D = min(d, N^2/d^3)).  The normalized
-    discrepancy should decrease as d grows.  The seminorms are L^8 means
-    over the first ``_SEMINORM_SAMPLES`` graphs of each degree.
+    (rank-2 determinant updates) and the flow generator in closed form, and
+    reports the mean absolute discrepancy normalized by D^{-1/2} N
+    max_{1<=k<=4} of the sampled order-k seminorms (D = min(d, N^2/d^3)).
+    The normalized discrepancy should decrease as d grows.  The seminorms
+    are L^8 means over the first ``_SEMINORM_SAMPLES`` graphs of each
+    degree.
     """
     # imported here, not at the top, so that the traced benchmark's wrapper
     # of graphs.sample_regular_graph sees generator-check's pairing: a

@@ -87,6 +87,22 @@ def validate_eigenpairs(eigenvalues, eigenvectors, h=None, orth_tol=1e-8,
             raise AssertionError(f"eigenpair residual exceeds tolerance ({worst:.2e}x)")
 
 
+def stieltjes_observable(z):
+    """F(H) = Im s(H; z), s = (1/M) tr G(z) on the nontrivial spectrum.
+
+    The dense observable the generator and seminorm oracles differentiate.
+    Works for any N x N H in M without eigenvector deflation: the trivial
+    eigenvalue sits exactly at 0, so M s(z) = tr (H - z)^{-1} + 1/z with
+    M = N - 1.
+    """
+    def func(h):
+        lam = np.linalg.eigvalsh(h)
+        value = (np.sum(1.0 / (lam - z)) + 1.0 / z) / (h.shape[0] - 1)
+        return float(value.imag)
+
+    return func
+
+
 def directional_derivative(func, h, directions):
     """Mixed central-difference derivative of F along matrix directions.
 

@@ -11,20 +11,23 @@ t grows; zero-noise SDE paths follow their deterministic reductions.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ZeroNoise, constraint_violation, directional_derivative
+from conftest import (ZeroNoise, constraint_violation, directional_derivative,
+                      stieltjes_observable)
 from rrglab import flow
-from rrglab.flow import (ConvergenceError, SingularityError, _orthonormalize,
+from rrglab.flow import (ConvergenceError, SingularityError,
+                         _one_per_switching, _orthonormalize,
                          _path_row, _seminorm_stencils, emf_solve,
                          estimate_seminorm, eigenvalue_path, eigenvector_sde,
                          evolve_exact, evolve_sde, flow_generator,
                          flow_generator_entrywise,
                          free_conv_stieltjes, moment_flow_rates, qf_lf_compare,
                          semicircle_semigroup_residual,
-                         stieltjes_flow_generator, stieltjes_observable,
+                         stieltjes_flow_generator,
                          switch_generator_stieltjes)
 from rrglab.graphs import sample_regular_graph
 from rrglab.chain import switchable_tuples, switched_graph
@@ -156,17 +159,36 @@ def test_stieltjes_flow_generator_matches_finite_differences():
 # Jump generator of the Stieltjes observable
 
 
-def test_switch_generator_matches_direct_redecomposition():
-    graph = sample_regular_graph(16, 3, rng=rng_stream(17))
-    z = -0.3 + 0.1j
+@pytest.mark.parametrize("n, d, z", [
+    pytest.param(16, 3, -0.3 + 0.1j, id="16-3"),
+    # a dense graph near the real axis: G's entries reach 1/Im z, and
+    # det K = (1 + c g_vw)^2 - c^2 g_vv g_ww cancels most
+    pytest.param(24, 8, 0.1 + 0.02j, id="24-8-small-im"),
+])
+def test_switch_generator_matches_direct_redecomposition(n, d, z):
+    graph = sample_regular_graph(n, d, rng=rng_stream(17))
     fast = switch_generator_stieltjes(graph, z)
     base = stieltjes_empirical(decompose(center_rescale(graph)), z)
     acc = 0j
-    for i, j, m, n in switchable_tuples(graph):
-        lam = decompose(center_rescale(switched_graph(graph, i, j, m, n)))
+    for row in switchable_tuples(graph):
+        lam = decompose(center_rescale(switched_graph(graph, *row)))
         acc += stieltjes_empirical(lam, z) - base
-    direct = acc / (8 * 16 * 3)
+    direct = acc / (8 * n * d)
     assert abs(fast - direct) < 1e-10 * max(1.0, abs(direct))
+
+
+def test_one_per_switching_keeps_one_of_four_tuples(graph_24_4):
+    # rows of the support grouped by the graph they switch to: every
+    # switching is listed four times, and the kept rows name each once
+    tuples = switchable_tuples(graph_24_4)
+    groups = {}
+    for row in tuples:
+        key = switched_graph(graph_24_4, *row).canonical_key()
+        groups[key] = groups.get(key, 0) + 1
+    assert set(groups.values()) == {4}
+    kept = [switched_graph(graph_24_4, *row).canonical_key()
+            for row in _one_per_switching(tuples, graph_24_4.n_vertices)]
+    assert sorted(kept) == sorted(groups)
 
 
 def test_switch_generator_vanishes_without_moves():
@@ -174,6 +196,23 @@ def test_switch_generator_vanishes_without_moves():
     graph = sample_regular_graph(6, 3, rng=rng_stream(18), burn_in=0)
     assert len(switchable_tuples(graph)) == 0
     assert switch_generator_stieltjes(graph, 0.5j) == 0j
+
+
+def test_switch_generator_peak_memory_stays_at_the_tuple_scan():
+    # a few arrays of one value per switching: past the support scan that
+    # it calls, one evaluation adds at most 1 MiB to the traced peak
+    graph = sample_regular_graph(32, 16, rng=rng_stream(19))
+    peaks = []
+    for call in (lambda: switchable_tuples(graph),
+                 lambda: switch_generator_stieltjes(graph, 0.5j)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    scan_peak, q_peak = peaks
+    assert q_peak <= scan_peak + (1 << 20), (scan_peak, q_peak)
 
 
 # ---------------------------------------------------------------------------
