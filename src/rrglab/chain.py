@@ -122,17 +122,6 @@ def tuple_switchable(i, j, m, n, graph):
                and not (a[i, m] or a[i, n] or a[j, m] or a[j, n]))
 
 
-def switched_graph(graph, i, j, m, n):
-    """The result of the accepted switching (i,j),(m,n) -> (i,m),(j,n).
-
-    The reversed tuple (i,m,j,n) is accepted on the result and undoes it.
-    """
-    adj = graph.adjacency_copy()
-    adj[i, j] = adj[j, i] = adj[m, n] = adj[n, m] = 0
-    adj[i, m] = adj[m, i] = adj[j, n] = adj[n, j] = 1
-    return RegularGraph(adj, validate=False)
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     """Exhaustive reversibility check on a small state space."""

@@ -4,22 +4,12 @@ The flow is the Ornstein-Uhlenbeck diffusion on the constrained space M
 (symmetric, H e = 0) whose stationary law is the constrained Gaussian
 ensemble: in distribution H(t) = e^{-t/2} H(0) + (1 - e^{-t})^{1/2} W.  Its
 generator acts on observables F extended off M through H -> F((1/2) P (H +
-H^T) P), P = I - e e^T, and has two algebraically equal forms:
-
-  * the switching-direction form
-        L = (1/(16 N^3)) sum_{ijkl} (d_xi)^2
-          - (1/(32 N^2)) sum_{ijkl} tr(xi H) d_xi,
-    summing over all vertex 4-tuples with xi = xi_ijkl the switching
-    direction and d_xi the derivative along it;
-  * the entrywise form  L = (1/N) sum_{ij} d_ij^2 - (1/2) d_H,
-    where d_ij differentiates along (1/2) P Delta_ij P and d_H along H.
-
-Both are evaluated by finite differences (at different stencil points, so
-their agreement is a genuine cross-check).  For Stieltjes observables
-s(z) = (1/M) tr G(z) on the nontrivial spectrum the generator reduces to
-the closed form  L s = (g_3 + g_1 g_2)/(N M) + h_2/(2 M)  with
-g_k = sum_i (lambda_i - z)^{-k} and h_2 = sum_i lambda_i (lambda_i-z)^{-2},
-which is what the jump-generator comparison runs at scale.
+H^T) P), P = I - e e^T, in a switching-direction form and an entrywise
+form; the tests evaluate both by finite differences as oracles.  For
+Stieltjes observables s(z) = (1/M) tr G(z) on the nontrivial spectrum the
+generator reduces to the closed form  L s = (g_3 + g_1 g_2)/(N M) +
+h_2/(2 M)  with g_k = sum_i (lambda_i - z)^{-k} and h_2 = sum_i lambda_i
+(lambda_i-z)^{-2}, which is what the jump-generator comparison runs at scale.
 
 The jump generator Q of the switching chain applied to the same Stieltjes
 observables is evaluated exactly, once per distinct switching: a switching
@@ -43,14 +33,10 @@ from itertools import product
 import numpy as np
 
 from .chain import switchable_tuples
-from .matrices import (center_rescale, h_switch_component,
-                       project_constrained, sample_constrained_goe,
-                       switch_direction)
-from .spectra import decompose, semicircle_m
+from .matrices import center_rescale, sample_constrained_goe
+from .spectra import decompose
 from .streams import rng_stream
 
-# Dense generator sums cost O(N^4) observable evaluations.
-DENSE_GENERATOR_LIMIT = 40
 # Eigenvalue gaps below this make the flows' 1/gap terms unsafe.
 _MIN_GAP = 1e-8
 _EMF_CFL = 0.25  # emf_solve's cap on dt * (max total exit rate)
@@ -113,72 +99,7 @@ def evolve_sde(h0, t, dt, *, rng):
 
 
 # ---------------------------------------------------------------------------
-# Flow generator: switching-direction and entrywise forms
-
-
-def flow_generator(func, h, step):
-    """Finite-difference evaluation of the flow generator L F(H).
-
-    Uses the switching-direction form: the dense sum over all N^4 vertex
-    4-tuples (i,j,k,l) of second differences along xi_ijkl, at distance
-    ``step``, weighted 1/(16 N^3) minus tr(xi H) times first differences
-    weighted 1/(32 N^2).  It costs O(N^4) observable evaluations, so it is
-    refused above N = ``DENSE_GENERATOR_LIMIT``.
-    """
-    n = h.shape[0]
-    if n > DENSE_GENERATOR_LIMIT:
-        raise ValueError(
-            f"dense generator sum is gated at N <= {DENSE_GENERATOR_LIMIT}")
-
-    f0 = func(h)
-    diffusion_w = 1.0 / (16.0 * n ** 3)
-    drift_w = 1.0 / (32.0 * n ** 2)
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if i == j == k == l:
-                        continue  # xi vanishes identically
-                    xi = switch_direction(n, i, j, k, l)
-                    f_plus = func(h + step * xi)
-                    f_minus = func(h - step * xi)
-                    second = (f_plus - 2.0 * f0 + f_minus) / step ** 2
-                    first = (f_plus - f_minus) / (2.0 * step)
-                    total += (diffusion_w * second - drift_w
-                              * h_switch_component(h, i, j, k, l) * first)
-    return total
-
-
-def _entry_direction(n, i, j):
-    """The projected coordinate direction (1/2) P Delta_ij P."""
-    delta = np.zeros((n, n))
-    delta[i, j] += 1.0
-    delta[j, i] += 1.0
-    return 0.5 * project_constrained(delta)
-
-
-def flow_generator_entrywise(func, h, step):
-    """The entrywise form L F = (1/N) sum_ij d_ij^2 F - (1/2) d_H F.
-
-    Derivatives are central differences at distance ``step`` along the
-    projected coordinate directions (1/2) P Delta_ij P (for the diffusion)
-    and along H itself (for the drift); evaluation points differ from
-    ``flow_generator``'s, making the agreement of the two forms a genuine
-    numerical identity check.
-    """
-    n = h.shape[0]
-    f0 = func(h)
-    diffusion = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            direction = _entry_direction(n, i, j)
-            f_plus = func(h + step * direction)
-            f_minus = func(h - step * direction)
-            second = (f_plus - 2.0 * f0 + f_minus) / step ** 2
-            diffusion += second if i == j else 2.0 * second
-    drift = (func(h + step * h) - func(h - step * h)) / (2.0 * step)
-    return diffusion / n - 0.5 * drift
+# Flow generator on Stieltjes observables
 
 
 def stieltjes_flow_generator(eigenvalues, z):
@@ -299,7 +220,7 @@ def _seminorm_stencils(h, sites, thetas, scale, z):
     v, w = eye[i] - eye[l], eye[j] - eye[k]  # (P, order, n)
     offset = 0.0
     for a in range(order):
-        # integer entries, so this is switch_direction(n, *site) exactly
+        # integer entries, so this is xi_ijkl = v w^T + w v^T exactly
         half = v[:, a, :, None] * w[:, a, None, :]
         direction = half + half.swapaxes(1, 2)
         offset = offset + thetas[:, a, None, None] * direction
@@ -726,14 +647,3 @@ def free_conv_stieltjes(initial_spectrum, t, z, tol=1e-12):
         f"free-convolution fixed point stalled at residual {prev_residual:.3e} "
         f"(target {tol:g}) after {_FREE_CONV_MAX_ITER} iterations")
 
-
-def semicircle_semigroup_residual(z, t):
-    """|m(z) - e^{t/2} m(e^{t/2} (z + theta_t m(z)))| with theta_t = 1 - e^{-t}.
-
-    The semicircle Stieltjes transform satisfies this identity exactly; the
-    residual is pure floating-point noise on any (z, t) grid with Im z > 0.
-    """
-    m = semicircle_m(z)
-    theta = 1.0 - math.exp(-t)
-    lift = math.exp(t / 2.0)
-    return abs(m - lift * semicircle_m(lift * (z + theta * m)))

@@ -2,13 +2,12 @@
 
 Centered, rescaled adjacency matrices live in
 
-    M = { H : H = H^T, H e = 0 },    e = (1, ..., 1)/sqrt(N),
+    M = { H : H = H^T, H e = 0 },    e = (1, ..., 1)/sqrt(N).
 
-equipped with the inner product <X, Y> = (N/2) tr(XY).  This module houses
-the projection onto that space, the centering map A -> (A - (d/N) J) /
-sqrt(d-1), the switching directions xi_ijkl = Delta_ij + Delta_kl -
-Delta_ik - Delta_jl (the tangent moves of the jump chain), and the
-Gaussian stationary ensemble of the constrained matrix flow.
+This module houses the centering map A -> (A - (d/N) J) / sqrt(d-1), the
+Householder reflection that restricts a constrained matrix to the
+complement of e and embeds vectors back, and the Gaussian stationary
+ensemble of the constrained matrix flow.
 
 Matrices are plain float64 numpy arrays, not a wrapper type.
 """
@@ -23,19 +22,6 @@ def uniform_unit(n):
     return np.full(n, 1.0 / np.sqrt(n))
 
 
-def project_constrained(mat):
-    """Orthogonally project a square matrix onto the constrained space.
-
-    Computes (1/2) P (M + M^T) P with P = I - e e^T; this is the map through
-    which observables on the space are extended to all of R^{N x N}, so
-    entrywise derivatives of observables are derivatives along the projected
-    coordinate directions (see ``rrglab.flow``).
-    """
-    sym = 0.5 * (mat + mat.T)
-    col_means = sym.mean(axis=0, keepdims=True)
-    return sym - col_means - col_means.T + sym.mean()
-
-
 def center_rescale(graph):
     """Centered, rescaled adjacency matrix H = (A - (d/N) J) / sqrt(d-1).
 
@@ -47,32 +33,6 @@ def center_rescale(graph):
         raise ValueError(f"degree must be >= 2 to center and rescale, got {d}")
     n = graph.n_vertices
     return (graph.adjacency - d / n) / np.sqrt(d - 1.0)
-
-
-def inner_product(x, y):
-    """<X, Y> = (N/2) tr(XY) for square matrices of matching size."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return 0.5 * x.shape[0] * float((x * y.T).sum())
-
-
-def switch_direction(n, i, j, k, l):
-    """Dense switching direction xi = Delta_ij + Delta_kl - Delta_ik - Delta_jl.
-
-    Delta_ab places 1 at (a,b) and (b,a) (so 2 at (a,a) when a = b);
-    coincident indices are handled exactly by that rule, no special cases.
-    The result is symmetric with zero row sums for any index choice.
-    """
-    xi = np.zeros((n, n))
-    for a, b, sign in ((i, j, 1.0), (k, l, 1.0), (i, k, -1.0), (j, l, -1.0)):
-        xi[a, b] += sign
-        xi[b, a] += sign
-    return xi
-
-
-def h_switch_component(h, i, j, k, l):
-    """tr(xi_ijkl H) = 2 (H_ij + H_kl - H_ik - H_jl); valid with coincidences."""
-    return 2.0 * (h[i, j] + h[k, l] - h[i, k] - h[j, l])
 
 
 @lru_cache(maxsize=None)

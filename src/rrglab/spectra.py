@@ -6,11 +6,11 @@ A spectrum is a float64 array of the M nontrivial eigenvalues, descending,
 so N is its length plus one: ``decompose`` computes it and ``eigenpairs``
 adds the eigenvectors.  Built on spectra: the semicircle density/CDF and
 its Stieltjes transform m(z), the classical eigenvalue locations gamma_i,
-empirical Stieltjes transforms and Green-function entries, normalized bulk
-gap ensembles (1-D arrays of pooled gaps), locally averaged correlation
-estimators, the level-repulsion statistic Q_i, delocalization and rigidity
-diagnostics, the two-sample Kolmogorov-Smirnov distance, and smooth
-compactly supported test functions.
+the empirical Stieltjes transform, normalized bulk gap ensembles (1-D
+arrays of pooled gaps), locally averaged correlation estimators,
+delocalization and rigidity diagnostics, the two-sample
+Kolmogorov-Smirnov distance, and smooth compactly supported test
+functions.
 
 Normalization conventions, fixed throughout: the semicircle density is
 rho(x) = sqrt((4 - x^2)_+) / (2 pi) on [-2, 2]; m(z) is the root of
@@ -27,8 +27,6 @@ from .matrices import embed_in_offspace, restrict_to_offspace
 
 # Largest max|H e| / (1 + max|H|) accepted as H e = 0.
 _CONSTRAINT_TOL = 1e-8
-# Level repulsion: a gap to lambda_i at or below this is a degeneracy.
-_REPULSION_MIN_GAP = 1e-12
 
 
 class DeflationError(ValueError):
@@ -131,23 +129,13 @@ def classical_locations(n):
 
 
 # ---------------------------------------------------------------------------
-# Empirical transforms and Green functions
+# Empirical Stieltjes transform
 
 
 def stieltjes_empirical(eigenvalues, z):
     """s(z) = (1/M) sum_k 1/(lambda_k - z) over the nontrivial spectrum."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     return complex(np.mean(1.0 / (lam - z)))
-
-
-def green_matrix(eigenvalues, eigenvectors, z):
-    """G(z) = sum_k v_k v_k^T / (lambda_k - z), the resolvent on e-perp."""
-    return (eigenvectors / (eigenvalues - z)) @ eigenvectors.T
-
-
-def gamma_stat(eigenvalues, eigenvectors, z):
-    """Gamma(z) = max_ij |G_ij(z)|, floored at 1."""
-    return max(1.0, float(np.abs(green_matrix(eigenvalues, eigenvectors, z)).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +170,6 @@ def gap_ensemble(spectra, kappa=0.1):
             raise ValueError("mixed dimensions in ensemble")
         gaps.append(scale * (lam[lo - 1:hi] - lam[lo:hi + 1]))
     return np.concatenate(gaps)
-
-
-def gap_statistic(spectra, i, n_gaps, phi):
-    """Monte Carlo average of phi over normalized gap vectors at rank i.
-
-    For each sample, forms (N rho(gamma_i) (lambda_{i+k} - lambda_{i+k+1}))
-    for k = 0..n_gaps-1 (ranks 1-based) and applies phi to the vector.
-    """
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("empty ensemble")
-    n = len(spectra[0]) + 1
-    if i < 1 or i + n_gaps > n - 1:
-        raise IndexError(f"gap window [{i}, {i + n_gaps}] outside 1..{n - 1}")
-    scale = n * semicircle_density(classical_locations(n)[i - 1])
-    total = 0.0
-    for lam in spectra:
-        gaps = scale * (lam[i - 1:i + n_gaps - 1] - lam[i:i + n_gaps])
-        total += float(phi(*gaps))
-    return total / len(spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -255,34 +223,7 @@ def correlation_estimator(spectra, n_point, energy, phi, n_nodes=64,
 
 
 # ---------------------------------------------------------------------------
-# Level repulsion, delocalization, rigidity
-
-
-def level_repulsion_q(eigenvalues, i):
-    """Q_i = (1/N^2) sum_{j != i} 1/(lambda_j - lambda_i)^2 (1-based rank i).
-
-    N is the length of the nontrivial spectrum plus one.  Returns +inf when
-    some gap to lambda_i is at most 1e-12 (a degenerate eigenvalue), never
-    raises.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    diffs = np.delete(lam, i - 1) - lam[i - 1]
-    if len(diffs) and np.abs(diffs).min() <= _REPULSION_MIN_GAP:
-        return math.inf
-    return float((1.0 / diffs ** 2).sum()) / (len(lam) + 1) ** 2
-
-
-def level_repulsion_q_resolvent(eigenvalues, eigenvectors, i):
-    """Q_i computed as tr(R_i^2)/N^2 with R_i = sum_{j != i} v_j v_j^T /
-    (lambda_i - lambda_j); the dense cross-check of the spectral sum."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    keep = np.arange(len(lam)) != (i - 1)
-    diffs = lam[i - 1] - lam[keep]
-    if len(diffs) and np.abs(diffs).min() <= _REPULSION_MIN_GAP:
-        return math.inf
-    v = np.asarray(eigenvectors, dtype=np.float64)[:, keep]
-    resolvent = (v / diffs) @ v.T
-    return float(np.trace(resolvent @ resolvent)) / (len(lam) + 1) ** 2
+# Delocalization and rigidity
 
 
 def delocalization_stat(eigenvectors):
@@ -330,7 +271,7 @@ def bump(x):
     return out if out.ndim else float(out)
 
 
-def bump_test_function(center=0.0, width=1.0):
+def bump_test_function(center, width):
     """A shifted/scaled bump x -> bump((x - center)/width); support radius
     ``width`` around ``center``."""
     def phi(x):

@@ -1,14 +1,16 @@
 """Shared fixtures: small graphs and matrices reused across test modules,
 and the oracles that several test modules check the library against."""
 
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
-from rrglab.graphs import sample_regular_graph
+from rrglab.graphs import RegularGraph, sample_regular_graph
 from rrglab.matrices import (center_rescale, sample_constrained_goe,
                              uniform_unit)
+from rrglab.spectra import semicircle_m
 from rrglab.streams import rng_stream
 
 
@@ -125,3 +127,138 @@ def directional_derivative(func, h, directions):
         point = h + step * sum(s * x for s, x in zip(signs, directions))
         total += float(np.prod(signs)) * func(point)
     return total / (2.0 * step) ** n
+
+
+# ---------------------------------------------------------------------------
+# The constrained matrix space and the switching directions
+
+
+def project_constrained(mat):
+    """Orthogonally project a square matrix onto the constrained space.
+
+    Computes (1/2) P (M + M^T) P with P = I - e e^T; this is the map through
+    which observables on the space are extended to all of R^{N x N}, so
+    entrywise derivatives of observables are derivatives along the projected
+    coordinate directions (see ``flow_generator_entrywise``).
+    """
+    sym = 0.5 * (mat + mat.T)
+    col_means = sym.mean(axis=0, keepdims=True)
+    return sym - col_means - col_means.T + sym.mean()
+
+
+def inner_product(x, y):
+    """<X, Y> = (N/2) tr(XY) for square matrices of matching size."""
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    return 0.5 * x.shape[0] * float((x * y.T).sum())
+
+
+def switch_direction(n, i, j, k, l):
+    """Dense switching direction xi = Delta_ij + Delta_kl - Delta_ik - Delta_jl.
+
+    Delta_ab places 1 at (a,b) and (b,a) (so 2 at (a,a) when a = b);
+    coincident indices are handled exactly by that rule, no special cases.
+    The result is symmetric with zero row sums for any index choice.
+    """
+    xi = np.zeros((n, n))
+    for a, b, sign in ((i, j, 1.0), (k, l, 1.0), (i, k, -1.0), (j, l, -1.0)):
+        xi[a, b] += sign
+        xi[b, a] += sign
+    return xi
+
+
+def h_switch_component(h, i, j, k, l):
+    """tr(xi_ijkl H) = 2 (H_ij + H_kl - H_ik - H_jl); valid with coincidences."""
+    return 2.0 * (h[i, j] + h[k, l] - h[i, k] - h[j, l])
+
+
+def switched_graph(graph, i, j, m, n):
+    """The result of the accepted switching (i,j),(m,n) -> (i,m),(j,n).
+
+    The reversed tuple (i,m,j,n) is accepted on the result and undoes it.
+    """
+    adj = graph.adjacency_copy()
+    adj[i, j] = adj[j, i] = adj[m, n] = adj[n, m] = 0
+    adj[i, m] = adj[m, i] = adj[j, n] = adj[n, j] = 1
+    return RegularGraph(adj, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# Dense flow generator: switching-direction and entrywise forms
+
+
+def flow_generator(func, h, step):
+    """Finite-difference evaluation of the flow generator L F(H).
+
+    Uses the switching-direction form
+
+        L = (1/(16 N^3)) sum_{ijkl} (d_xi)^2
+          - (1/(32 N^2)) sum_{ijkl} tr(xi H) d_xi:
+
+    the dense sum over all N^4 vertex 4-tuples (i,j,k,l) of second
+    differences along xi_ijkl, at distance ``step``, weighted 1/(16 N^3)
+    minus tr(xi H) times first differences weighted 1/(32 N^2).  It costs
+    O(N^4) observable evaluations, so callers keep N small.
+    """
+    n = h.shape[0]
+    f0 = func(h)
+    diffusion_w = 1.0 / (16.0 * n ** 3)
+    drift_w = 1.0 / (32.0 * n ** 2)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    if i == j == k == l:
+                        continue  # xi vanishes identically
+                    xi = switch_direction(n, i, j, k, l)
+                    f_plus = func(h + step * xi)
+                    f_minus = func(h - step * xi)
+                    second = (f_plus - 2.0 * f0 + f_minus) / step ** 2
+                    first = (f_plus - f_minus) / (2.0 * step)
+                    total += (diffusion_w * second - drift_w
+                              * h_switch_component(h, i, j, k, l) * first)
+    return total
+
+
+def _entry_direction(n, i, j):
+    """The projected coordinate direction (1/2) P Delta_ij P."""
+    delta = np.zeros((n, n))
+    delta[i, j] += 1.0
+    delta[j, i] += 1.0
+    return 0.5 * project_constrained(delta)
+
+
+def flow_generator_entrywise(func, h, step):
+    """The entrywise form L F = (1/N) sum_ij d_ij^2 F - (1/2) d_H F.
+
+    Derivatives are central differences at distance ``step`` along the
+    projected coordinate directions (1/2) P Delta_ij P (for the diffusion)
+    and along H itself (for the drift); evaluation points differ from
+    ``flow_generator``'s, making the agreement of the two forms a genuine
+    numerical identity check.
+    """
+    n = h.shape[0]
+    f0 = func(h)
+    diffusion = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            direction = _entry_direction(n, i, j)
+            f_plus = func(h + step * direction)
+            f_minus = func(h - step * direction)
+            second = (f_plus - 2.0 * f0 + f_minus) / step ** 2
+            diffusion += second if i == j else 2.0 * second
+    drift = (func(h + step * h) - func(h - step * h)) / (2.0 * step)
+    return diffusion / n - 0.5 * drift
+
+
+def semicircle_semigroup_residual(z, t):
+    """|m(z) - e^{t/2} m(e^{t/2} (z + theta_t m(z)))| with theta_t = 1 - e^{-t}.
+
+    The semicircle Stieltjes transform satisfies this identity exactly; the
+    residual is pure floating-point noise on any (z, t) grid with Im z > 0.
+    """
+    m = semicircle_m(z)
+    theta = 1.0 - math.exp(-t)
+    lift = math.exp(t / 2.0)
+    return abs(m - lift * semicircle_m(lift * (z + theta * m)))

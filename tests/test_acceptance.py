@@ -16,14 +16,19 @@ import time
 import numpy as np
 import pytest
 
+from conftest import (
+    flow_generator,
+    flow_generator_entrywise,
+    inner_product,
+    semicircle_semigroup_residual,
+    stieltjes_observable,
+)
 from rrglab.chain import invariance_report
 from rrglab.config import ExperimentConfig
 from rrglab.flow import (
     evolve_exact,
-    flow_generator,
-    flow_generator_entrywise,
     free_conv_stieltjes,
-    semicircle_semigroup_residual,
+    stieltjes_flow_generator,
 )
 from rrglab.harness import (
     _STREAM_FLOW,
@@ -35,7 +40,7 @@ from rrglab.harness import (
     semicircle_gate,
     trial_graph,
 )
-from rrglab.matrices import center_rescale, inner_product, sample_constrained_goe
+from rrglab.matrices import center_rescale, sample_constrained_goe
 from rrglab.spectra import (
     decompose,
     delocalization_stat,
@@ -122,7 +127,9 @@ def test_criterion_02_involution_and_conservation_suite():
 def test_criterion_03_generator_cross_validation():
     start = time.perf_counter()
     n = 10
-    closed_worst = forms_worst = 0.0
+    z = 0.5j
+    stieltjes = stieltjes_observable(z)
+    closed_worst = forms_worst = stieltjes_worst = 0.0
     for trial in range(20):
         h = sample_constrained_goe(n, rng=rng_stream(3, stream_id=trial))
 
@@ -137,11 +144,22 @@ def test_criterion_03_generator_cross_validation():
         scale = abs(closed)
         closed_worst = max(closed_worst, abs(dense - closed) / scale)
         forms_worst = max(forms_worst, abs(dense - entrywise) / scale)
-    ok = closed_worst <= 1e-4 and forms_worst <= 1e-8
+        if trial < 5:
+            # the closed form that generator-check runs, against the dense
+            # sum on Im s(z) at the unit test's step
+            library = stieltjes_flow_generator(decompose(h), z).imag
+            oracle = flow_generator(stieltjes, h,
+                                    step=1e-4 * (1.0 + np.abs(h).max()))
+            stieltjes_worst = max(stieltjes_worst, abs(library - oracle)
+                                  / max(1.0, abs(library)))
+    ok = (closed_worst <= 1e-4 and forms_worst <= 1e-8
+          and stieltjes_worst <= 1e-6)
     elapsed = time.perf_counter() - start
-    report_line(3, "flow generator vs closed form and form-vs-form", ok,
+    report_line(3, "flow generator vs closed forms and form-vs-form", ok,
                 f"closed-form rel {closed_worst:.2e} <= 1e-4, "
-                f"two-form rel {forms_worst:.2e} <= 1e-8; {elapsed:.1f}s")
+                f"two-form rel {forms_worst:.2e} <= 1e-8, "
+                f"Stieltjes closed-form rel {stieltjes_worst:.2e} <= 1e-6; "
+                f"{elapsed:.1f}s")
     assert ok
     assert elapsed < 300
 

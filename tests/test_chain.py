@@ -10,12 +10,11 @@ import itertools
 import numpy as np
 from scipy import stats
 
-from conftest import cycle_adjacency
+from conftest import cycle_adjacency, switched_graph
 from rrglab import chain
 from rrglab._kernels import run_switch_steps
 from rrglab.chain import (edge_array, invariance_report, resolve_proposals,
-                          run_chain, switchable_tuples, switched_graph,
-                          tuple_switchable)
+                          run_chain, switchable_tuples, tuple_switchable)
 from rrglab.graphs import RegularGraph, enumerate_regular_graphs
 from rrglab.streams import rng_stream
 

@@ -17,23 +17,22 @@ import numpy as np
 import pytest
 
 from conftest import (ZeroNoise, constraint_violation, directional_derivative,
-                      stieltjes_observable)
+                      flow_generator, flow_generator_entrywise,
+                      h_switch_component, inner_product,
+                      semicircle_semigroup_residual, stieltjes_observable,
+                      switch_direction, switched_graph)
 from rrglab import flow
 from rrglab.flow import (ConvergenceError, SingularityError,
                          _one_per_switching, _orthonormalize,
                          _path_row, _seminorm_stencils, emf_solve,
                          estimate_seminorm, eigenvalue_path, eigenvector_sde,
-                         evolve_exact, evolve_sde, flow_generator,
-                         flow_generator_entrywise,
+                         evolve_exact, evolve_sde,
                          free_conv_stieltjes, moment_flow_rates, qf_lf_compare,
-                         semicircle_semigroup_residual,
                          stieltjes_flow_generator,
                          switch_generator_stieltjes)
 from rrglab.graphs import sample_regular_graph
-from rrglab.chain import switchable_tuples, switched_graph
-from rrglab.matrices import (center_rescale, h_switch_component,
-                             inner_product, sample_constrained_goe,
-                             switch_direction)
+from rrglab.chain import switchable_tuples
+from rrglab.matrices import center_rescale, sample_constrained_goe
 from rrglab.spectra import decompose, semicircle_m, stieltjes_empirical
 from rrglab.streams import rng_stream
 

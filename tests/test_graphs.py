@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import cycle_adjacency
-from rrglab.chain import switched_graph, tuple_switchable
+from conftest import cycle_adjacency, switched_graph
+from rrglab.chain import tuple_switchable
 from rrglab.graphs import (RegularGraph, _pair_stubs_greedy,
                            enumerate_regular_graphs, sample_regular_graph)
 from rrglab.streams import rng_stream

@@ -1,5 +1,6 @@
-"""Constrained matrix space: projections, directions, Gaussian law, and
-the dense finite-difference oracle of ``conftest``.
+"""Constrained matrix space: centering, the Householder restriction, the
+Gaussian law, and the projection, switching-direction and dense
+finite-difference oracles of ``conftest``.
 
 Oracles: closed-form traces for centered adjacency matrices, the exact
 entry covariance of the constrained Gaussian ensemble, and polynomial
@@ -12,12 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constrained_goe_covariance, directional_derivative
+from conftest import (constrained_goe_covariance, directional_derivative,
+                      h_switch_component, inner_product, project_constrained,
+                      switch_direction)
 from rrglab.graphs import sample_regular_graph
 from rrglab.matrices import (center_rescale, embed_in_offspace,
-                             h_switch_component, inner_product,
-                             project_constrained, restrict_to_offspace,
-                             sample_constrained_goe, switch_direction,
+                             restrict_to_offspace, sample_constrained_goe,
                              uniform_unit)
 from rrglab.streams import rng_stream
 

@@ -2,9 +2,9 @@
 
 Closed-form oracles: complete graphs and cycles have explicit adjacency
 spectra; the semicircle transform satisfies m^2 + z m + 1 = 0; classical
-locations invert the tail integral; the Green matrix is the dense resolvent
-on e-perp.  Estimators with nontrivial bookkeeping (correlation integrals)
-are checked against naive reimplementations evaluated in this file.
+locations invert the tail integral.  Estimators with nontrivial
+bookkeeping (correlation integrals) are checked against naive
+reimplementations evaluated in this file.
 """
 
 import math
@@ -19,21 +19,11 @@ from rrglab.matrices import center_rescale
 from rrglab.spectra import (DeflationError, bulk_range, bump, bump_product,
                             bump_test_function, classical_locations,
                             correlation_estimator, decompose,
-                            delocalization_stat, eigenpairs, gamma_stat,
-                            gap_ensemble,
-                            gap_statistic, green_matrix, ks_distance,
-                            level_repulsion_q, level_repulsion_q_resolvent,
-                            rigidity_stat, semicircle_cdf, semicircle_density,
-                            semicircle_m, stieltjes_empirical)
+                            delocalization_stat, eigenpairs, gap_ensemble,
+                            ks_distance, rigidity_stat, semicircle_cdf,
+                            semicircle_density, semicircle_m,
+                            stieltjes_empirical)
 from rrglab.streams import rng_stream
-
-
-def synthetic_decomposition(n, eigenvalues, seed=0):
-    """A descending spectrum with random orthonormal N x (N-1) vectors."""
-    lam = np.sort(np.asarray(eigenvalues, dtype=np.float64))[::-1]
-    raw = rng_stream(seed).normal(size=(n, n - 1))
-    vectors, _ = np.linalg.qr(raw)
-    return lam, vectors
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +140,6 @@ def test_stieltjes_empirical_is_mean_resolvent_trace():
 
 
 # ---------------------------------------------------------------------------
-# Green functions
-
-
-def test_green_matrix_is_resolvent_on_offspace(h_24_4):
-    lam, vectors = eigenpairs(h_24_4)
-    z = 0.2 + 0.4j
-    n = len(lam) + 1
-    dense = np.linalg.inv(h_24_4 - z * np.eye(n))
-    # the dense resolvent carries the trivial eigenvalue's -1/z on e
-    reduced = dense + np.ones((n, n)) / (n * z)
-    assert np.abs(green_matrix(lam, vectors, z) - reduced).max() < 1e-10
-
-
-def test_gamma_stat_is_floored_max_entry(h_24_4):
-    lam, vectors = eigenpairs(h_24_4)
-    z = 0.1 + 2.0j  # far from the spectrum: all entries tiny, floor binds
-    assert gamma_stat(lam, vectors, z) == 1.0
-    z = 0.1 + 0.05j
-    expected = np.abs(green_matrix(lam, vectors, z)).max()
-    assert gamma_stat(lam, vectors, z) == max(1.0, expected)
-
-
-# ---------------------------------------------------------------------------
 # Gap statistics
 
 
@@ -200,18 +167,6 @@ def test_gap_ensemble_refuses_mixed_lengths():
                       classical_locations(101)[:100]])
     with pytest.raises(ValueError, match="empty ensemble"):
         gap_ensemble([])
-
-
-def test_gap_statistic_matches_naive_average():
-    lam_a = np.array([1.2, 0.8, 0.5, -0.1, -0.9])
-    lam_b = np.array([1.1, 0.9, 0.3, -0.2, -0.8])
-    scale = 6 * semicircle_density(classical_locations(6)[1])
-    expected = 0.5 * (scale * (lam_a[1] - lam_a[2])
-                      + scale * (lam_b[1] - lam_b[2]))
-    got = gap_statistic([lam_a, lam_b], 2, 1, lambda g: g)
-    assert abs(got - expected) < 1e-12
-    with pytest.raises(IndexError):
-        gap_statistic([lam_a, lam_b], 5, 1, lambda g: g)
 
 
 def test_correlation_estimator_matches_naive_sum():
@@ -265,31 +220,7 @@ def test_correlation_estimator_one_point_matches_naive_sum():
 
 
 # ---------------------------------------------------------------------------
-# Repulsion, delocalization, rigidity
-
-
-def test_level_repulsion_identity_holds():
-    rng = rng_stream(21)
-    for trial in range(5):
-        n = 20
-        lam = np.sort(rng.normal(size=n - 1))[::-1]
-        lam, vectors = synthetic_decomposition(n, lam, seed=trial)
-        for i in (1, 7, 19):
-            q_spec = level_repulsion_q(lam, i)
-            q_res = level_repulsion_q_resolvent(lam, vectors, i)
-            assert abs(q_spec - q_res) < 1e-12 * q_spec
-
-
-def test_level_repulsion_q_is_inverse_square_sum():
-    lam = np.array([2.0, 1.0, -0.5])
-    got = level_repulsion_q(lam, 2)
-    expected = (1.0 + 1.0 / 1.5 ** 2) / 16.0
-    assert abs(got - expected) < 1e-15
-
-
-def test_level_repulsion_guards_degenerate_gaps():
-    lam = np.array([1.0, 1.0, 0.0])
-    assert level_repulsion_q(lam, 1) == math.inf
+# Delocalization and rigidity
 
 
 def test_delocalization_stat_is_scaled_max_entry(h_24_4):
