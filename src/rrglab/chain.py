@@ -21,9 +21,10 @@ The generator of the chain acting on an observable f is
 
     Qf(A) = (1/(8*N*d)) * sum_{i,j,m,n} I(i,j,m,n; A) * (f(A') - f(A)),
 
-with A' the switched graph.  ``invariance_report`` verifies detailed
-balance, and with it stationarity, exactly on exhaustively enumerated state
-spaces;
+with A' the switched graph.  Four tuples name each move, so Q is also
+1/(2*N*d) times a sum over the moves, which ``switchings`` lists.
+``invariance_report`` verifies detailed balance, and with it
+stationarity, exactly on exhaustively enumerated state spaces;
 ``rrglab.flow.switch_generator_stieltjes`` evaluates Q on Stieltjes
 observables.
 """
@@ -86,28 +87,32 @@ def resolve_proposals(edges, proposals):
     return np.stack([tail[:, 0], head[:, 0], tail[:, 1], head[:, 1]], axis=1)
 
 
-def switchable_tuples(graph):
-    """All tuples (i, j, m, n) accepted by the jump chain, as an (K, 4) array.
+def switchings(graph):
+    """Every move of the jump chain once, as an (S, 4) array of (i, j, k, l).
 
-    The support is ordered pairs of directed edges whose four cross pairs
-    are non-adjacent; coincident vertices never appear because each edge's
-    far endpoint would make a cross pair adjacent.  Rows are sorted in the
-    lexicographic tuple order of the dense N^4 scan.  The (N*d)^2 indicator
-    scan runs in fixed-size row blocks to bound peak memory.
+    The move (i, j, k, l) replaces the edges {i, j}, {k, l} by {i, k},
+    {j, l}.  Two edges can switch when none of their four cross pairs is an
+    edge (so they share no vertex), and then both pairings of the second
+    edge are moves.  Of the chain's four tuples (i,j,k,l), (k,l,i,j),
+    (j,i,l,k) and (l,k,j,i) of a move, the row is the one with i < j and
+    {i, j} before {k, l} in ``edge_array`` order.  The scan pairs each edge
+    {i, j} with the directed edges (k, l) in lexicographic order, so the
+    rows come out sorted; it runs in fixed-size row blocks to bound peak
+    memory.
     """
     a = graph.adjacency.astype(bool)
+    n = graph.n_vertices
+    edges = edge_array(graph.adjacency)
     src, dst = np.nonzero(graph.adjacency)
-    m, n = src[None, :], dst[None, :]
+    rank = np.minimum(src, dst) * n + np.maximum(src, dst)
     blocks = []
     block = max(1, (1 << 22) // max(1, src.size))
-    for start in range(0, src.size, block):
-        i = src[start:start + block, None]
-        j = dst[start:start + block, None]
-        ok = ~(a[i, m] | a[i, n] | a[j, m] | a[j, n])
-        p, q = np.nonzero(ok)
-        blocks.append(np.stack([src[start + p], dst[start + p],
-                                src[q], dst[q]], axis=1))
-    return np.concatenate(blocks).astype(np.int64)
+    for start in range(0, len(edges), block):
+        i, j = edges[start:start + block, :1], edges[start:start + block, 1:]
+        ok = ~(a[i, src] | a[i, dst] | a[j, src] | a[j, dst])
+        p, q = np.nonzero(ok & (rank > i * n + j))
+        blocks.append(np.stack([i[p, 0], j[p, 0], src[q], dst[q]], axis=1))
+    return np.concatenate(blocks).astype(np.int64, copy=False)
 
 
 def tuple_switchable(i, j, m, n, graph):
@@ -137,12 +142,13 @@ def invariance_report(n_vertices, degree):
     """Verify detailed balance, hence uniform invariance, exhaustively.
 
     Enumerates every labeled d-regular graph on ``n_vertices`` vertices,
-    computes all jump-chain transitions, and checks that the transition
+    lists the moves of each once (``switchings``; the chain's four tuples
+    per move scale every count alike), and checks that the transition
     multiset is exactly symmetric: each move and its inverse occur equally
     often, so the uniform measure is reversible.  Reversibility implies
     stationarity: a symmetric multiset gives every graph B equal in- and
     out-degree, so for every observable f
-    sum_A Qf(A) = sum_B (indeg - outdeg)(B) f(B) / (8 N d) = 0.
+    sum_A Qf(A) = sum_B (indeg - outdeg)(B) f(B) / (2 N d) = 0.
     """
     graphs = enumerate_regular_graphs(n_vertices, degree)
     if not graphs:
@@ -168,13 +174,13 @@ def invariance_report(n_vertices, degree):
 
     src_parts, dst_parts = [], []
     for g_idx, g in enumerate(graphs):
-        tuples = switchable_tuples(g)
-        if not len(tuples):
+        moves = switchings(g)
+        if not len(moves):
             continue
-        i, j, m, k = tuples.T
-        flips = ((np.int64(1) << bit_of[i, j]) ^ (np.int64(1) << bit_of[m, k])
-                 ^ (np.int64(1) << bit_of[i, m]) ^ (np.int64(1) << bit_of[j, k]))
-        src_parts.append(np.full(len(tuples), g_idx, dtype=np.int64))
+        i, j, k, l = moves.T
+        flips = ((np.int64(1) << bit_of[i, j]) ^ (np.int64(1) << bit_of[k, l])
+                 ^ (np.int64(1) << bit_of[i, k]) ^ (np.int64(1) << bit_of[j, l]))
+        src_parts.append(np.full(len(moves), g_idx, dtype=np.int64))
         dst_parts.append(keys[g_idx] ^ flips)
 
     if src_parts:

@@ -12,13 +12,12 @@ h_2/(2 M)  with g_k = sum_i (lambda_i - z)^{-k} and h_2 = sum_i lambda_i
 (lambda_i-z)^{-2}, which is what the jump-generator comparison runs at scale.
 
 The jump generator Q of the switching chain applied to the same Stieltjes
-observables is evaluated exactly, once per distinct switching: a switching
-is a rank-2 update of H, so its resolvent trace shift is the logarithmic
-derivative of a 2x2 determinant (matrix determinant lemma).  The
-switching-derivative seminorms that normalize the Q-vs-L discrepancy are
-estimated for F = Im s(z) only, by central-difference stencils whose
-corners are low-rank Woodbury updates of each probe's resolvent, written in
-the same rank-2 basis of a switching direction.
+observables, and the switching-derivative seminorms of F = Im s(z) that
+normalize the Q-vs-L discrepancy, share one path: a switching direction
+is a rank-2 update of H, so every resolvent trace they need comes from
+gathers of G = (H - z)^{-1} and G^2 and small 2r x 2r algebra.  Q takes
+one 2x2 determinant per switching (matrix determinant lemma); the
+seminorm's probes and their stencil corners are rank-2r Woodbury updates.
 
 Also here: the eigenvector moment flow at p = 1 (an ODE over the M
 eigenvector sites driven by a frozen eigenvalue path, integrated by RK4 on
@@ -32,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from .chain import switchable_tuples
+from .chain import switchings
 from .matrices import center_rescale, sample_constrained_goe
 from .spectra import decompose
 from .streams import rng_stream
@@ -129,27 +128,17 @@ def stieltjes_flow_generator(eigenvalues, z):
 _SWITCH_PAIR = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _one_per_switching(tuples, n):
-    """The rows of ``switchable_tuples`` that name each switching once.
-
-    (i,j,k,l), (k,l,i,j), (j,i,l,k) and (l,k,j,i) remove the same edges
-    {i,j}, {k,l} and add the same {i,k}, {j,l}; no other tuple does.  Of
-    those four, the kept row has i < j and its first edge {i,j} before
-    {k,l} in the lexicographic edge order.  ``n`` is the vertex count.
-    """
-    i, j, k, l = tuples.T
-    first = i * n + j
-    second = np.minimum(k, l) * n + np.maximum(k, l)
-    return tuples[(i < j) & (first < second)]
+def _bilinear(mat, a, b, p, q):
+    """(e_a - e_b)^T mat (e_p - e_q), elementwise over the index arrays."""
+    return mat[a, p] - mat[a, q] - mat[b, p] + mat[b, q]
 
 
 def switch_generator_stieltjes(graph, z):
     """Q applied to A -> s(H_A; z), exactly, via rank-2 determinant updates.
 
-    Each switching appears four times in the support, so the sum runs over
-    one tuple per switching (``_one_per_switching``) with weight 4, turning
-    Q's prefactor 1/(8Nd) into 1/(2Nd).  The switching (i,j,k,l) changes H
-    by c (v w^T + w v^T), c = -1/sqrt(d-1), v = e_i - e_l, w = e_j - e_k.
+    The sum runs over the moves of ``chain.switchings``, once each, with
+    prefactor 1/(2Nd).  The switching (i,j,k,l) changes H by
+    c (v w^T + w v^T), c = -1/sqrt(d-1), v = e_i - e_l, w = e_j - e_k.
     With G = (H - z)^{-1}, V = [v, w] and J the 2x2 swap (``_SWITCH_PAIR``),
     det(H' - z) = det(H - z) det K with K = I + c J V^T G V, so the
     resolvent trace shift is -(d/dz det K) / det K, where d/dz V^T G V =
@@ -157,24 +146,19 @@ def switch_generator_stieltjes(graph, z):
     G and G^2, so each switching costs a few elementwise operations.
     """
     n, d = graph.n_vertices, graph.degree
-    tuples = _one_per_switching(switchable_tuples(graph), n)
-    if len(tuples) == 0:
+    moves = switchings(graph)
+    if len(moves) == 0:
         return 0j
     h = center_rescale(graph)
     g = np.linalg.inv(h - z * np.eye(n))
     g_sq = g @ g
-    i, j, k, l = tuples.T
-
-    def bilinear(mat, a, b, p, q):
-        """(e_a - e_b)^T mat (e_p - e_q), one value per switching."""
-        return mat[a, p] - mat[a, q] - mat[b, p] + mat[b, q]
-
+    i, j, k, l = moves.T
     c = -1.0 / math.sqrt(d - 1.0)
-    g_vv, g_ww, g_vw = (bilinear(g, i, l, i, l), bilinear(g, j, k, j, k),
-                        bilinear(g, i, l, j, k))
-    dg_vv, dg_ww, dg_vw = (bilinear(g_sq, i, l, i, l),
-                           bilinear(g_sq, j, k, j, k),
-                           bilinear(g_sq, i, l, j, k))
+    g_vv, g_ww, g_vw = (_bilinear(g, i, l, i, l), _bilinear(g, j, k, j, k),
+                        _bilinear(g, i, l, j, k))
+    dg_vv, dg_ww, dg_vw = (_bilinear(g_sq, i, l, i, l),
+                           _bilinear(g_sq, j, k, j, k),
+                           _bilinear(g_sq, i, l, j, k))
     # K = [[1 + c g_wv, c g_ww], [c g_vv, 1 + c g_vw]], and g_wv = g_vw
     # because G is complex symmetric
     diag = 1.0 + c * g_vw
@@ -199,47 +183,47 @@ def _seminorm_stencils(h, sites, thetas, scale, z):
             / (2 step_p)^r,
 
     step_p = base * (1 + max|B_p|), base 1e-5 for r <= 2 and 1e-3 above.
-    Each corner is the rank-2r update V C V^T of B_p, with V holding the
-    pair (v_a, w_a) of every X_a and C = step_p blockdiag(s_a
-    ``_SWITCH_PAIR``).  With G = (B_p - z)^{-1}, of which only G V is
-    solved for, the Woodbury identity gives its shift of tr G from the base
+    With V holding the pair (v_a, w_a) of every X_a, B_p = H + V C_p V^T,
+    C_p = scale blockdiag(thetas[p, a] ``_SWITCH_PAIR``), and a corner is
+    B_p + V C V^T, C = step_p blockdiag(s_a ``_SWITCH_PAIR``).  From the
+    gathers G_VV = V^T G V and (G^2)_VV of G = (H - z)^{-1}, the Woodbury
+    identity with M = (I + C_p G_VV)^{-1} gives G_p = (B_p - z)^{-1}'s
+    blocks V^T G_p V = G_VV M and V^T G_p^2 V = M^T (G^2)_VV M, and then
 
-        tr (B_p + V C V^T - z)^{-1} - tr G = -tr[(I + C G_VV)^{-1} C (G^2)_VV]
+        tr (B_p + V C V^T - z)^{-1} - tr G_p
+            = -tr[(I + C V^T G_p V)^{-1} C V^T G_p^2 V],
 
-    with G_VV = V^T G V and (G^2)_VV = V^T G^2 V, one stacked 2r x 2r
-    solve for all corners of all probes.  For Im z != 0, I + C G_VV is
-    invertible: its determinant is det(B_p + V C V^T - z) / det(B_p - z).
-    The stencil weights sum to zero, so F(B_p) and the trivial eigenvalue's
-    -1/z cancel: the corner differences are formed directly, never as
-    differences of F's rounded values.
+    all by stacked 2r x 2r solves, invertible for Im z != 0 (each determinant
+    is a ratio of two det(. - z)).  The stencil weights sum to zero, so
+    F(B_p) and the trivial eigenvalue's -1/z cancel: the corner differences
+    are formed directly, never as differences of F's rounded values.
     """
     n_probes, order = thetas.shape
     n = h.shape[0]
     eye = np.eye(n)
     i, j, k, l = np.moveaxis(sites, -1, 0)
-    v, w = eye[i] - eye[l], eye[j] - eye[k]  # (P, order, n)
-    offset = 0.0
-    for a in range(order):
-        # integer entries, so this is xi_ijkl = v w^T + w v^T exactly
-        half = v[:, a, :, None] * w[:, a, None, :]
-        direction = half + half.swapaxes(1, 2)
-        offset = offset + thetas[:, a, None, None] * direction
-    base = h + scale * offset
+    # integer entries, so each v w^T + w v^T is xi_ijkl exactly
+    half = np.einsum("pa,pax,pay->pxy", thetas, eye[i] - eye[l],
+                     eye[j] - eye[k])
     # the dense stencil's step rule (truncation against F's rounding), which
     # the tests' dense oracle shares
-    step = (1e-5 if order <= 2 else 1e-3) * (1.0 + abs(base).max(axis=(1, 2)))
+    step = (1e-5 if order <= 2 else 1e-3) * (
+        1.0 + abs(h + scale * (half + half.swapaxes(1, 2))).max(axis=(1, 2)))
 
-    pairs = np.stack((v, w), axis=2).reshape(n_probes, 2 * order, n)
-    pairs = pairs.swapaxes(1, 2)  # columns v_1, w_1, v_2, w_2, ...
-    g_pairs = np.linalg.solve(base - z * eye, pairs)
-    # G is complex symmetric, so V^T G^2 V = (G V)^T (G V)
-    g_vv = np.matmul(pairs.swapaxes(1, 2), g_pairs)
-    g_sq_vv = np.matmul(g_pairs.swapaxes(1, 2), g_pairs)
+    def pair_blocks(coeffs):  # blockdiag(coeffs[x, a] J) for each row x
+        return np.einsum("xa,ab,qr->xaqbr", coeffs, np.eye(order),
+                         _SWITCH_PAIR).reshape(len(coeffs), 2 * order, -1)
+
+    g = np.linalg.inv(h - z * eye)
+    # columns v_1, w_1, v_2, w_2, ...: v_a = e_i - e_l, w_a = e_j - e_k
+    plus = sites[..., :2].reshape(n_probes, 1, 2 * order)
+    minus = sites[..., [3, 2]].reshape(n_probes, 1, 2 * order)
+    g_vv, g_sq_vv = (_bilinear(mat, plus.swapaxes(1, 2), minus.swapaxes(1, 2),
+                               plus, minus) for mat in (g, g @ g))
+    m = np.linalg.inv(scale * pair_blocks(thetas) @ g_vv + np.eye(2 * order))
+    g_vv, g_sq_vv = g_vv @ m, m.swapaxes(1, 2) @ g_sq_vv @ m
     signs = np.array(list(product((1.0, -1.0), repeat=order)))
-    corners = np.einsum("ca,ab,qr->caqbr", signs, np.eye(order),
-                        _SWITCH_PAIR).reshape(len(signs), 2 * order,
-                                              2 * order)
-    c = step[:, None, None, None] * corners
+    c = step[:, None, None, None] * pair_blocks(signs)
     solved = np.linalg.solve(np.matmul(c, g_vv[:, None]) + np.eye(2 * order),
                              c)
     shifts = -np.einsum("pcab,pba->pc", solved, g_sq_vv)
@@ -256,8 +240,8 @@ def estimate_seminorm(z, matrices, order, scale, *, rng):
     H + scale * sum theta_a X_a (each probe draws its (n, 4) sites, then its
     n thetas); the outer average is the L^r mean over samples, r =
     ``_SEMINORM_POWER``.  The derivatives are the probes' central-difference
-    stencils, all probes of a sample at once, whose corners are low-rank
-    Woodbury updates of each probe's resolvent (see ``_seminorm_stencils``).
+    stencils, all probes of a sample at once, whose probes and corners are
+    low-rank updates of H's resolvent (see ``_seminorm_stencils``).
     A sampled max can only undershoot: the estimate is a lower bound of the
     true seminorm.
     """

@@ -172,6 +172,31 @@ def h_switch_component(h, i, j, k, l):
     return 2.0 * (h[i, j] + h[k, l] - h[i, k] - h[j, l])
 
 
+def switchable_tuples(graph):
+    """All tuples (i, j, m, n) accepted by the jump chain, as an (K, 4) array.
+
+    The support oracle, which names each move in all four of its spellings.
+    The support is ordered pairs of directed edges whose four cross pairs
+    are non-adjacent; coincident vertices never appear because each edge's
+    far endpoint would make a cross pair adjacent.  Rows are sorted in the
+    lexicographic tuple order of the dense N^4 scan.  The (N*d)^2 indicator
+    scan runs in fixed-size row blocks to bound peak memory.
+    """
+    a = graph.adjacency.astype(bool)
+    src, dst = np.nonzero(graph.adjacency)
+    m, n = src[None, :], dst[None, :]
+    blocks = []
+    block = max(1, (1 << 22) // max(1, src.size))
+    for start in range(0, src.size, block):
+        i = src[start:start + block, None]
+        j = dst[start:start + block, None]
+        ok = ~(a[i, m] | a[i, n] | a[j, m] | a[j, n])
+        p, q = np.nonzero(ok)
+        blocks.append(np.stack([src[start + p], dst[start + p],
+                                src[q], dst[q]], axis=1))
+    return np.concatenate(blocks).astype(np.int64)
+
+
 def switched_graph(graph, i, j, m, n):
     """The result of the accepted switching (i,j),(m,n) -> (i,m),(j,n).
 

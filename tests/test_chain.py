@@ -10,11 +10,11 @@ import itertools
 import numpy as np
 from scipy import stats
 
-from conftest import cycle_adjacency, switched_graph
+from conftest import cycle_adjacency, switchable_tuples, switched_graph
 from rrglab import chain
 from rrglab._kernels import run_switch_steps
 from rrglab.chain import (edge_array, invariance_report, resolve_proposals,
-                          run_chain, switchable_tuples, tuple_switchable)
+                          run_chain, switchings, tuple_switchable)
 from rrglab.graphs import RegularGraph, enumerate_regular_graphs
 from rrglab.streams import rng_stream
 
@@ -38,6 +38,22 @@ def test_switchable_tuples_match_scan(graph_24_4):
         assert switched_graph(g2, i, m, j, n) == graph_24_4
 
 
+def test_switchings_name_each_move_once(graph_24_4):
+    # every tuple of the support, grouped by the graph it switches to,
+    # falls in a group of four, and each group holds exactly one row
+    rows = switchings(graph_24_4)
+    moves = {}
+    for row in switchable_tuples(graph_24_4):
+        key = switched_graph(graph_24_4, *row).canonical_key()
+        moves.setdefault(key, set()).add(tuple(row))
+    assert {len(spellings) for spellings in moves.values()} == {4}
+    assert len(rows) == len(moves)
+    for row in rows.tolist():
+        key = switched_graph(graph_24_4, *row).canonical_key()
+        assert tuple(row) in moves.pop(key)
+    assert rows.tolist() == sorted(rows.tolist())
+
+
 def test_hexagonal_state_space_has_no_moves():
     report = invariance_report(6, 3)
     assert report.n_graphs == 70
@@ -48,7 +64,7 @@ def test_hexagonal_state_space_has_no_moves():
 def test_invariance_on_cubic_eight():
     report = invariance_report(8, 3)
     assert report.n_graphs == 19355
-    assert report.n_transitions == 1_421_280
+    assert report.n_transitions == 355_320
     assert report.reversible
 
 

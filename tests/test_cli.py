@@ -24,21 +24,16 @@ def test_verify_small_passes(tmp_path):
 
 
 def test_verify_small_fails_on_an_irreversible_chain(tmp_path, monkeypatch):
-    """Negative control: no moves leave a graph that holds the edge {0, 1}.
-
-    Dropping one orientation of each move instead would be no control:
-    each move has four tuple spellings, two survive in each direction, and
-    that chain stays reversible.
-    """
-    full = chain.switchable_tuples
+    """Negative control: no moves leave a graph that holds the edge {0, 1}."""
+    full = chain.switchings
 
     def blocked(graph):
-        tuples = full(graph)
-        return tuples[:0] if graph.adjacency[0, 1] else tuples
+        moves = full(graph)
+        return moves[:0] if graph.adjacency[0, 1] else moves
 
-    monkeypatch.setattr(chain, "switchable_tuples", blocked)
+    monkeypatch.setattr(chain, "switchings", blocked)
     report = chain.invariance_report(8, 3)
-    assert report.n_transitions == 812_160
+    assert report.n_transitions == 203_040
     assert not report.reversible
     assert main(["verify-small", "--out", str(tmp_path),
                  "--seed", "0"]) == EXIT_ACCEPTANCE

@@ -20,18 +20,17 @@ from conftest import (ZeroNoise, constraint_violation, directional_derivative,
                       flow_generator, flow_generator_entrywise,
                       h_switch_component, inner_product,
                       semicircle_semigroup_residual, stieltjes_observable,
-                      switch_direction, switched_graph)
+                      switch_direction, switchable_tuples, switched_graph)
 from rrglab import flow
 from rrglab.flow import (ConvergenceError, SingularityError,
-                         _one_per_switching, _orthonormalize,
-                         _path_row, _seminorm_stencils, emf_solve,
-                         estimate_seminorm, eigenvalue_path, eigenvector_sde,
-                         evolve_exact, evolve_sde,
+                         _orthonormalize, _path_row, _seminorm_stencils,
+                         emf_solve, estimate_seminorm, eigenvalue_path,
+                         eigenvector_sde, evolve_exact, evolve_sde,
                          free_conv_stieltjes, moment_flow_rates, qf_lf_compare,
                          stieltjes_flow_generator,
                          switch_generator_stieltjes)
 from rrglab.graphs import sample_regular_graph
-from rrglab.chain import switchable_tuples
+from rrglab.chain import switchings
 from rrglab.matrices import center_rescale, sample_constrained_goe
 from rrglab.spectra import decompose, semicircle_m, stieltjes_empirical
 from rrglab.streams import rng_stream
@@ -176,24 +175,10 @@ def test_switch_generator_matches_direct_redecomposition(n, d, z):
     assert abs(fast - direct) < 1e-10 * max(1.0, abs(direct))
 
 
-def test_one_per_switching_keeps_one_of_four_tuples(graph_24_4):
-    # rows of the support grouped by the graph they switch to: every
-    # switching is listed four times, and the kept rows name each once
-    tuples = switchable_tuples(graph_24_4)
-    groups = {}
-    for row in tuples:
-        key = switched_graph(graph_24_4, *row).canonical_key()
-        groups[key] = groups.get(key, 0) + 1
-    assert set(groups.values()) == {4}
-    kept = [switched_graph(graph_24_4, *row).canonical_key()
-            for row in _one_per_switching(tuples, graph_24_4.n_vertices)]
-    assert sorted(kept) == sorted(groups)
-
-
 def test_switch_generator_vanishes_without_moves():
     # the hexagonal state space admits no switching moves at all
     graph = sample_regular_graph(6, 3, rng=rng_stream(18), burn_in=0)
-    assert len(switchable_tuples(graph)) == 0
+    assert len(switchings(graph)) == 0
     assert switch_generator_stieltjes(graph, 0.5j) == 0j
 
 
@@ -202,7 +187,7 @@ def test_switch_generator_peak_memory_stays_at_the_tuple_scan():
     # it calls, one evaluation adds at most 1 MiB to the traced peak
     graph = sample_regular_graph(32, 16, rng=rng_stream(19))
     peaks = []
-    for call in (lambda: switchable_tuples(graph),
+    for call in (lambda: switchings(graph),
                  lambda: switch_generator_stieltjes(graph, 0.5j)):
         tracemalloc.start()
         try:
@@ -305,6 +290,21 @@ def test_estimate_seminorm_draws_the_probe_stream_unchanged():
         # Philox state: counter, key and buffer arrays, plus scalars
         assert repr(rng.bit_generator.state) == repr(
             replay.bit_generator.state)
+
+
+def test_estimate_seminorm_peak_memory_stays_below_8_mib():
+    # the probes are low-rank updates of one resolvent: past the real
+    # (64, N, N) stack that sets the step rule, nothing per probe is N x N
+    # (the dense per-probe solve peaked at 12.5 MiB here)
+    h = center_rescale(sample_regular_graph(64, 8, rng=rng_stream(0)))
+    tracemalloc.start()
+    try:
+        estimate_seminorm(0.5j, [h], 1, 1.0 / math.sqrt(7.0),
+                          rng=rng_stream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():
