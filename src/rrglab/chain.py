@@ -1,5 +1,6 @@
 """Markov jump chain on d-regular graphs driven by random edge switchings.
 
+A graph is its read-only uint8 adjacency array (see ``rrglab.graphs``).
 Each step draws a vertex 4-tuple (i, j, m, n) uniformly from [0, N)^4 and,
 when (i,j) and (m,n) are edges with none of the four cross pairs adjacent,
 replaces the edges {i,j}, {m,n} by {i,m}, {j,n}.  Every accepted move is its
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .graphs import RegularGraph, enumerate_regular_graphs
+from .graphs import _read_only, enumerate_regular_graphs
 
 # Proposals are drawn from the RNG in blocks of this many; any block size
 # yields the same trajectory because draws are consumed element by element.
@@ -48,15 +49,16 @@ def run_chain(graph, n_steps, *, rng):
     Binomial(n_steps, (d/N)^2) steps whose two pairs are edges are drawn,
     as pairs of directed-edge codes in [0, N*d); the law of the final graph
     is that of ``n_steps`` tuple steps.  Deterministic given (graph,
-    n_steps, rng state): the draws do not depend on ``BLOCK_SIZE``.
+    n_steps, rng state): the draws do not depend on ``BLOCK_SIZE``.  The
+    steps switch a private copy, never ``graph`` itself.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if n_steps == 0:
         return graph, 0
-    n, d = graph.n_vertices, graph.degree
+    n, d = len(graph), int(graph[0].sum())
     remaining = int(rng.binomial(n_steps, (d / n) ** 2))
-    adj = graph.adjacency_copy()
+    adj = graph.copy()
     edges = edge_array(adj)
     accepted = 0
     while remaining:
@@ -64,7 +66,7 @@ def run_chain(graph, n_steps, *, rng):
         proposals = rng.integers(0, n * d, size=(block, 2), dtype=np.int64)
         accepted += _kernels.run_switch_steps(adj, proposals, edges)
         remaining -= block
-    return RegularGraph(adj, validate=False), accepted
+    return _read_only(adj), accepted
 
 
 def edge_array(adjacency):
@@ -100,10 +102,10 @@ def switchings(graph):
     rows come out sorted; it runs in fixed-size row blocks to bound peak
     memory.
     """
-    a = graph.adjacency.astype(bool)
-    n = graph.n_vertices
-    edges = edge_array(graph.adjacency)
-    src, dst = np.nonzero(graph.adjacency)
+    a = graph.astype(bool)
+    n = len(graph)
+    edges = edge_array(graph)
+    src, dst = np.nonzero(graph)
     rank = np.minimum(src, dst) * n + np.maximum(src, dst)
     blocks = []
     block = max(1, (1 << 22) // max(1, src.size))
@@ -115,14 +117,13 @@ def switchings(graph):
     return np.concatenate(blocks).astype(np.int64, copy=False)
 
 
-def tuple_switchable(i, j, m, n, graph):
+def tuple_switchable(i, j, m, n, a):
     """1 if (i,j) and (m,n) are edges with no cross edges among the 4 cross pairs.
 
     This is the acceptance rule of the jump chain: A_ij A_mn (1-A_im)(1-A_in)
     (1-A_jm)(1-A_jn); coincident vertices always yield 0 because the diagonal
     vanishes.
     """
-    a = graph.adjacency
     return int(a[i, j] and a[m, n]
                and not (a[i, m] or a[i, n] or a[j, m] or a[j, n]))
 
@@ -166,7 +167,7 @@ def invariance_report(n_vertices, degree):
     bit_of[triu] = np.arange(n_bits)
     bit_of = bit_of + bit_of.T
     weights = np.int64(1) << np.arange(n_bits, dtype=np.int64)
-    bits = np.stack([g.adjacency[triu] for g in graphs]).astype(np.int64)
+    bits = np.stack([g[triu] for g in graphs]).astype(np.int64)
     keys = bits @ weights
 
     order = np.argsort(keys)

@@ -2,9 +2,10 @@
 
 Precedence, lowest to highest: built-in defaults, recipe defaults, config
 file, command-line flags.  The derived bandwidth parameter D = min(d,
-N^2/d^3) is always recomputed from (n, d), never stored.  Degree windows
-outside [N^alpha, N^{2/3-alpha}] draw a warning, not an error, so
-exploratory runs at extreme degrees remain possible.
+N^2/d^3) is always recomputed from (n, d), never stored.  Degrees outside
+the window [N^alpha, N^{2/3-alpha}], alpha = ``WINDOW_ALPHA``, draw a
+warning, not an error, so exploratory runs at extreme degrees remain
+possible.
 """
 
 import warnings
@@ -38,11 +39,12 @@ _PARSERS = {
     "z_grid": _parse_complex_list,
     "scheme": str,
     "output_dir": Path,
-    "alpha": float,
     "workers": int,
 }
 
 _SCHEMES = ("exact", "em")
+# the margin alpha of the degree window [N^alpha, N^{2/3-alpha}]
+WINDOW_ALPHA = 0.1
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class ExperimentConfig:
     z_grid: tuple = ()
     scheme: str = "exact"
     output_dir: Path = field(default_factory=lambda: Path("runs"))
-    alpha: float = 0.1
     workers: int = 1
 
     def __post_init__(self):
@@ -76,8 +77,6 @@ class ExperimentConfig:
             raise ConfigError("kappa must lie in (0, 0.5)")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}")
-        if not 0.0 < self.alpha < 1.0 / 3.0:
-            raise ConfigError("alpha must lie in (0, 1/3)")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
 
@@ -88,7 +87,7 @@ class ExperimentConfig:
 
     @property
     def degree_window(self):
-        return (self.n ** self.alpha, self.n ** (2.0 / 3.0 - self.alpha))
+        return (self.n ** WINDOW_ALPHA, self.n ** (2.0 / 3.0 - WINDOW_ALPHA))
 
     def warn_if_outside_window(self):
         lo, hi = self.degree_window

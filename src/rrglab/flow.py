@@ -145,7 +145,7 @@ def switch_generator_stieltjes(graph, z):
     V^T G^2 V.  The six entries of V^T G V and V^T G^2 V are gathers from
     G and G^2, so each switching costs a few elementwise operations.
     """
-    n, d = graph.n_vertices, graph.degree
+    n, d = len(graph), int(graph[0].sum())
     moves = switchings(graph)
     if len(moves) == 0:
         return 0j
@@ -389,10 +389,6 @@ class EmfSolution:
     contraction_ok: bool
     n_accepted: int
     n_rejected: int
-
-    @property
-    def final(self):
-        return self.values[-1]
 
     def value_at(self, t):
         """The solution at a time the integration landed on exactly."""

@@ -1,11 +1,11 @@
-"""Simple d-regular graphs on labeled vertices: storage, sampling, enumeration.
+"""Simple d-regular graphs on labeled vertices: sampling and enumeration.
 
-A graph is stored as a dense symmetric 0/1 adjacency matrix (uint8) with
-zero diagonal, which gives O(1) edge membership and O(1) application of an
-edge switching.  ``RegularGraph`` values are immutable from the caller's
-perspective: operations return new graphs, and the long-running jump chain
-(see ``rrglab.chain``, which owns the switching rule) mutates only private
-copies.
+A graph is its adjacency matrix: a read-only, C-contiguous, symmetric 0/1
+uint8 (N, N) array with zero diagonal, which gives O(1) edge membership.
+N is ``len(adj)`` and d is ``int(adj[0].sum())``; two graphs are equal
+when ``np.array_equal`` says so.  The sampler, the enumeration, the jump
+chain (``rrglab.chain``, which owns the switching rule and mutates only a
+private copy) and the graph reader (``rrglab.io``) return such arrays.
 """
 
 import math
@@ -27,77 +27,9 @@ class SamplingError(RuntimeError):
     """Raised when the graph sampler exhausts its restart budget."""
 
 
-class RegularGraph:
-    """Immutable simple graph with constant vertex degree."""
-
-    def __init__(self, adjacency, validate=True):
-        adj = np.ascontiguousarray(adjacency, dtype=np.uint8)
-        if validate:
-            _validate_adjacency(adj)
-        adj.flags.writeable = False
-        self._adj = adj
-        self.n_vertices = adj.shape[0]
-        self.degree = int(adj[0].sum()) if self.n_vertices else 0
-
-    @classmethod
-    def from_edges(cls, n_vertices, edges):
-        adj = np.zeros((n_vertices, n_vertices), dtype=np.uint8)
-        for u, v in edges:
-            if adj[u, v]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u, v] = adj[v, u] = 1
-        return cls(adj)
-
-    @property
-    def adjacency(self):
-        """Read-only adjacency matrix view."""
-        return self._adj
-
-    def adjacency_copy(self):
-        """Writable copy of the adjacency matrix."""
-        out = self._adj.copy()
-        out.flags.writeable = True
-        return out
-
-    def has_edge(self, u, v):
-        return bool(self._adj[u, v])
-
-    def edges(self):
-        """Edges as (u, v) with u < v, sorted lexicographically."""
-        iu, ju = np.nonzero(np.triu(self._adj, 1))
-        return list(zip(iu.tolist(), ju.tolist()))
-
-    def canonical_key(self):
-        """Hashable key identifying this labeled graph."""
-        n = self.n_vertices
-        return self._adj[np.triu_indices(n, 1)].tobytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, RegularGraph):
-            return NotImplemented
-        return (self.n_vertices == other.n_vertices
-                and np.array_equal(self._adj, other._adj))
-
-    def __hash__(self):
-        return hash((self.n_vertices, self.canonical_key()))
-
-    def __repr__(self):
-        return (f"RegularGraph(n_vertices={self.n_vertices}, "
-                f"degree={self.degree}, edges={self.n_vertices * self.degree // 2})")
-
-
-def _validate_adjacency(adj):
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be square")
-    if adj.size and (np.diag(adj) != 0).any():
-        raise ValueError("graph must be simple (zero diagonal)")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency must be symmetric")
-    if not np.isin(adj, (0, 1)).all():
-        raise ValueError("adjacency entries must be 0 or 1")
-    degs = adj.sum(axis=1)
-    if adj.size and (degs != degs[0]).any():
-        raise ValueError("graph must be regular (constant degree)")
+def _read_only(adj):
+    adj.flags.writeable = False
+    return adj
 
 
 def sample_regular_graph(n_vertices, degree, *, rng, burn_in=None):
@@ -123,14 +55,14 @@ def sample_regular_graph(n_vertices, degree, *, rng, burn_in=None):
         raise ValueError(f"n*d must be even, got n={n_vertices} d={degree}")
 
     if degree == 0:
-        return RegularGraph(np.zeros((n_vertices, n_vertices), dtype=np.uint8))
+        return _read_only(np.zeros((n_vertices, n_vertices), dtype=np.uint8))
 
     if (degree - 1) / 2.0 + (degree - 1) ** 2 / 4.0 <= _LOG_REJECTION_BUDGET:
         adj = _pair_stubs_rejection(n_vertices, degree, rng)
     else:
         adj = _pair_stubs_greedy(n_vertices, degree, rng)
 
-    graph = RegularGraph(adj, validate=False)
+    graph = _read_only(adj)
     if burn_in is None:
         burn_in = DEFAULT_BURN_IN_FACTOR * n_vertices * degree
     if burn_in > 0:
@@ -197,8 +129,10 @@ def enumerate_regular_graphs(n_vertices, degree):
     """All labeled simple d-regular graphs on n vertices, by backtracking.
 
     Intended for exhaustive small-space checks (n <= 8, d = 3 gives 19355
-    graphs).  Returns a list of ``RegularGraph`` in a deterministic order.
+    graphs).  Returns a list of adjacency arrays in a deterministic order.
     """
+    from itertools import combinations
+
     n, d = n_vertices, degree
     if (n * d) % 2 or d >= n or n <= 0 or d < 0:
         return []
@@ -209,7 +143,7 @@ def enumerate_regular_graphs(n_vertices, degree):
     def extend(u):
         if u == n:
             if all(r == 0 for r in residual):
-                out.append(RegularGraph(adj.copy(), validate=False))
+                out.append(_read_only(adj.copy()))
             return
         need = residual[u]
         if need == 0:
@@ -218,8 +152,6 @@ def enumerate_regular_graphs(n_vertices, degree):
         candidates = [v for v in range(u + 1, n) if residual[v] > 0]
         if len(candidates) < need:
             return
-        from itertools import combinations
-
         for combo in combinations(candidates, need):
             for v in combo:
                 adj[u, v] = adj[v, u] = 1

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .graphs import RegularGraph
+from .chain import edge_array
 from .streams import STREAM_ALGORITHM
 
 # the thread settings that BLAS and OpenMP builds read at import; None in
@@ -35,26 +35,41 @@ MATRIX_MAGIC = b"RRGMAT\x00\x01"
 
 
 def write_graph_text(graph, path):
-    lines = [f"{graph.n_vertices} {graph.degree}"]
-    lines.extend(f"{i + 1} {j + 1}" for i, j in graph.edges())
+    lines = [f"{len(graph)} {int(graph[0].sum())}"]
+    lines.extend(f"{i + 1} {j + 1}" for i, j in edge_array(graph).tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_graph_text(path):
+    """A graph file as a read-only adjacency array, checked to be simple
+    and regular with the header's degree."""
     tokens = Path(path).read_text().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: truncated graph file")
     n, d = int(tokens[0]), int(tokens[1])
-    pairs = tokens[2:]
-    if len(pairs) % 2:
+    labels = [int(tok) for tok in tokens[2:]]
+    if len(labels) % 2:
         raise ValueError(f"{path}: odd number of edge endpoints")
-    edges = [(int(pairs[k]) - 1, int(pairs[k + 1]) - 1)
-             for k in range(0, len(pairs), 2)]
-    graph = RegularGraph.from_edges(n, edges)
-    if graph.degree != d:
+    if n < 1:
+        raise ValueError(f"{path}: need at least one vertex, got {n}")
+    for label in labels:
+        if not 1 <= label <= n:
+            raise ValueError(f"{path}: vertex label {label} outside 1..{n}")
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for u, v in zip(labels[0::2], labels[1::2]):
+        if u == v:
+            raise ValueError(f"{path}: self-loop at vertex {u}")
+        if adj[u - 1, v - 1]:
+            raise ValueError(f"{path}: duplicate edge ({u}, {v})")
+        adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
+    degrees = adj.sum(axis=1)
+    if (degrees != degrees[0]).any():
+        raise ValueError(f"{path}: graph must be regular (constant degree)")
+    if degrees[0] != d:
         raise ValueError(f"{path}: header says degree {d}, "
-                         f"edges give {graph.degree}")
-    return graph
+                         f"edges give {degrees[0]}")
+    adj.flags.writeable = False
+    return adj
 
 
 def write_matrix(mat, path):

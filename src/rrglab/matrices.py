@@ -28,11 +28,10 @@ def center_rescale(graph):
     The all-ones direction is an exact null vector of H, and the nontrivial
     spectrum is asymptotically supported on [-2, 2].
     """
-    d = graph.degree
+    n, d = len(graph), int(graph[0].sum())
     if d < 2:
         raise ValueError(f"degree must be >= 2 to center and rescale, got {d}")
-    n = graph.n_vertices
-    return (graph.adjacency - d / n) / np.sqrt(d - 1.0)
+    return (graph - d / n) / np.sqrt(d - 1.0)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from rrglab.graphs import RegularGraph, sample_regular_graph
+from rrglab.graphs import sample_regular_graph
 from rrglab.matrices import (center_rescale, sample_constrained_goe,
                              uniform_unit)
 from rrglab.spectra import semicircle_m
@@ -182,8 +182,8 @@ def switchable_tuples(graph):
     lexicographic tuple order of the dense N^4 scan.  The (N*d)^2 indicator
     scan runs in fixed-size row blocks to bound peak memory.
     """
-    a = graph.adjacency.astype(bool)
-    src, dst = np.nonzero(graph.adjacency)
+    a = graph.astype(bool)
+    src, dst = np.nonzero(graph)
     m, n = src[None, :], dst[None, :]
     blocks = []
     block = max(1, (1 << 22) // max(1, src.size))
@@ -202,10 +202,10 @@ def switched_graph(graph, i, j, m, n):
 
     The reversed tuple (i,m,j,n) is accepted on the result and undoes it.
     """
-    adj = graph.adjacency_copy()
+    adj = graph.copy()
     adj[i, j] = adj[j, i] = adj[m, n] = adj[n, m] = 0
     adj[i, m] = adj[m, i] = adj[j, n] = adj[n, j] = 1
-    return RegularGraph(adj, validate=False)
+    return adj
 
 
 # ---------------------------------------------------------------------------

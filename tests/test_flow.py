@@ -447,7 +447,7 @@ def test_emf_solve_approaches_uniform_equilibrium():
     path = np.vstack([lam, lam])
     f0 = np.array([1.0, 0.0, 0.0, 0.0])
     sol = emf_solve(path_t, path, f0, 80.0)
-    assert np.abs(sol.final - 0.25).max() < 1e-5
+    assert np.abs(sol.value_at(80.0) - 0.25).max() < 1e-5
 
 
 def test_emf_solve_grid_matches_separate_solves():
@@ -460,9 +460,9 @@ def test_emf_solve_grid_matches_separate_solves():
     grid = emf_solve(path_t, path, f0, [0.1, 0.5])
     first = emf_solve(path_t, path, f0, 0.1)
     last = emf_solve(path_t, path, f0, 0.5)
-    assert np.array_equal(grid.value_at(0.1), first.final)
-    assert np.array_equal(grid.value_at(0.5), grid.final)
-    assert np.abs(grid.final - last.final).max() < 1e-7
+    assert np.array_equal(grid.value_at(0.1), first.values[-1])
+    assert np.array_equal(grid.value_at(0.5), grid.values[-1])
+    assert np.abs(grid.value_at(0.5) - last.values[-1]).max() < 1e-7
     assert (grid.n_accepted, first.n_accepted, last.n_accepted) == (8, 4, 4)
     with pytest.raises(ValueError, match="not a time"):
         grid.value_at(0.3)

@@ -16,9 +16,9 @@ import pytest
 from scipy import stats
 
 from conftest import cycle_adjacency, switched_graph
-from rrglab.chain import tuple_switchable
-from rrglab.graphs import (RegularGraph, _pair_stubs_greedy,
-                           enumerate_regular_graphs, sample_regular_graph)
+from rrglab.chain import edge_array, tuple_switchable
+from rrglab.graphs import (_pair_stubs_greedy, enumerate_regular_graphs,
+                           sample_regular_graph)
 from rrglab.streams import rng_stream
 
 LABELED_CUBIC_8 = 19355  # OEIS A005814
@@ -55,31 +55,31 @@ def test_complete_graph_is_unique_three_regular_on_four_vertices():
     graphs = enumerate_regular_graphs(4, 3)
     assert len(graphs) == 1
     expected = np.ones((4, 4), dtype=np.uint8) - np.eye(4, dtype=np.uint8)
-    assert np.array_equal(graphs[0].adjacency, expected)
+    assert np.array_equal(graphs[0], expected)
 
 
 def test_cubic_count_on_six_vertices_matches_complementation():
     graphs = enumerate_regular_graphs(6, 3)
     assert len(graphs) == labeled_two_regular_count(6) == 70
     # complementation is an explicit bijection onto the 2-regular graphs
-    two_regular_keys = {g.canonical_key()
-                        for g in enumerate_regular_graphs(6, 2)}
+    two_regular_keys = {g.tobytes() for g in enumerate_regular_graphs(6, 2)}
     complement_keys = set()
     for g in graphs:
-        comp = 1 - g.adjacency - np.eye(6, dtype=np.uint8)
-        complement_keys.add(RegularGraph(comp.astype(np.uint8)).canonical_key())
+        comp = 1 - g - np.eye(6, dtype=np.uint8)
+        complement_keys.add(comp.astype(np.uint8).tobytes())
     assert complement_keys == two_regular_keys
 
 
 def test_cubic_count_on_eight_vertices():
     graphs = enumerate_regular_graphs(8, 3)
     assert len(graphs) == LABELED_CUBIC_8
-    assert len({g.canonical_key() for g in graphs}) == LABELED_CUBIC_8
+    assert len({g.tobytes() for g in graphs}) == LABELED_CUBIC_8
 
 
 def test_enumerated_graphs_are_simple_and_regular():
-    for g in enumerate_regular_graphs(6, 3):
-        adj = g.adjacency
+    for adj in enumerate_regular_graphs(6, 3):
+        assert adj.dtype == np.uint8 and adj.flags.c_contiguous
+        assert not adj.flags.writeable
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
         assert set(np.unique(adj)) <= {0, 1}
@@ -87,7 +87,7 @@ def test_enumerated_graphs_are_simple_and_regular():
 
 
 def test_tuple_switchable_on_hexagon():
-    graph = RegularGraph(cycle_adjacency(6))
+    graph = cycle_adjacency(6)
     # both pairs are edges and no cross pair is adjacent
     assert tuple_switchable(0, 1, 3, 4, graph)
     # cross pair {1, 2} is an edge
@@ -99,23 +99,23 @@ def test_tuple_switchable_on_hexagon():
 
 
 def test_switched_graph_rewires_and_preserves_degrees():
-    graph = RegularGraph(cycle_adjacency(6))
+    graph = cycle_adjacency(6)
     switched = switched_graph(graph, 0, 1, 3, 4)
-    assert not switched.has_edge(0, 1) and not switched.has_edge(3, 4)
-    assert switched.has_edge(0, 3) and switched.has_edge(1, 4)
-    assert (switched.adjacency.sum(axis=0) == 2).all()
-    assert graph.has_edge(0, 1)  # original untouched
+    assert not switched[0, 1] and not switched[3, 4]
+    assert switched[0, 3] and switched[1, 4]
+    assert (switched.sum(axis=0) == 2).all()
+    assert graph[0, 1]  # original untouched
 
 
 def test_switch_is_an_involution():
     # the reversed tuple (i, m, j, n) undoes the switch at (i, j, m, n)
-    graph = RegularGraph(cycle_adjacency(6))
+    graph = cycle_adjacency(6)
     switched = switched_graph(graph, 0, 1, 3, 4)
-    assert switched_graph(switched, 0, 3, 1, 4) == graph
+    assert np.array_equal(switched_graph(switched, 0, 3, 1, 4), graph)
 
 
 def test_indicator_invariant_under_its_own_switch():
-    graph = RegularGraph(cycle_adjacency(8))
+    graph = cycle_adjacency(8)
     assert tuple_switchable(0, 1, 4, 5, graph)
     assert tuple_switchable(0, 4, 1, 5, switched_graph(graph, 0, 1, 4, 5))
 
@@ -125,7 +125,7 @@ def test_tuple_switchable_accepts_only_the_named_matching():
     # accepted only when (i,j) and (m,n) name exactly those two edges, so
     # an order such as (0, 3, 4, 1) that pairs the vertices across the
     # matching is rejected
-    graph = RegularGraph(cycle_adjacency(6))
+    graph = cycle_adjacency(6)
     matching = {frozenset((0, 1)), frozenset((3, 4))}
     for order in itertools.permutations((0, 1, 3, 4)):
         named = {frozenset(order[:2]), frozenset(order[2:])}
@@ -138,7 +138,7 @@ def test_tuple_switchable_matches_edge_pair_indicator(graph_24_4):
     # 1-regular subgraph (a perfect matching and nothing else); the chain's
     # rule adds that the matching is exactly {i,j},{m,n}
     rng = rng_stream(5)
-    adj = graph_24_4.adjacency
+    adj = graph_24_4
     hits = 0
     for _ in range(4000):
         verts = [int(v) for v in rng.integers(0, 24, size=4)]
@@ -167,17 +167,20 @@ def test_sampler_output_is_regular_and_deterministic():
     g1 = sample_regular_graph(60, 6, rng=rng_stream(9))
     g2 = sample_regular_graph(60, 6, rng=rng_stream(9))
     g3 = sample_regular_graph(60, 6, rng=rng_stream(10))
-    assert g1 == g2
-    assert g1 != g3
-    assert (g1.adjacency.sum(axis=0) == 6).all()
-    assert not g1.adjacency.diagonal().any()
+    assert np.array_equal(g1, g2)
+    assert not np.array_equal(g1, g3)
+    assert g1.shape == (60, 60) and g1.dtype == np.uint8
+    assert g1.flags.c_contiguous and not g1.flags.writeable
+    assert (g1.sum(axis=0) == 6).all()
+    assert not g1.diagonal().any()
 
 
 def test_sampler_picks_pairing_without_overflow_at_large_degree():
     # the expected rejection restart count exp((d-1)/2 + (d-1)^2/4) is past
     # the float range at d = 60; a RuntimeWarning fails this suite
     graph = sample_regular_graph(120, 60, rng=rng_stream(17), burn_in=0)
-    assert (graph.adjacency.sum(axis=0) == 60).all()
+    assert (graph.sum(axis=0) == 60).all()
+    assert not graph.flags.writeable  # read-only without a burn-in too
 
 
 def test_sampler_moments_match_pairing_model():
@@ -188,8 +191,8 @@ def test_sampler_moments_match_pairing_model():
     triangles = []
     for _ in range(reps):
         g = sample_regular_graph(n, d, rng=rng)
-        edge_prob += g.adjacency
-        a = g.adjacency.astype(np.int64)
+        edge_prob += g
+        a = g.astype(np.int64)
         triangles.append(np.trace(a @ a @ a) / 6)
     edge_prob /= reps
     off = ~np.eye(n, dtype=bool)
@@ -201,13 +204,13 @@ def test_sampler_moments_match_pairing_model():
 
 def test_sampler_is_uniform_on_cubic_six():
     """Chi-square over all 70 labeled graphs at (6, 3)."""
-    enumerated = {g.canonical_key(): idx
+    enumerated = {g.tobytes(): idx
                   for idx, g in enumerate(enumerate_regular_graphs(6, 3))}
     counts = np.zeros(len(enumerated))
     rng = rng_stream(12)
     draws = 4200
     for _ in range(draws):
-        key = sample_regular_graph(6, 3, rng=rng).canonical_key()
+        key = sample_regular_graph(6, 3, rng=rng).tobytes()
         counts[enumerated[key]] += 1
     assert counts.sum() == draws
     _, pvalue = stats.chisquare(counts)
@@ -222,7 +225,7 @@ def test_sampler_is_uniform_on_cubic_eight_triangle_classes():
 
     class_totals = {}
     for g in enumerate_regular_graphs(8, 3):
-        t = triangle_count(g.adjacency)
+        t = triangle_count(g)
         class_totals[t] = class_totals.get(t, 0) + 1
     classes = sorted(class_totals)
 
@@ -230,7 +233,7 @@ def test_sampler_is_uniform_on_cubic_eight_triangle_classes():
     rng = rng_stream(13)
     observed = {t: 0 for t in classes}
     for _ in range(draws):
-        observed[triangle_count(sample_regular_graph(8, 3, rng=rng).adjacency)] += 1
+        observed[triangle_count(sample_regular_graph(8, 3, rng=rng))] += 1
 
     expected = np.array([class_totals[t] / LABELED_CUBIC_8 * draws
                          for t in classes])
@@ -253,7 +256,7 @@ def test_greedy_pairing_with_burn_in_is_uniform_on_quintic_eight():
     over k equiprobable cells has mean k - 1 and variance 2(k - 1)(1 - 1/draws)
     at any draw count, so one expected draw per cell suffices at this k.
     """
-    enumerated = {g.canonical_key(): idx
+    enumerated = {g.tobytes(): idx
                   for idx, g in enumerate(enumerate_regular_graphs(8, 5))}
     assert len(enumerated) == labeled_two_regular_count(8) == 3507
     counts = np.zeros(len(enumerated))
@@ -261,7 +264,7 @@ def test_greedy_pairing_with_burn_in_is_uniform_on_quintic_eight():
     draws = len(enumerated)
     for _ in range(draws):
         graph = sample_regular_graph(8, 5, rng=rng)
-        counts[enumerated[graph.canonical_key()]] += 1
+        counts[enumerated[graph.tobytes()]] += 1
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 1e-3
 
@@ -306,8 +309,11 @@ def test_greedy_pairing_matches_stub_by_stub_reference(n, d):
 
 def test_edges_listing_is_sorted_upper_triangle():
     g = sample_regular_graph(20, 3, rng=rng_stream(3))
-    edges = g.edges()
+    edges = edge_array(g).tolist()
     assert edges == sorted(edges)
     assert all(u < v for u, v in edges)
     assert len(edges) == 30
-    assert RegularGraph.from_edges(20, edges) == g
+    rebuilt = np.zeros_like(g)
+    for u, v in edges:
+        rebuilt[u, v] = rebuilt[v, u] = 1
+    assert np.array_equal(rebuilt, g)

@@ -149,6 +149,26 @@ def test_corr_test_rejects_poisson_semicircle_levels(tmp_path, monkeypatch):
     assert not ok, reports
 
 
+@pytest.mark.xfail(strict=True, reason="emf-check's path attempt a and SDE "
+                   "segment k both draw stream _STREAM_FLOW + 1 + a when "
+                   "a = k + 1: at n = 8, t_grid 0.04 0.2, 812 of seeds 0-999 "
+                   "draw a stream twice, 251 the accepted path's")
+def test_emf_check_draws_each_stream_once(tmp_path, monkeypatch):
+    """At seed 3 the path accepts attempt 1, whose stream the first SDE
+    segment draws again, so its Brownian increments replay the path's."""
+    stream_ids = []
+
+    def recording_stream(seed, stream_id=0):
+        stream_ids.append(stream_id)
+        return rng_stream(seed, stream_id=stream_id)
+
+    monkeypatch.setattr(harness, "rng_stream", recording_stream)
+    config = ExperimentConfig(n=8, d=3, n_samples=2, seed=3,
+                              t_grid=(0.04, 0.2), output_dir=tmp_path)
+    harness.recipe_emf_check(config, tmp_path)
+    assert len(stream_ids) == len(set(stream_ids)), stream_ids
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy is imported where the GOE reference is drawn, not at start-up
     src = Path(__file__).resolve().parents[1] / "src"
@@ -256,7 +276,7 @@ def test_run_experiment_sample_writes_artifacts_and_manifest(tmp_path):
     assert [p.name for p in graphs] == ["sample_0000.txt", "sample_0001.txt"]
     for path in graphs:
         graph = read_graph_text(path)
-        assert (graph.n_vertices, graph.degree) == (16, 3)
+        assert (len(graph), int(graph[0].sum())) == (16, 3)
     snaps = sorted((tmp_path / "run" / "graphs").glob("snapshot_*.txt"))
     assert [p.name for p in snaps] == ["snapshot_00000005.txt",
                                        "snapshot_00000012.txt"]

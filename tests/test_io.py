@@ -10,7 +10,7 @@ import pytest
 
 from rrglab import _kernels
 from rrglab.config import ExperimentConfig
-from rrglab.graphs import RegularGraph, sample_regular_graph
+from rrglab.graphs import sample_regular_graph
 from rrglab.io import (
     MATRIX_MAGIC,
     read_graph_text,
@@ -30,8 +30,7 @@ from rrglab.streams import STREAM_ALGORITHM, rng_stream
 
 
 def test_graph_text_exact_format(tmp_path):
-    k4 = RegularGraph.from_edges(4, [(2, 3), (0, 1), (0, 2), (1, 3),
-                                     (0, 3), (1, 2)])
+    k4 = np.ones((4, 4), dtype=np.uint8) - np.eye(4, dtype=np.uint8)
     path = tmp_path / "k4.txt"
     write_graph_text(k4, path)
     assert path.read_bytes() == b"4 3\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
@@ -41,8 +40,9 @@ def test_graph_text_round_trip(tmp_path, graph_24_4):
     path = tmp_path / "g.txt"
     write_graph_text(graph_24_4, path)
     back = read_graph_text(path)
-    assert np.array_equal(back.adjacency, graph_24_4.adjacency)
-    assert (back.n_vertices, back.degree) == (24, 4)
+    assert np.array_equal(back, graph_24_4)
+    assert back.dtype == np.uint8 and back.flags.c_contiguous
+    assert not back.flags.writeable
     # 1-based endpoints, i < j, lexicographic order
     lines = path.read_text().splitlines()
     pairs = [tuple(map(int, line.split())) for line in lines[1:]]
@@ -61,6 +61,22 @@ def test_graph_text_rejects_truncation_and_bad_header(tmp_path):
         read_graph_text(path)
     path.write_text("4 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
     with pytest.raises(ValueError, match="header says degree 2"):
+        read_graph_text(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    # labels are 1-based: a 0 must not wrap round to vertex N (this file
+    # would read as the 4-cycle), and N + 1 names no vertex
+    ("4 2\n1 2\n2 3\n3 0\n0 1\n", "vertex label 0 outside 1..4"),
+    ("4 2\n1 2\n2 3\n3 4\n4 5\n", "vertex label 5 outside 1..4"),
+    ("4 2\n1 2\n2 1\n3 4\n", r"duplicate edge \(2, 1\)"),
+    ("4 2\n1 1\n2 3\n3 4\n4 2\n", "self-loop at vertex 1"),
+    ("4 1\n1 2\n1 3\n", "must be regular"),
+], ids=["label-0", "label-n-plus-1", "duplicate", "self-loop", "irregular"])
+def test_graph_text_rejects_bad_edges(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         read_graph_text(path)
 
 
@@ -208,6 +224,6 @@ def test_snapshot_chain_survives_graph_io(tmp_path):
     path = tmp_path / "snap.txt"
     write_graph_text(graph, path)
     back = read_graph_text(path)
-    assert back.adjacency.sum(axis=0).tolist() == [4] * 18
-    assert np.array_equal(back.adjacency, back.adjacency.T)
-    assert np.array_equal(back.adjacency, graph.adjacency)
+    assert back.sum(axis=0).tolist() == [4] * 18
+    assert np.array_equal(back, back.T)
+    assert np.array_equal(back, graph)

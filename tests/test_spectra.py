@@ -14,7 +14,6 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import cycle_adjacency, validate_eigenpairs
-from rrglab.graphs import RegularGraph
 from rrglab.matrices import center_rescale
 from rrglab.spectra import (DeflationError, bulk_range, bump, bump_product,
                             bump_test_function, classical_locations,
@@ -33,7 +32,7 @@ from rrglab.streams import rng_stream
 def test_complete_graph_spectrum_is_flat():
     n = 8
     adj = np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8)
-    lam = decompose(center_rescale(RegularGraph(adj)))
+    lam = decompose(center_rescale(adj))
     expected = -1.0 / math.sqrt(n - 2)
     assert lam.shape == (n - 1,) and lam.dtype == np.float64
     assert np.abs(lam - expected).max() < 1e-12
@@ -41,7 +40,7 @@ def test_complete_graph_spectrum_is_flat():
 
 def test_cycle_spectrum_matches_cosines():
     n = 12
-    lam = decompose(center_rescale(RegularGraph(cycle_adjacency(n))))
+    lam = decompose(center_rescale(cycle_adjacency(n)))
     expected = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(1, n) / n))[::-1]
     assert np.abs(lam - expected).max() < 1e-10
 
@@ -49,7 +48,7 @@ def test_cycle_spectrum_matches_cosines():
 def test_decompose_survives_exact_zero_degeneracy():
     # the square's nontrivial adjacency eigenvalues are {0, 0, -2}: two of
     # them coincide exactly with the deflated trivial eigenvalue
-    h = center_rescale(RegularGraph(cycle_adjacency(4)))
+    h = center_rescale(cycle_adjacency(4))
     lam, vectors = eigenpairs(h)
     assert np.abs(lam - np.array([0.0, 0.0, -2.0])).max() < 1e-14
     assert np.abs(decompose(h) - lam).max() < 1e-14
