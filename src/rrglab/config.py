@@ -8,6 +8,7 @@ warning, not an error, so exploratory runs at extreme degrees remain
 possible.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -75,6 +76,11 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in 64 bits")
         if not 0.0 < self.kappa < 0.5:
             raise ConfigError("kappa must lie in (0, 0.5)")
+        if not all(map(math.isfinite, self.t_grid)):
+            raise ConfigError("t_grid times must be finite")
+        if not all(math.isfinite(part) for z in self.z_grid
+                   for part in (z.real, z.imag)):
+            raise ConfigError("z_grid points must be finite")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}")
         if self.workers < 1:

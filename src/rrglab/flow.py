@@ -65,8 +65,6 @@ def evolve_exact(h0, t, *, rng):
     """Sample H(t) = e^{-t/2} H(0) + (1 - e^{-t})^{1/2} W exactly in law."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return h0.copy()
     w = sample_constrained_goe(h0.shape[0], rng=rng)
     return math.exp(-t / 2.0) * h0 + math.sqrt(1.0 - math.exp(-t)) * w
 
@@ -147,8 +145,6 @@ def switch_generator_stieltjes(graph, z):
     """
     n, d = len(graph), int(graph[0].sum())
     moves = switchings(graph)
-    if len(moves) == 0:
-        return 0j
     h = center_rescale(graph)
     g = np.linalg.inv(h - z * np.eye(n))
     g_sq = g @ g
@@ -378,24 +374,16 @@ def _path_row(path_times, path_values, t):
 
 @dataclass
 class EmfSolution:
-    """Fixed-grid moment-flow solution with per-step contraction diagnostics.
+    """Moment-flow values at the requested times, with step diagnostics.
 
+    ``values`` has one row per requested time, in the order asked for.
     ``n_rejected`` is always 0: the fixed grid rejects no step.
     """
 
-    times: np.ndarray
-    values: np.ndarray  # (len(times), M)
-    sup_norms: np.ndarray
+    values: np.ndarray  # (len(t_end), M)
     contraction_ok: bool
     n_accepted: int
     n_rejected: int
-
-    def value_at(self, t):
-        """The solution at a time the integration landed on exactly."""
-        hits = np.flatnonzero(self.times == t)
-        if not hits.size:
-            raise ValueError(f"t={t:g} is not a time of this solution")
-        return self.values[hits[0]]
 
 
 def emf_solve(path_times, path_values, f0, t_end):
@@ -413,8 +401,9 @@ def emf_solve(path_times, path_values, f0, t_end):
     steps raises ``ConvergenceError`` before the piece that crosses it.
 
     ``t_end`` is one time or a sorted grid of times; a single integration
-    from t = 0 lands exactly on each of them (see ``EmfSolution.value_at``),
-    and the step sequence up to the first time does not depend on the rest.
+    from t = 0 lands exactly on each of them and returns the flow there,
+    one row per time (``f0`` at t = 0), and the step sequence up to the
+    first time does not depend on the rest.
     """
     path_times = np.asarray(path_times, dtype=np.float64)
     path_values = np.asarray(path_values, dtype=np.float64)
@@ -437,9 +426,8 @@ def emf_solve(path_times, path_values, f0, t_end):
     knots = path_times[(path_times > 0.0) & (path_times < t_max)]
     edges = sorted({0.0, *knots.tolist(), *targets.tolist()})
 
-    times = [0.0]
-    history = [f.copy()]
-    sup_norms = [float(np.abs(f).max())]
+    at_edge = {0.0: f}
+    sup = float(np.abs(f).max())
     contraction_ok = True
     n_steps = 0
     r_start = rates(0.0)
@@ -460,16 +448,14 @@ def emf_solve(path_times, path_values, f0, t_end):
             k4 = r_next @ (f + dt * k3)
             f = f + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             new_sup = float(np.abs(f).max())
-            if new_sup > sup_norms[-1] * (1.0 + 1e-12) + 1e-300:
+            if new_sup > sup * (1.0 + 1e-12) + 1e-300:
                 contraction_ok = False
-            times.append(t1)
-            history.append(f)
-            sup_norms.append(new_sup)
+            sup = new_sup
             r_start = r_next
+        at_edge[b] = f
         n_steps += n_piece
-    return EmfSolution(times=np.array(times),
-                       values=np.stack(history), sup_norms=np.array(sup_norms),
-                       contraction_ok=contraction_ok,
+    values = np.array([at_edge[t] for t in targets.tolist()]).reshape(-1, m)
+    return EmfSolution(values=values, contraction_ok=contraction_ok,
                        n_accepted=n_steps, n_rejected=0)
 
 

@@ -6,6 +6,8 @@ N is ``len(adj)`` and d is ``int(adj[0].sum())``; two graphs are equal
 when ``np.array_equal`` says so.  The sampler, the enumeration, the jump
 chain (``rrglab.chain``, which owns the switching rule and mutates only a
 private copy) and the graph reader (``rrglab.io``) return such arrays.
+The sampler always follows its pairing with the same burn-in, a fixed
+multiple ``_BURN_IN_FACTOR`` of N*d switching steps.
 """
 
 import math
@@ -20,7 +22,8 @@ _MAX_ATTEMPTS = 1000
 # Compared in log space: the count overflows a float from d = 55.
 _LOG_REJECTION_BUDGET = math.log(_MAX_ATTEMPTS / 20.0)
 
-DEFAULT_BURN_IN_FACTOR = 20
+# The burn-in runs this many times N*d vertex-tuple switching steps.
+_BURN_IN_FACTOR = 20
 
 
 class SamplingError(RuntimeError):
@@ -32,14 +35,14 @@ def _read_only(adj):
     return adj
 
 
-def sample_regular_graph(n_vertices, degree, *, rng, burn_in=None):
+def sample_regular_graph(n_vertices, degree, *, rng):
     """Sample an approximately uniform random d-regular graph.
 
-    Draws a simple d-regular graph by stub pairing and then mixes it with
-    ``burn_in`` steps of the edge-switching chain (default 20*n*d) to wash
-    out residual pairing bias.  ``burn_in`` counts vertex-tuple steps; only
-    the Binomial(burn_in, (d/n)^2) of them whose two vertex pairs are edges
-    can switch, and only those are drawn (see ``rrglab.chain.run_chain``).
+    Draws a simple d-regular graph by stub pairing and then mixes it with a
+    burn-in of ``_BURN_IN_FACTOR``*n*d vertex-tuple steps of the
+    edge-switching chain to wash out residual pairing bias.  Only the
+    Binomial(steps, (d/n)^2) of them whose two vertex pairs are edges can
+    switch, and only those are drawn (see ``rrglab.chain.run_chain``).
     The pairing stage restarts on any self-loop or multi-edge (exactly
     uniform before burn-in) while its expected restart count is small, and
     otherwise pairs greedily, re-drawing only colliding stubs.
@@ -54,21 +57,15 @@ def sample_regular_graph(n_vertices, degree, *, rng, burn_in=None):
     if (n_vertices * degree) % 2:
         raise ValueError(f"n*d must be even, got n={n_vertices} d={degree}")
 
-    if degree == 0:
-        return _read_only(np.zeros((n_vertices, n_vertices), dtype=np.uint8))
-
     if (degree - 1) / 2.0 + (degree - 1) ** 2 / 4.0 <= _LOG_REJECTION_BUDGET:
         adj = _pair_stubs_rejection(n_vertices, degree, rng)
     else:
         adj = _pair_stubs_greedy(n_vertices, degree, rng)
 
-    graph = _read_only(adj)
-    if burn_in is None:
-        burn_in = DEFAULT_BURN_IN_FACTOR * n_vertices * degree
-    if burn_in > 0:
-        from .chain import run_chain
+    from .chain import run_chain
 
-        graph, _ = run_chain(graph, burn_in, rng=rng)
+    graph, _ = run_chain(_read_only(adj),
+                         _BURN_IN_FACTOR * n_vertices * degree, rng=rng)
     return graph
 
 

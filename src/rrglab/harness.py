@@ -250,7 +250,7 @@ def recipe_corr_test(config, out_dir):
                             bump_test_function(0.0, 3.0))
 
     def per_sample(ensemble):
-        vals = np.array([correlation_estimator([lam], 2, 0.0, pair_phi,
+        vals = np.array([correlation_estimator([lam], 0.0, pair_phi,
                                                 support_radius=3.0)
                          for lam in ensemble])
         return (float(vals.mean()),
@@ -393,8 +393,7 @@ def recipe_emf_check(config, out_dir):
     m = config.n
     f0 = q ** 2  # identity initial frame: f_0(i) = (q . v_i)^2
     solution = emf_solve(times, path, f0, t_grid)
-    io.write_emf_csv(out_dir / "emf.csv", list(t_grid),
-                     np.stack([solution.value_at(t) for t in t_grid]))
+    io.write_emf_csv(out_dir / "emf.csv", list(t_grid), solution.values)
 
     replicas = config.n_samples
     frames, t_prev = None, 0.0
@@ -409,7 +408,7 @@ def recipe_emf_check(config, out_dir):
         proj = (q @ frames) ** 2
         mc_mean = proj.mean(axis=0)
         mc_se = proj.std(axis=0, ddof=1) / math.sqrt(replicas)
-        sigma = float(np.abs((solution.value_at(t) - mc_mean) / mc_se).max())
+        sigma = float(np.abs((solution.values[k] - mc_mean) / mc_se).max())
         sigmas.append(sigma)
         mc_rows.extend((t, cid, mc_mean[cid], mc_se[cid]) for cid in range(m))
         reports.append(io.report_record(
@@ -558,6 +557,5 @@ def run_experiment(config, recipe):
     ok, reports = RECIPES[recipe](config, out_dir)
     io.write_report_json(out_dir / "report.json", reports)
     io.write_manifest(out_dir / "manifest.json", config, recipe,
-                      time.perf_counter() - start,
-                      extra={"acceptance_ok": bool(ok)})
+                      time.perf_counter() - start, bool(ok))
     return 0 if ok else 3

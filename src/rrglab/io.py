@@ -10,8 +10,9 @@ Formats:
   * JSON reports: {name, value, stderr, n_samples} records;
   * manifest: full config echo (defaults included), git describe, wall time,
     the pinned RNG stream algorithm, and the run environment (versions,
-    cores, BLAS/OpenMP thread settings, chain kernel backend): seeded
-    floats can differ in their last bits with the BLAS thread count.
+    cores, BLAS/OpenMP thread settings, chain kernel backend), and last
+    whether the recipe's acceptance thresholds held: seeded floats can
+    differ in their last bits with the BLAS thread count.
 """
 
 import json
@@ -159,12 +160,12 @@ def git_describe():
             ["git", "describe", "--always", "--dirty", "--tags"],
             capture_output=True, text=True, timeout=10,
             cwd=Path(__file__).resolve().parent)
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def write_manifest(path, config, recipe, wall_time_seconds, extra=None):
+def write_manifest(path, config, recipe, wall_time_seconds, acceptance_ok):
     manifest = {
         "recipe": recipe,
         "config": config.to_dict(),
@@ -179,9 +180,8 @@ def write_manifest(path, config, recipe, wall_time_seconds, extra=None):
             "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
             "kernel_backend": _kernels.BACKEND,
         },
+        "acceptance_ok": acceptance_ok,
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -49,15 +49,14 @@ def embed_in_offspace(vectors):
     """Map columns from R^{N-1} into the orthogonal complement of e in R^N.
 
     Appends a zero coordinate and applies the Householder reflection taking
-    e_N to e; the image of any x in R^{N-1} is orthogonal to e.  Accepts a
-    vector or a (N-1) x k column stack.
+    e_N to e; the image of any x in R^{N-1} is orthogonal to e.  Takes a
+    (N-1) x k column stack.
     """
-    vec = np.atleast_2d(np.asarray(vectors, dtype=np.float64).T).T
+    vec = np.asarray(vectors, dtype=np.float64)
     m, k = vec.shape
     u, tau = _householder(m + 1)
     padded = np.vstack([vec, np.zeros((1, k))])
-    out = padded - tau * np.outer(u, u @ padded)
-    return out[:, 0] if np.ndim(vectors) == 1 else out
+    return padded - tau * np.outer(u, u @ padded)
 
 
 def restrict_to_offspace(mat):

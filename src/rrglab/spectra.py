@@ -7,7 +7,7 @@ so N is its length plus one: ``decompose`` computes it and ``eigenpairs``
 adds the eigenvectors.  Built on spectra: the semicircle density/CDF and
 its Stieltjes transform m(z), the classical eigenvalue locations gamma_i,
 the empirical Stieltjes transform, normalized bulk gap ensembles (1-D
-arrays of pooled gaps), locally averaged correlation estimators,
+arrays of pooled gaps), a locally averaged pair-correlation estimator,
 delocalization and rigidity diagnostics, the two-sample
 Kolmogorov-Smirnov distance, and smooth compactly supported test
 functions.
@@ -27,6 +27,8 @@ from .matrices import embed_in_offspace, restrict_to_offspace
 
 # Largest max|H e| / (1 + max|H|) accepted as H e = 0.
 _CONSTRAINT_TOL = 1e-8
+# Quadrature nodes of correlation_estimator's average over the energy window.
+_CORRELATION_NODES = 64
 
 
 class DeflationError(ValueError):
@@ -69,22 +71,17 @@ def eigenpairs(h):
 
 
 def semicircle_m(z):
-    """Stieltjes transform of the semicircle law: the Herglotz root of
-    m^2 + z m + 1 = 0, with real z in (-2, 2) taken as limits from above."""
+    """Stieltjes transform of the semicircle law at Im z > 0: the Herglotz
+    root of m^2 + z m + 1 = 0."""
     z = np.asarray(z, dtype=np.complex128)
-    on_cut = (z.imag == 0) & (np.abs(z.real) < 2)
-    safe = np.where(on_cut, 1j, z)  # placeholder off the cut, fixed below
-    root = np.sqrt(safe * safe - 4.0)
-    m = 0.5 * (-safe + root)
-    alt = 0.5 * (-safe - root)
+    root = np.sqrt(z * z - 4.0)
+    m = 0.5 * (-z + root)
+    alt = 0.5 * (-z - root)
     # exactly one root lies in the closed unit disk (the roots multiply to 1)
     m = np.where(np.abs(alt) < np.abs(m), alt, m)
     # Herglotz: flip to the root whose imaginary part matches sign(Im z)
-    flip = (np.sign(m.imag) * np.sign(safe.imag)) < 0
+    flip = (np.sign(m.imag) * np.sign(z.imag)) < 0
     m = np.where(flip, 1.0 / m, m)
-    x = z.real
-    m_cut = 0.5 * (-x + 1j * np.sqrt(np.maximum(4.0 - x * x, 0.0)))
-    m = np.where(on_cut, m_cut, m)
     return m if m.ndim else complex(m)
 
 
@@ -176,21 +173,18 @@ def gap_ensemble(spectra, kappa=0.1):
 # Correlation estimator
 
 
-def correlation_estimator(spectra, n_point, energy, phi, n_nodes=64,
-                          support_radius=1.0):
-    """Locally averaged n-point correlation integral around ``energy``.
+def correlation_estimator(spectra, energy, phi, support_radius=1.0):
+    """Locally averaged two-point correlation integral around ``energy``.
 
     Estimates the average over E' in [E - b, E + b] of
 
-        N^n (M-n)!/M! sum_{distinct ordered n-tuples}
-            phi((lambda_{t_1} - E') N rho(E), ..., (lambda_{t_n} - E') N rho(E)),
+        N^2 (M-2)!/M! sum_{ordered pairs s != t}
+            phi((lambda_s - E') N rho(E), (lambda_t - E') N rho(E)),
 
-    with b = N^(-1+0.3) and a uniform ``n_nodes``-node quadrature grid.
-    ``phi`` must vanish outside max|x_a| <= support_radius, which bounds the
-    eigenvalues that can contribute.
+    with b = N^(-1+0.3) and a uniform ``_CORRELATION_NODES``-node
+    quadrature grid.  ``phi`` must vanish outside max|x_a| <=
+    ``support_radius``, which bounds the eigenvalues that can contribute.
     """
-    if n_point not in (1, 2):
-        raise ValueError("n_point must be 1 or 2")
     spectra = list(spectra)
     if not spectra:
         raise ValueError("empty ensemble")
@@ -201,9 +195,9 @@ def correlation_estimator(spectra, n_point, energy, phi, n_nodes=64,
     if rho <= 0:
         raise ValueError("energy must lie inside (-2, 2)")
     scale = n * rho
-    nodes = np.linspace(energy - bandwidth, energy + bandwidth, n_nodes)
-    falling = math.prod(range(m, m - n_point, -1))  # M!/(M-n)!
-    norm = float(n) ** n_point / falling
+    nodes = np.linspace(energy - bandwidth, energy + bandwidth,
+                        _CORRELATION_NODES)
+    norm = float(n) ** 2 / (m * (m - 1))
     window = bandwidth + support_radius / scale
 
     total = 0.0
@@ -212,13 +206,9 @@ def correlation_estimator(spectra, n_point, energy, phi, n_nodes=64,
         if len(local) == 0:
             continue
         x = scale * (local[None, :] - nodes[:, None])  # (nodes, local)
-        if n_point == 1:
-            values = phi(x).sum(axis=1)
-        else:
-            pair = phi(x[:, :, None], x[:, None, :])
-            pair[:, np.arange(len(local)), np.arange(len(local))] = 0.0
-            values = pair.sum(axis=(1, 2))
-        total += values.mean()
+        pair = phi(x[:, :, None], x[:, None, :])
+        pair[:, np.arange(len(local)), np.arange(len(local))] = 0.0
+        total += pair.sum(axis=(1, 2)).mean()
     return norm * total / len(spectra)
 
 

@@ -63,6 +63,17 @@ def test_zero_samples_is_a_parameter_error(tmp_path, capsys):
     assert "needs n_samples >= 1" in capsys.readouterr().err
 
 
+def test_infinite_snapshot_time_is_a_parameter_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 14\nd = 4\nt_grid = inf\n")
+    status = main(["sample", "--config", str(cfg), "--samples", "1",
+                   "--out", str(tmp_path / "out")])
+    assert status == EXIT_PARAMETER
+    err = capsys.readouterr().err
+    assert "t_grid times must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_is_a_parameter_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key = 1\n")

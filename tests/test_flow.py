@@ -177,7 +177,7 @@ def test_switch_generator_matches_direct_redecomposition(n, d, z):
 
 def test_switch_generator_vanishes_without_moves():
     # the hexagonal state space admits no switching moves at all
-    graph = sample_regular_graph(6, 3, rng=rng_stream(18), burn_in=0)
+    graph = sample_regular_graph(6, 3, rng=rng_stream(18))
     assert len(switchings(graph)) == 0
     assert switch_generator_stieltjes(graph, 0.5j) == 0j
 
@@ -431,13 +431,14 @@ def test_two_state_moment_flow_matches_exponential():
     w = 1.0 / (2 * (1.4) ** 2)
     path_t = np.array([0.0, 1.0])
     path = np.vstack([lam_pair, lam_pair])
-    sol = emf_solve(path_t, path, np.array([1.0, 0.0]), 0.9)
-    decay = np.exp(-2 * w * sol.times)
+    times = np.linspace(0.0, 0.9, 10)
+    sol = emf_solve(path_t, path, np.array([1.0, 0.0]), times)
+    decay = np.exp(-2 * w * times)
     exact = np.stack([0.5 + 0.5 * decay, 0.5 - 0.5 * decay], axis=1)
     assert np.abs(sol.values - exact).max() < 1e-6
     assert sol.contraction_ok
     assert np.abs(sol.values.sum(axis=1) - 1.0).max() < 1e-12
-    assert (np.diff(sol.sup_norms) <= 1e-12).all()
+    assert (np.diff(np.abs(sol.values).max(axis=1)) <= 1e-12).all()
 
 
 def test_emf_solve_approaches_uniform_equilibrium():
@@ -447,7 +448,8 @@ def test_emf_solve_approaches_uniform_equilibrium():
     path = np.vstack([lam, lam])
     f0 = np.array([1.0, 0.0, 0.0, 0.0])
     sol = emf_solve(path_t, path, f0, 80.0)
-    assert np.abs(sol.value_at(80.0) - 0.25).max() < 1e-5
+    assert sol.values.shape == (1, 4)
+    assert np.abs(sol.values[0] - 0.25).max() < 1e-5
 
 
 def test_emf_solve_grid_matches_separate_solves():
@@ -460,14 +462,27 @@ def test_emf_solve_grid_matches_separate_solves():
     grid = emf_solve(path_t, path, f0, [0.1, 0.5])
     first = emf_solve(path_t, path, f0, 0.1)
     last = emf_solve(path_t, path, f0, 0.5)
-    assert np.array_equal(grid.value_at(0.1), first.values[-1])
-    assert np.array_equal(grid.value_at(0.5), grid.values[-1])
-    assert np.abs(grid.value_at(0.5) - last.values[-1]).max() < 1e-7
+    assert np.array_equal(grid.values[0], first.values[0])
+    assert np.abs(grid.values[1] - last.values[0]).max() < 1e-7
     assert (grid.n_accepted, first.n_accepted, last.n_accepted) == (8, 4, 4)
-    with pytest.raises(ValueError, match="not a time"):
-        grid.value_at(0.3)
     with pytest.raises(ValueError, match="sorted grid"):
         emf_solve(path_t, path, f0, [0.5, 0.1])
+
+
+def test_emf_solve_returns_one_row_per_requested_time():
+    # rows follow the requested times: f0 at t = 0, and a repeated time
+    # repeats its row without changing the integration
+    path_t = np.array([0.0, 1.0])
+    path = np.vstack([[-1.0, 0.1, 0.9], [-0.8, -0.1, 1.1]])
+    f0 = np.array([0.5, 0.3, 0.2])
+    sol = emf_solve(path_t, path, f0, [0.0, 0.1, 0.1, 0.5])
+    distinct = emf_solve(path_t, path, f0, [0.1, 0.5])
+    assert sol.values.shape == (4, 3)
+    assert np.array_equal(sol.values[0], f0)
+    assert np.array_equal(sol.values[1], sol.values[2])
+    assert np.array_equal(sol.values[[1, 3]], distinct.values)
+    assert sol.n_accepted == distinct.n_accepted
+    assert not np.array_equal(sol.values[1], sol.values[3])
 
 
 def test_emf_solve_respects_step_budget(rate_builds):
@@ -508,7 +523,7 @@ def test_emf_solve_matches_dop853_reference():
     f0 = (q / np.linalg.norm(q)) ** 2
     t_grid = [0.04, 0.2]
     sol = emf_solve(path_t, path, f0, t_grid)
-    got = np.stack([sol.value_at(t) for t in t_grid])
+    got = sol.values
     reference = _dop853_moment_flow(path_t, path, f0, t_grid)
     # measured 4.3e-10 on this path (minimum gap 0.136); harness paths
     # at the benchmark config read up to 1.5e-7 over seeds 0-63

@@ -4,11 +4,12 @@ import json
 import os
 import platform
 import struct
+import subprocess
 
 import numpy as np
 import pytest
 
-from rrglab import _kernels
+from rrglab import _kernels, io
 from rrglab.config import ExperimentConfig
 from rrglab.graphs import sample_regular_graph
 from rrglab.io import (
@@ -183,7 +184,7 @@ def test_manifest_contents(tmp_path):
     config = ExperimentConfig(n=100, d=4, z_grid=(0.05j,))
     path = tmp_path / "manifest.json"
     write_manifest(path, config, recipe="gap-test", wall_time_seconds=1.5,
-                   extra={"acceptance_ok": True})
+                   acceptance_ok=True)
     manifest = json.loads(path.read_text())
     assert manifest["recipe"] == "gap-test"
     assert manifest["wall_time_seconds"] == 1.5
@@ -205,7 +206,7 @@ def test_manifest_records_the_run_environment(tmp_path, monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     path = tmp_path / "manifest.json"
     write_manifest(path, ExperimentConfig(n=100, d=4), recipe="sample",
-                   wall_time_seconds=0.1)
+                   wall_time_seconds=0.1, acceptance_ok=False)
     env = json.loads(path.read_text())["environment"]
     assert env == {
         "python": platform.python_version(),
@@ -216,6 +217,15 @@ def test_manifest_records_the_run_environment(tmp_path, monkeypatch):
                     "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None},
         "kernel_backend": _kernels.BACKEND,
     }
+
+
+def test_git_describe_timeout_gives_unknown(monkeypatch):
+    # a finished run must still write its manifest when git hangs
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    assert io.git_describe() == "unknown"
 
 
 def test_snapshot_chain_survives_graph_io(tmp_path):

@@ -86,7 +86,7 @@ def test_center_rescale_null_vector_and_trace():
 
 
 def test_center_rescale_needs_degree_two():
-    graph = sample_regular_graph(10, 1, rng=rng_stream(5), burn_in=0)
+    graph = sample_regular_graph(10, 1, rng=rng_stream(5))
     with pytest.raises(ValueError):
         center_rescale(graph)
 
