@@ -62,11 +62,19 @@ class ConvergenceError(RuntimeError):
 
 
 def evolve_exact(h0, t, *, rng):
-    """Sample H(t) = e^{-t/2} H(0) + (1 - e^{-t})^{1/2} W exactly in law."""
+    """Sample H(t) = e^{-t/2} H(0) + (1 - e^{-t})^{1/2} W exactly in law.
+
+    H(t) is built in the array of the draw W, one row at a time, so only
+    ``h0`` and the result are N x N; ``h0`` is left as it is.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     w = sample_constrained_goe(h0.shape[0], rng=rng)
-    return math.exp(-t / 2.0) * h0 + math.sqrt(1.0 - math.exp(-t)) * w
+    w *= math.sqrt(1.0 - math.exp(-t))
+    decay = math.exp(-t / 2.0)
+    for row, h_row in zip(w, h0):
+        row += decay * h_row
+    return w
 
 
 def evolve_sde(h0, t, dt, *, rng):

@@ -141,6 +141,11 @@ def _z_grid(config):
 def recipe_sample(config, out_dir):
     """Sample graphs, serialize them, snapshot the first centered matrix."""
     _require_samples(config)
+    # t_grid holds the switching-step counts of optional chain snapshots
+    for t in config.t_grid:
+        if t < 1 or not float(t).is_integer():
+            raise ConfigError(f"sample's t_grid holds chain step counts; "
+                              f"{t:g} is not a whole number >= 1")
     config.warn_if_outside_window()
     graph_dir = out_dir / "graphs"
     graph_dir.mkdir(exist_ok=True)
@@ -149,8 +154,7 @@ def recipe_sample(config, out_dir):
         io.write_graph_text(graph, graph_dir / f"sample_{trial:04d}.txt")
         if trial == 0:
             io.write_matrix(center_rescale(graph), out_dir / "matrix_0000.bin")
-            # optional chain snapshots at the step counts given in t_grid
-            cadence = sorted({int(t) for t in config.t_grid if t >= 1})
+            cadence = sorted({int(t) for t in config.t_grid})
             snap_rng = rng_stream(config.seed, stream_id=_STREAM_MISC)
             current, done = graph, 0
             for step_count in cadence:
@@ -171,10 +175,10 @@ def recipe_evolve(config, out_dir):
     if sorted(t_grid) != list(t_grid) or t_grid[0] < 0:
         raise ConfigError("t_grid must be sorted and nonnegative")
     z_grid = _z_grid(config)
-    h0 = center_rescale(trial_graph(config, 0))
-    spectrum0 = decompose(h0)
+    h = center_rescale(trial_graph(config, 0))
+    spectrum0 = decompose(h)
     flow_rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
-    h, t_prev, lam = h0, 0.0, spectrum0
+    t_prev, lam = 0.0, spectrum0
     rows = []
     for k, t in enumerate(t_grid):
         span = t - t_prev

@@ -81,19 +81,28 @@ def write_matrix(mat, path):
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<Q", n))
-        fh.write(mat.tobytes(order="C"))
+        fh.write(mat.data)  # the array's own buffer: no copy
 
 
 def read_matrix(path):
-    blob = Path(path).read_bytes()
-    if blob[:8] != MATRIX_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a matrix snapshot")
-    (n,) = struct.unpack("<Q", blob[8:16])
-    body = np.frombuffer(blob, dtype=np.float64, offset=16)
-    if body.size != n * n:
-        raise ValueError(f"{path}: payload holds {body.size} floats, "
-                         f"expected {n * n}")
-    return body.reshape(n, n).copy()
+    """A matrix snapshot, read straight into one writable array."""
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if header[:8] != MATRIX_MAGIC:
+            raise ValueError(f"{path}: bad magic, not a matrix snapshot")
+        if len(header) < 16:
+            raise ValueError(f"{path}: truncated header")
+        (n,) = struct.unpack("<Q", header[8:16])
+        payload = os.fstat(fh.fileno()).st_size - 16
+        if payload != 8 * n * n:
+            floats, extra = divmod(payload, 8)
+            tail = f" and {extra} bytes" if extra else ""
+            raise ValueError(f"{path}: payload holds {floats} floats{tail}, "
+                             f"expected {n * n}")
+        mat = np.empty((n, n))
+        if fh.readinto(mat) != payload:
+            raise ValueError(f"{path}: file shrank while being read")
+    return mat
 
 
 def _cell(value):

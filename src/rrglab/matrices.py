@@ -9,12 +9,21 @@ Householder reflection that restricts a constrained matrix to the
 complement of e and embeds vectors back, and the Gaussian stationary
 ensemble of the constrained matrix flow.
 
-Matrices are plain float64 numpy arrays, not a wrapper type.
+Matrices are plain float64 numpy arrays, not a wrapper type.  The layer
+makes no N x N temporaries: the Gaussian draw, the reflection and the
+symmetrization work on fixed blocks of rows, in place where the caller
+allows it, and every result is built in the array that is returned.  Each
+entry still takes the operations of the dense formula in the same order,
+so the results are bitwise those of the dense formulas.
 """
 
 from functools import lru_cache
 
 import numpy as np
+
+# Rows per block of the draw, the reflection and the symmetrization; their
+# temporaries are _ROW_BLOCK x N.
+_ROW_BLOCK = 32
 
 
 def uniform_unit(n):
@@ -31,7 +40,9 @@ def center_rescale(graph):
     n, d = len(graph), int(graph[0].sum())
     if d < 2:
         raise ValueError(f"degree must be >= 2 to center and rescale, got {d}")
-    return (graph - d / n) / np.sqrt(d - 1.0)
+    h = graph - d / n
+    h /= np.sqrt(d - 1.0)
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +56,28 @@ def _householder(n):
     return u, 2.0 / float(u @ u)
 
 
+def _add_outers(mat, out, terms):
+    """out = mat + scale * outer(left, right), one term after another.
+
+    ``terms`` holds (left, right, scale) triples.  Works on blocks of
+    ``_ROW_BLOCK`` rows, so ``out`` may be ``mat``; entry (i, j) becomes
+    mat_ij + (left_i right_j) scale for each term in turn, exactly as in
+    the dense expression.
+    """
+    rows, cols = mat.shape
+    buf = np.empty((min(rows, _ROW_BLOCK), cols))
+    for start in range(0, rows, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, rows)
+        block, update = out[start:stop], buf[:stop - start]
+        if out is not mat:
+            block[...] = mat[start:stop]
+        for left, right, scale in terms:
+            np.multiply.outer(left[start:stop], right, out=update)
+            update *= scale
+            block += update
+    return out
+
+
 def embed_in_offspace(vectors):
     """Map columns from R^{N-1} into the orthogonal complement of e in R^N.
 
@@ -55,8 +88,9 @@ def embed_in_offspace(vectors):
     vec = np.asarray(vectors, dtype=np.float64)
     m, k = vec.shape
     u, tau = _householder(m + 1)
-    padded = np.vstack([vec, np.zeros((1, k))])
-    return padded - tau * np.outer(u, u @ padded)
+    out = np.zeros((m + 1, k))
+    out[:m] = vec
+    return _add_outers(out, out, ((u, u @ out, -tau),))
 
 
 def restrict_to_offspace(mat):
@@ -67,21 +101,34 @@ def restrict_to_offspace(mat):
     (N-1) x (N-1) core whose spectrum is exactly the nontrivial spectrum of
     H, and ``embed_in_offspace`` maps its eigenvectors back.
     """
-    return _householder_conjugate(mat)[:-1, :-1]
+    return _householder_conjugate(mat, np.empty(mat.shape))[:-1, :-1]
 
 
-def _householder_conjugate(mat):
+def _householder_conjugate(mat, out):
     """R M R for symmetric M, with R the reflection of ``_householder``.
 
     Expands R M R = M - tau u (Mu)^T - tau (Mu) u^T + tau^2 (u^T M u) u u^T
-    and computes M u as u @ M, which equals it for symmetric M.
+    and computes M u as u @ M, which equals it for symmetric M.  Writes
+    into ``out``, which may be ``mat``, and returns it.
     """
     u, tau = _householder(mat.shape[0])
     um = u @ mat
-    out = mat - tau * np.outer(u, um)
-    out -= tau * np.outer(um, u)
-    out += tau * tau * float(um @ u) * np.outer(u, u)
-    return out
+    return _add_outers(mat, out, ((u, um, -tau), (um, u, -tau),
+                                  (u, u, tau * tau * float(um @ u))))
+
+
+def _symmetrize(mat, op, value):
+    """mat <- op(mat + mat^T, value) in place, one strip of rows at a time."""
+    n = mat.shape[0]
+    buf = np.empty((min(n, _ROW_BLOCK), n))
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        strip = np.add(mat[start:stop, start:], mat[start:, start:stop].T,
+                       out=buf[:stop - start, :n - start])
+        op(strip, value, out=strip)
+        mat[start:stop, start:] = strip
+        mat[start:, start:stop] = strip.T
+    return mat
 
 
 def sample_constrained_goe(n, *, rng):
@@ -98,9 +145,11 @@ def sample_constrained_goe(n, *, rng):
     if n < 2:
         raise ValueError("need n >= 2")
     m = n - 1
-    raw = rng.normal(size=(m, m))
-    core = (raw + raw.T) / np.sqrt(2.0 * n)
-    block = np.zeros((n, n))
-    block[:m, :m] = core
-    w = _householder_conjugate(block)
-    return 0.5 * (w + w.T)
+    # the (N-1) x (N-1) normal draw, a block of rows at a time, in the padded
+    # block itself; the core is (raw + raw^T) / sqrt(2N)
+    w = np.zeros((n, n))
+    for start in range(0, m, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, m)
+        w[start:stop, :m] = rng.normal(size=(stop - start, m))
+    _symmetrize(w[:m, :m], np.true_divide, np.sqrt(2.0 * n))
+    return _symmetrize(_householder_conjugate(w, w), np.multiply, 0.5)

@@ -43,7 +43,9 @@ def _deflated_core(h):
     across the eigenvectors of a degenerate eigh cluster.
     """
     n = h.shape[0]
-    residual = float(np.abs(h @ np.ones(n)).max()) / (1.0 + float(np.abs(h).max()))
+    # max|H| as max(max H, -min H): no N x N array of absolute values
+    scale = 1.0 + max(float(h.max()), -float(h.min()))
+    residual = float(np.abs(h @ np.ones(n)).max()) / scale
     if residual > _CONSTRAINT_TOL:
         raise DeflationError(
             f"matrix does not annihilate the uniform vector "

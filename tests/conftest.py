@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rrglab.graphs import sample_regular_graph
-from rrglab.matrices import (center_rescale, sample_constrained_goe,
-                             uniform_unit)
+from rrglab.matrices import (_ROW_BLOCK, _householder, center_rescale,
+                             sample_constrained_goe, uniform_unit)
 from rrglab.spectra import semicircle_m
 from rrglab.streams import rng_stream
 
@@ -287,3 +287,49 @@ def semicircle_semigroup_residual(z, t):
     theta = 1.0 - math.exp(-t)
     lift = math.exp(t / 2.0)
     return abs(m - lift * semicircle_m(lift * (z + theta * m)))
+
+
+# ---------------------------------------------------------------------------
+# Dense constrained-matrix formulas: the bitwise oracles of the row-blocked,
+# in-place library versions, one N x N temporary per operation
+
+# sizes around the library's row block
+BLOCK_SIZES = (2, 3, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+               2 * _ROW_BLOCK + 5)
+
+
+def dense_center_rescale(graph):
+    n, d = len(graph), int(graph[0].sum())
+    return (graph - d / n) / np.sqrt(d - 1.0)
+
+
+def dense_householder_conjugate(mat):
+    u, tau = _householder(mat.shape[0])
+    um = u @ mat
+    out = mat - tau * np.outer(u, um)
+    out -= tau * np.outer(um, u)
+    out += tau * tau * float(um @ u) * np.outer(u, u)
+    return out
+
+
+def dense_embed_in_offspace(vectors):
+    vec = np.asarray(vectors, dtype=np.float64)
+    m, k = vec.shape
+    u, tau = _householder(m + 1)
+    padded = np.vstack([vec, np.zeros((1, k))])
+    return padded - tau * np.outer(u, u @ padded)
+
+
+def dense_sample_constrained_goe(n, *, rng):
+    m = n - 1
+    raw = rng.normal(size=(m, m))
+    core = (raw + raw.T) / np.sqrt(2.0 * n)
+    block = np.zeros((n, n))
+    block[:m, :m] = core
+    w = dense_householder_conjugate(block)
+    return 0.5 * (w + w.T)
+
+
+def dense_evolve_exact(h0, t, *, rng):
+    w = dense_sample_constrained_goe(h0.shape[0], rng=rng)
+    return math.exp(-t / 2.0) * h0 + math.sqrt(1.0 - math.exp(-t)) * w

@@ -74,6 +74,18 @@ def test_infinite_snapshot_time_is_a_parameter_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sample_refuses_snapshot_times_that_are_not_step_counts(tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 14\nd = 4\nt_grid = 0.5 2.7\n")
+    status = main(["sample", "--config", str(cfg), "--samples", "1",
+                   "--out", str(tmp_path / "out")])
+    assert status == EXIT_PARAMETER
+    err = capsys.readouterr().err
+    assert "0.5 is not a whole number >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_is_a_parameter_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key = 1\n")

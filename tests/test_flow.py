@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (ZeroNoise, constraint_violation, directional_derivative,
+from conftest import (BLOCK_SIZES, ZeroNoise, constraint_violation,
+                      dense_evolve_exact, directional_derivative,
                       flow_generator, flow_generator_entrywise,
                       h_switch_component, inner_product,
                       semicircle_semigroup_residual, stieltjes_observable,
@@ -43,6 +44,18 @@ from rrglab.streams import rng_stream
 def test_evolve_exact_at_time_zero_is_identity():
     h = sample_constrained_goe(12, rng=rng_stream(0))
     assert np.array_equal(evolve_exact(h, 0.0, rng=rng_stream(1)), h)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_evolve_exact_is_bitwise_the_dense_formula(n):
+    for seed in (0, 1, 2):
+        h0 = sample_constrained_goe(n, rng=rng_stream(seed))
+        kept = h0.copy()
+        for t in (0.0, 0.3, 2.0):
+            got = evolve_exact(h0, t, rng=rng_stream(seed + 10))
+            want = dense_evolve_exact(h0, t, rng=rng_stream(seed + 10))
+            assert np.array_equal(got, want)
+            assert np.array_equal(h0, kept)
 
 
 def test_evolve_exact_preserves_constraint_and_determinism():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,22 @@ def test_sample_recipe_graphs_pin_the_rng_contract(tmp_path, n, d, digests):
     assert run_experiment(config, "sample") == 0
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted((tmp_path / "graphs").iterdir())} == digests
+
+
+def test_evolve_peak_memory_stays_near_two_matrices(tmp_path):
+    # the snapshot and either the next one, built in the noise draw, or the
+    # deflated core: no N x N temporary beyond those (2.39 N^2 traced; the
+    # dense constrained-matrix layer peaked at 7.31 N^2 here)
+    n = 600
+    config = ExperimentConfig(n=n, d=8, seed=1, t_grid=(0.0, 0.05, 1.0),
+                              output_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        harness.recipe_evolve(config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2.6 * n * n, peak / (8 * n * n)
 
 
 def test_run_experiment_requires_samples(tmp_path):

@@ -92,6 +92,7 @@ def test_matrix_round_trip_is_byte_exact(tmp_path):
     assert len(blob) == 16 + 9 * 9 * 8
     back = read_matrix(path)
     assert back.dtype == np.float64
+    assert back.flags.writeable and back.flags.c_contiguous
     assert np.array_equal(back, mat)          # bitwise, not approx
     assert blob[16:] == mat.tobytes(order="C")
 
@@ -107,6 +108,16 @@ def test_matrix_rejects_bad_magic_and_size(tmp_path):
     write_matrix(np.eye(3), path)
     path.write_bytes(path.read_bytes()[:-8])   # drop one float
     with pytest.raises(ValueError, match="payload holds 8 floats"):
+        read_matrix(path)
+    write_matrix(np.eye(3), path)
+    path.write_bytes(path.read_bytes() + bytes(8))   # one float too many
+    with pytest.raises(ValueError, match="payload holds 10 floats,"):
+        read_matrix(path)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ValueError, match="holds 9 floats and 3 bytes"):
+        read_matrix(path)
+    path.write_bytes(MATRIX_MAGIC + bytes(4))
+    with pytest.raises(ValueError, match="truncated header"):
         read_matrix(path)
     with pytest.raises(ValueError, match="square"):
         write_matrix(np.zeros((2, 3)), tmp_path / "rect.bin")

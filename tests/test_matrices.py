@@ -13,13 +13,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (constrained_goe_covariance, directional_derivative,
+from conftest import (BLOCK_SIZES, constrained_goe_covariance,
+                      cycle_adjacency, dense_center_rescale,
+                      dense_embed_in_offspace, dense_householder_conjugate,
+                      dense_sample_constrained_goe, directional_derivative,
                       h_switch_component, inner_product, project_constrained,
                       switch_direction)
 from rrglab.graphs import sample_regular_graph
-from rrglab.matrices import (center_rescale, embed_in_offspace,
-                             restrict_to_offspace, sample_constrained_goe,
-                             uniform_unit)
+from rrglab.matrices import (_householder_conjugate, center_rescale,
+                             embed_in_offspace, restrict_to_offspace,
+                             sample_constrained_goe, uniform_unit)
 from rrglab.streams import rng_stream
 
 
@@ -152,3 +155,70 @@ def test_directional_derivative_exact_on_cubic():
         assert abs(second - 6 * np.trace(h @ x @ y)) < 1e-5 * abs(second)
         third = directional_derivative(f, h, [x, y, z])
         assert abs(third - 6 * np.trace(x @ y @ z)) < 1e-4 * abs(third)
+
+
+# ---------------------------------------------------------------------------
+# The row-blocked, in-place layer against the dense formulas, bit for bit
+
+
+def _symmetric(n, seed):
+    raw = rng_stream(seed).normal(size=(n, n))
+    return raw + raw.T
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_householder_conjugate_is_bitwise_the_dense_formula(n):
+    for seed in (0, 1, 2):
+        mat = _symmetric(n, seed)
+        kept = mat.copy()
+        want = dense_householder_conjugate(mat)
+        assert np.array_equal(_householder_conjugate(mat, np.empty((n, n))),
+                              want)
+        assert np.array_equal(mat, kept)
+        assert _householder_conjugate(mat, mat) is mat  # in place
+        assert np.array_equal(mat, want)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_restrict_to_offspace_is_bitwise_and_leaves_its_input(n):
+    for seed in (0, 1, 2):
+        w = sample_constrained_goe(n, rng=rng_stream(seed))
+        kept = w.copy()
+        core = restrict_to_offspace(w)
+        assert np.array_equal(core, dense_householder_conjugate(kept)[:-1, :-1])
+        assert np.array_equal(w, kept)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_sample_constrained_goe_is_bitwise_the_dense_formula(n):
+    for seed in (0, 1, 2):
+        rng, ref = rng_stream(seed), rng_stream(seed)
+        got = sample_constrained_goe(n, rng=rng)
+        want = dense_sample_constrained_goe(n, rng=ref)
+        assert np.array_equal(got, want)
+        # the draw is taken in blocks of rows but leaves the stream where
+        # one (N-1) x (N-1) draw does
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES[1:])  # a 2-cycle has degree 1
+def test_center_rescale_is_bitwise_the_dense_formula(n):
+    graphs = [cycle_adjacency(n)]
+    if n > 4:
+        graphs += [sample_regular_graph(n, 4, rng=rng_stream(seed))
+                   for seed in (0, 1)]
+    for graph in graphs:
+        assert np.array_equal(center_rescale(graph),
+                              dense_center_rescale(graph))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_embed_in_offspace_is_bitwise_and_leaves_its_input(n):
+    for seed, k in ((0, 1), (1, 3), (2, n - 1)):
+        x = rng_stream(seed).normal(size=(n - 1, k))
+        kept = x.copy()
+        # the reversed column view that eigenpairs passes
+        for vectors in (x, x[:, ::-1]):
+            assert np.array_equal(embed_in_offspace(vectors),
+                                  dense_embed_in_offspace(vectors))
+        assert np.array_equal(x, kept)
