@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, resolve_config
+from .config import resolve_config
 from .flow import ConvergenceError, SingularityError
 from .graphs import SamplingError
 from .harness import RECIPE_DEFAULTS, RECIPES, run_experiment
@@ -50,8 +50,8 @@ def main(argv=None):
             file_path=args.config,
             overrides=overrides)
         return run_experiment(config, args.recipe)
-    except (ConfigError, SamplingError, ConvergenceError, SingularityError,
-            FileNotFoundError, OSError, ValueError) as exc:
+    except (SamplingError, ConvergenceError, SingularityError, OSError,
+            ValueError) as exc:
         print(f"rrglab {args.recipe}: error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

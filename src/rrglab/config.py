@@ -66,8 +66,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("n must be at least 2")
-        if not 1 <= self.d < self.n:
-            raise ConfigError("d must satisfy 1 <= d < n")
+        # the centered, rescaled matrix divides by sqrt(d - 1)
+        if not 2 <= self.d < self.n:
+            raise ConfigError("d must satisfy 2 <= d < n")
         if self.n * self.d % 2:
             raise ConfigError("n*d must be even for a d-regular graph to exist")
         if self.n_samples < 0:
@@ -137,13 +138,16 @@ def parse_config_file(path):
     return values
 
 
-def resolve_config(recipe_defaults=None, file_path=None, overrides=None):
-    """Merge defaults < recipe defaults < config file < explicit overrides."""
+def resolve_config(recipe_defaults, file_path, overrides):
+    """Merge defaults < recipe defaults < config file < explicit overrides.
+
+    Either of the first two may be None; None override values are skipped.
+    """
     merged = {}
     merged.update(recipe_defaults or {})
     if file_path is not None:
         merged.update(parse_config_file(file_path))
-    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:

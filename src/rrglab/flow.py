@@ -502,8 +502,8 @@ def eigenvalue_path(lambda0, t_end, dt, *, rng):
     return times, paths
 
 
-def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
-                    n_replicas=1, renormalize=True, t_start=0.0):
+def eigenvector_sde(path_times, path_values, t_end, dt, v0, *, rng,
+                    n_replicas, t_start, renormalize=True):
     """Euler-Maruyama eigenvector frames along a frozen eigenvalue path.
 
     dv_i = (1/sqrt(M)) sum_{j != i} dB_ij/(lambda_i - lambda_j) v_j
@@ -513,16 +513,16 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0=None, *, rng,
     variance dt per step pair) drawn independently per replica, and
     per-step re-orthonormalization by modified Gram-Schmidt (the
     positive-diagonal QR sign convention).
-    Returns frames of shape (n_replicas, M, M) whose columns are the
-    eigenvectors.  They start from identity frames, or from ``v0``, a
-    (n_replicas, M, M) stack, so a run can continue where a previous
-    segment stopped (pass its output and ``t_start``).
+    Runs from ``t_start`` to ``t_end`` and returns frames of shape
+    (n_replicas, M, M) whose columns are the eigenvectors.  They start from
+    ``v0``, a (n_replicas, M, M) stack: identity frames for a fresh run,
+    or a previous segment's output, so a run can continue where that
+    segment stopped.  ``renormalize=False`` skips the Gram-Schmidt step,
+    which leaves the decay drift visible in the column norms.
     """
     path_times = np.asarray(path_times, dtype=np.float64)
     path_values = np.asarray(path_values, dtype=np.float64)
     m = path_values.shape[1]
-    if v0 is None:
-        v0 = np.broadcast_to(np.eye(m), (n_replicas, m, m))
     if v0.shape != (n_replicas, m, m):
         raise ValueError("v0 must stack n_replicas frames of shape (M, M)")
     frames = np.array(v0, dtype=np.float64)
@@ -589,7 +589,8 @@ def free_conv_stieltjes(initial_spectrum, t, z, tol=1e-12):
     Solves m = (1/M) sum_i 1/(e^{-t/2} lambda_i - z - (1 - e^{-t}) m) by
     damped fixed-point iteration (omega = 0.5, halved when the residual
     oscillates) started from the empirical t = 0 value; the self-consistency
-    residual is driven below ``tol``.  Herglotz by construction.
+    residual is driven below ``tol`` (at t = 0 the start has residual 0).
+    Herglotz by construction.
     """
     lam = np.asarray(initial_spectrum, dtype=np.float64)
     if z.imag <= 0:
@@ -597,8 +598,6 @@ def free_conv_stieltjes(initial_spectrum, t, z, tol=1e-12):
     if t < 0:
         raise ValueError("t must be nonnegative")
     current = complex(np.mean(1.0 / (lam - z)))
-    if t == 0:
-        return current
     shrink = math.exp(-t / 2.0)
     theta = 1.0 - math.exp(-t)
     scaled = shrink * lam

@@ -11,6 +11,7 @@ multiple ``_BURN_IN_FACTOR`` of N*d switching steps.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -70,19 +71,18 @@ def sample_regular_graph(n_vertices, degree, *, rng):
 
 
 def _pair_stubs_rejection(n, d, rng):
-    """Uniform stub pairing, restarting on any self-loop or repeated edge."""
+    """Uniform stub pairing, one ``rng.permutation`` of the stubs an
+    attempt, restarting on any self-loop or repeated unordered pair."""
     stubs = np.repeat(np.arange(n), d)
     for _ in range(_MAX_ATTEMPTS):
         perm = rng.permutation(stubs)
+        u, v = perm[0::2], perm[1::2]
+        key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        if (u == v).any() or (key[1:] == key[:-1]).any():
+            continue
         adj = np.zeros((n, n), dtype=np.uint8)
-        ok = True
-        for u, v in zip(perm[0::2], perm[1::2]):
-            if u == v or adj[u, v]:
-                ok = False
-                break
-            adj[u, v] = adj[v, u] = 1
-        if ok:
-            return adj
+        adj[u, v] = adj[v, u] = 1
+        return adj
     raise SamplingError(
         f"rejection pairing failed after {_MAX_ATTEMPTS} restarts (n={n}, d={d})")
 
@@ -128,8 +128,6 @@ def enumerate_regular_graphs(n_vertices, degree):
     Intended for exhaustive small-space checks (n <= 8, d = 3 gives 19355
     graphs).  Returns a list of adjacency arrays in a deterministic order.
     """
-    from itertools import combinations
-
     n, d = n_vertices, degree
     if (n * d) % 2 or d >= n or n <= 0 or d < 0:
         return []

@@ -250,12 +250,12 @@ def recipe_corr_test(config, out_dir):
     spectra = _rrg_ensemble(config)
     goe = goe_reference(config.n, config.n_samples, config.seed)
 
-    pair_phi = bump_product(bump_test_function(0.0, 3.0),
-                            bump_test_function(0.0, 3.0))
+    width = 3.0
+    pair_phi = bump_product(bump_test_function(0.0, width),
+                            bump_test_function(0.0, width))
 
     def per_sample(ensemble):
-        vals = np.array([correlation_estimator([lam], 0.0, pair_phi,
-                                                support_radius=3.0)
+        vals = np.array([correlation_estimator([lam], 0.0, pair_phi, width)
                          for lam in ensemble])
         return (float(vals.mean()),
                 float(vals.std(ddof=1)) / math.sqrt(len(vals)))
@@ -335,8 +335,9 @@ def recipe_generator_check(config, out_dir):
     reports = [io.report_record(f"normalized_discrepancy[d={r.degree}]",
                                 r.normalized, stderr=r.normalized_stderr,
                                 n_samples=r.n_samples) for r in rows]
-    # Decrease must exceed combined errors inside the window d <= N^{2/3}
-    # (where the bandwidth D equals d); the endpoint decrease must hold too.
+    # Decrease must exceed combined errors for d <= N^{2/3}, the top of the
+    # degree window (D = min(d, N^2/d^3) equals d only for d <= N^{1/2});
+    # the endpoint decrease must hold too.
     regime = config.n ** (2.0 / 3.0)
     ok = True
     for a, b in zip(rows, rows[1:]):
@@ -400,7 +401,7 @@ def recipe_emf_check(config, out_dir):
     io.write_emf_csv(out_dir / "emf.csv", list(t_grid), solution.values)
 
     replicas = config.n_samples
-    frames, t_prev = None, 0.0
+    frames, t_prev = np.broadcast_to(np.eye(m), (replicas, m, m)), 0.0
     reports, sigmas = [], []
     mc_rows = []
     for k, t in enumerate(t_grid):

@@ -150,11 +150,11 @@ def bulk_range(n, kappa):
     return lo, hi
 
 
-def gap_ensemble(spectra, kappa=0.1):
+def gap_ensemble(spectra, kappa):
     """Pooled normalized bulk gaps N rho(gamma_i) (lambda_i - lambda_{i+1}).
 
-    Concatenates, spectrum by spectrum, the gaps at the ranks of
-    ``bulk_range``; every spectrum must have the same length.
+    Concatenates, spectrum by spectrum, the gaps at the ranks
+    ``bulk_range(N, kappa)``; every spectrum must have the same length.
     """
     spectra = list(spectra)
     if not spectra:
@@ -175,7 +175,7 @@ def gap_ensemble(spectra, kappa=0.1):
 # Correlation estimator
 
 
-def correlation_estimator(spectra, energy, phi, support_radius=1.0):
+def correlation_estimator(spectra, energy, phi, support_radius):
     """Locally averaged two-point correlation integral around ``energy``.
 
     Estimates the average over E' in [E - b, E + b] of
@@ -223,8 +223,8 @@ def delocalization_stat(eigenvectors):
     return math.sqrt(eigenvectors.shape[0]) * float(np.abs(eigenvectors).max())
 
 
-def rigidity_stat(eigenvalues, kappa=0.1):
-    """max over bulk ranks of |lambda_i - gamma_i|."""
+def rigidity_stat(eigenvalues, kappa):
+    """max over the ranks ``bulk_range(N, kappa)`` of |lambda_i - gamma_i|."""
     n = len(eigenvalues) + 1
     lo, hi = bulk_range(n, kappa)
     gamma = classical_locations(n)

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from rrglab.graphs import sample_regular_graph
+from rrglab.graphs import _MAX_ATTEMPTS, SamplingError, sample_regular_graph
 from rrglab.matrices import (_ROW_BLOCK, _householder, center_rescale,
                              sample_constrained_goe, uniform_unit)
 from rrglab.spectra import semicircle_m
@@ -296,6 +296,25 @@ def semicircle_semigroup_residual(z, t):
 # sizes around the library's row block
 BLOCK_SIZES = (2, 3, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
                2 * _ROW_BLOCK + 5)
+
+
+def rejection_pairing_reference(n, d, rng):
+    """Rejection pairing, one stub pair at a time: the loop that the
+    sampler's vectorized rejection test must reproduce draw for draw."""
+    stubs = np.repeat(np.arange(n), d)
+    for _ in range(_MAX_ATTEMPTS):
+        perm = rng.permutation(stubs)
+        adj = np.zeros((n, n), dtype=np.uint8)
+        ok = True
+        for u, v in zip(perm[0::2], perm[1::2]):
+            if u == v or adj[u, v]:
+                ok = False
+                break
+            adj[u, v] = adj[v, u] = 1
+        if ok:
+            return adj
+    raise SamplingError(
+        f"rejection pairing failed after {_MAX_ATTEMPTS} restarts (n={n}, d={d})")
 
 
 def dense_center_rescale(graph):

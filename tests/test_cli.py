@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: flags, config files, exit codes."""
 
+import itertools
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from rrglab import chain, flow
@@ -42,6 +44,30 @@ def test_verify_small_fails_on_an_irreversible_chain(tmp_path, monkeypatch):
     assert reports["reversible[8,3]"] == 0.0
 
 
+def test_verify_small_fails_on_a_move_off_the_state_space(tmp_path,
+                                                         monkeypatch):
+    """Each graph gains one move whose second pair {k, l} is not an edge.
+
+    Its switch leaves some vertex with degree d +- 2, a graph outside the
+    enumerated space, which is never a source: not reversible, no crash.
+    """
+    full = chain.switchings
+
+    def leaking(graph):
+        i, j = chain.edge_array(graph)[0]
+        k, l = next((k, l) for k, l in
+                    itertools.combinations(range(len(graph)), 2)
+                    if not graph[k, l] and not {k, l} & {i, j})
+        return np.vstack([full(graph), [[i, j, k, l]]])
+
+    monkeypatch.setattr(chain, "switchings", leaking)
+    report = chain.invariance_report(8, 3)
+    assert report.n_transitions == 355_320 + 19_355
+    assert not report.reversible
+    assert main(["verify-small", "--out", str(tmp_path),
+                 "--seed", "0"]) == EXIT_ACCEPTANCE
+
+
 def test_sample_honors_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 14\nd = 4\nn_samples = 3\n")
@@ -55,6 +81,17 @@ def test_sample_honors_config_file_and_flag_precedence(tmp_path):
     assert manifest["config"]["n"] == 14
     assert manifest["config"]["n_samples"] == 2
     assert manifest["config"]["seed"] == 7
+
+
+def test_degree_one_is_refused_before_any_work(tmp_path, capsys):
+    # every matrix recipe centers and rescales by sqrt(d - 1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 10\nd = 1\n")
+    out = tmp_path / "out"
+    status = main(["sample", "--config", str(cfg), "--out", str(out)])
+    assert status == EXIT_PARAMETER
+    assert "2 <= d < n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_samples_is_a_parameter_error(tmp_path, capsys):

@@ -576,15 +576,16 @@ def test_eigenvector_sde_frames_stay_orthonormal():
     rng = rng_stream(24)
     lam0 = np.sort(rng.normal(size=5))[::-1] * 2.0
     path_t, path = eigenvalue_path(lam0, 0.1, 1e-3, rng=rng_stream(25))
-    frames = eigenvector_sde(path_t, path, 0.1, 1e-3, rng=rng_stream(26),
-                             n_replicas=4)
+    identity = np.broadcast_to(np.eye(5), (4, 5, 5))
+    frames = eigenvector_sde(path_t, path, 0.1, 1e-3, identity,
+                             rng=rng_stream(26), n_replicas=4, t_start=0.0)
     assert frames.shape == (4, 5, 5)
     for frame in frames:
         gram = frame.T @ frame
         assert np.abs(gram - np.eye(5)).max() < 1e-10
     assert not np.allclose(frames[0], frames[1])  # replicas are independent
-    again = eigenvector_sde(path_t, path, 0.1, 1e-3, rng=rng_stream(26),
-                            n_replicas=4)
+    again = eigenvector_sde(path_t, path, 0.1, 1e-3, identity,
+                            rng=rng_stream(26), n_replicas=4, t_start=0.0)
     assert np.array_equal(frames, again)
 
 
@@ -593,7 +594,8 @@ def test_eigenvector_sde_zero_noise_norm_decay():
     path_t = np.array([0.0, 1.0])
     path = np.vstack([lam, lam])
     t, dt = 0.5, 1e-4
-    frames = eigenvector_sde(path_t, path, t, dt, rng=ZeroNoise(),
+    frames = eigenvector_sde(path_t, path, t, dt, np.eye(2)[None],
+                             rng=ZeroNoise(), n_replicas=1, t_start=0.0,
                              renormalize=False)
     # each column decays at rate (1/2M) sum_j (lambda_i - lambda_j)^-2
     rate = 1.0 / (2 * 2 * 4.0)
@@ -605,10 +607,12 @@ def test_eigenvector_sde_zero_noise_norm_decay():
 def test_eigenvector_sde_segments_continue_exactly():
     lam0 = np.array([1.5, 0.0, -1.5])
     path_t, path = eigenvalue_path(lam0, 0.04, 1e-3, rng=rng_stream(27))
-    whole = eigenvector_sde(path_t, path, 0.04, 1e-3, rng=rng_stream(28),
-                            n_replicas=2)
+    identity = np.broadcast_to(np.eye(3), (2, 3, 3))
+    whole = eigenvector_sde(path_t, path, 0.04, 1e-3, identity,
+                            rng=rng_stream(28), n_replicas=2, t_start=0.0)
     rng = rng_stream(28)
-    first = eigenvector_sde(path_t, path, 0.02, 1e-3, rng=rng, n_replicas=2)
+    first = eigenvector_sde(path_t, path, 0.02, 1e-3, identity, rng=rng,
+                            n_replicas=2, t_start=0.0)
     second = eigenvector_sde(path_t, path, 0.04, 1e-3, v0=first, rng=rng,
                              n_replicas=2, t_start=0.02)
     # the same noise stream is consumed in the same order; only the float

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import cycle_adjacency, switched_graph
+from conftest import (cycle_adjacency, rejection_pairing_reference,
+                      switched_graph)
 from rrglab.chain import edge_array, tuple_switchable
-from rrglab.graphs import (_pair_stubs_greedy, enumerate_regular_graphs,
+from rrglab.graphs import (SamplingError, _pair_stubs_greedy,
+                           _pair_stubs_rejection, enumerate_regular_graphs,
                            sample_regular_graph)
 from rrglab.streams import rng_stream
 
@@ -304,6 +306,27 @@ def test_greedy_pairing_matches_stub_by_stub_reference(n, d):
         assert np.array_equal(_pair_stubs_greedy(n, d, fast),
                               greedy_pairing_reference(n, d, slow))
         assert fast.integers(1 << 62) == slow.integers(1 << 62)
+
+
+def _pairing_or_none(pairing, n, d, rng):
+    try:
+        return pairing(n, d, rng)
+    except SamplingError:
+        return None
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (8, 3), (10, 2), (14, 4), (32, 4),
+                                  (64, 4), (100, 3), (9, 4), (12, 5), (40, 5)])
+def test_rejection_pairing_matches_pair_by_pair_reference(n, d):
+    # at d = 5 some seeds exhaust the restart budget (86 of 200 at (12, 5),
+    # 20 at (40, 5)), so both sides must raise together there too
+    for seed in range(200):
+        fast, slow = rng_stream(seed, stream_id=n), rng_stream(seed, stream_id=n)
+        got = _pairing_or_none(_pair_stubs_rejection, n, d, fast)
+        want = _pairing_or_none(rejection_pairing_reference, n, d, slow)
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+        assert fast.random() == slow.random()
 
 
 def test_edges_listing_is_sorted_upper_triangle():

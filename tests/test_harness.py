@@ -101,7 +101,7 @@ def test_tridiagonal_gaps_match_dense_goe_oracle():
         core = (raw + raw.T) / math.sqrt(2.0 * n)
         dense.append(np.linalg.eigvalsh(core)[::-1])
     tridiagonal = goe_reference(n, n_samples, seed=3)
-    ks = ks_distance(gap_ensemble(tridiagonal), gap_ensemble(dense))
+    ks = ks_distance(gap_ensemble(tridiagonal, 0.1), gap_ensemble(dense, 0.1))
     # measured 0.0160 at this seed (6440 gaps each), at most 0.0169 over
     # seeds 0-19; beta = 2 gaps against GOE gaps read about 0.07
     assert ks < 0.03
@@ -113,7 +113,7 @@ def _gue_control(n=1000, n_samples=20, seed=0):
                                  rng_stream(seed, stream_id=trial))[::-1]
            for trial in range(n_samples)]
     goe = goe_reference(n, n_samples, seed)
-    return gap_ensemble(gue), gap_ensemble(goe)
+    return gap_ensemble(gue, 0.1), gap_ensemble(goe, 0.1)
 
 
 def test_repulsion_gate_rejects_gue():

@@ -163,9 +163,9 @@ def test_gap_ensemble_of_classical_locations_is_near_one():
 def test_gap_ensemble_refuses_mixed_lengths():
     with pytest.raises(ValueError, match="mixed dimensions"):
         gap_ensemble([classical_locations(100)[:99],
-                      classical_locations(101)[:100]])
+                      classical_locations(101)[:100]], 0.1)
     with pytest.raises(ValueError, match="empty ensemble"):
-        gap_ensemble([])
+        gap_ensemble([], 0.1)
 
 
 def test_correlation_estimator_matches_naive_sum():
@@ -175,8 +175,7 @@ def test_correlation_estimator_matches_naive_sum():
     energy, radius = 0.1, 2.0
     pair_phi = bump_product(bump_test_function(0.0, radius),
                             bump_test_function(0.0, radius))
-    got = correlation_estimator(spectra, energy, pair_phi,
-                                support_radius=radius)
+    got = correlation_estimator(spectra, energy, pair_phi, radius)
 
     rho = semicircle_density(energy)
     scale = n * rho
@@ -197,9 +196,9 @@ def test_correlation_estimator_matches_naive_sum():
     assert abs(got - naive) < 1e-10 * max(1.0, abs(naive))
     assert got != 0.0  # the probe actually caught eigenvalue pairs
     with pytest.raises(ValueError):
-        correlation_estimator(spectra, 2.5, pair_phi)
+        correlation_estimator(spectra, 2.5, pair_phi, radius)
     with pytest.raises(ValueError, match="empty ensemble"):
-        correlation_estimator([], energy, pair_phi)
+        correlation_estimator([], energy, pair_phi, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +215,8 @@ def test_delocalization_stat_is_scaled_max_entry(h_24_4):
 def test_rigidity_stat_vanishes_on_classical_locations():
     n = 300
     lam = classical_locations(n)[:n - 1]
-    assert rigidity_stat(lam) == 0.0
-    assert abs(rigidity_stat(lam + 0.01) - 0.01) < 1e-12
+    assert rigidity_stat(lam, 0.1) == 0.0
+    assert abs(rigidity_stat(lam + 0.01, 0.1) - 0.01) < 1e-12
 
 
 # ---------------------------------------------------------------------------
