@@ -40,6 +40,9 @@ from .graphs import _read_only, enumerate_regular_graphs
 # Proposals are drawn from the RNG in blocks of this many; any block size
 # yields the same trajectory because draws are consumed element by element.
 BLOCK_SIZE = 1 << 15
+# The move scan's block, in (graph, edge, directed edge) triples; any block
+# size gives the same rows.
+_SCAN_BLOCK = 1 << 22
 
 
 def run_chain(graph, n_steps, *, rng):
@@ -99,22 +102,51 @@ def switchings(graph):
     (j,i,l,k) and (l,k,j,i) of a move, the row is the one with i < j and
     {i, j} before {k, l} in ``edge_array`` order.  The scan pairs each edge
     {i, j} with the directed edges (k, l) in lexicographic order, so the
-    rows come out sorted; it runs in fixed-size row blocks to bound peak
-    memory.
+    rows come out sorted (see ``_stacked_switchings``).
     """
-    a = graph.astype(bool)
-    n = len(graph)
-    edges = edge_array(graph)
-    src, dst = np.nonzero(graph)
+    return _stacked_switchings(graph[None])[1]
+
+
+def _stacked_switchings(graphs):
+    """The moves of each graph of a (G, N, N) stack of d-regular graphs.
+
+    Returns (owner, moves): ``moves`` holds each graph's ``switchings``
+    rows, graph after graph, and ``owner`` the stack index of each row's
+    graph.  The scan runs over (graph, edge, directed edge) triples in
+    blocks of about ``_SCAN_BLOCK`` to bound peak memory: whole graphs at a
+    time when one graph's triples fit in a block, otherwise row blocks of
+    one graph's edges.
+    """
+    count, n = graphs.shape[:2]
+    a = graphs.astype(bool)
+    # every graph has the same number of edges, so these reshape by graph;
+    # nonzero's row-major order is edge_array's order within each graph
+    i, j = (x.reshape(count, -1) for x in np.nonzero(np.triu(a, 1))[1:])
+    src, dst = (x.reshape(count, -1) for x in np.nonzero(a)[1:])
     rank = np.minimum(src, dst) * n + np.maximum(src, dst)
-    blocks = []
-    block = max(1, (1 << 22) // max(1, src.size))
-    for start in range(0, len(edges), block):
-        i, j = edges[start:start + block, :1], edges[start:start + block, 1:]
-        ok = ~(a[i, src] | a[i, dst] | a[j, src] | a[j, dst])
-        p, q = np.nonzero(ok & (rank > i * n + j))
-        blocks.append(np.stack([i[p, 0], j[p, 0], src[q], dst[q]], axis=1))
-    return np.concatenate(blocks).astype(np.int64, copy=False)
+    n_edges, n_arcs = i.shape[1], max(1, src.shape[1])
+    edge_block = max(1, min(n_edges, _SCAN_BLOCK // n_arcs))
+    graph_block = max(1, _SCAN_BLOCK // (edge_block * n_arcs))
+    owners, blocks = [], []
+    for g0 in range(0, count, graph_block):
+        gs = slice(g0, g0 + graph_block)
+        ids = np.arange(g0, min(g0 + graph_block, count))[:, None]
+        for e0 in range(0, n_edges, edge_block):
+            ei, ej = i[gs, e0:e0 + edge_block], j[gs, e0:e0 + edge_block]
+            near = a[ids, ei] | a[ids, ej]
+            ok = ~(np.take_along_axis(near, src[gs, None], axis=2)
+                   | np.take_along_axis(near, dst[gs, None], axis=2))
+            ok &= rank[gs, None] > (ei * n + ej)[..., None]
+            # flat indices: row r = g * edges + e of (ei, ej), arc g * arcs + q
+            row, q = np.divmod(np.flatnonzero(ok), n_arcs)
+            g = row // ok.shape[1]
+            arc = g * n_arcs + q
+            owners.append(g + g0)
+            blocks.append(np.stack([np.take(ei, row), np.take(ej, row),
+                                    np.take(src[gs], arc),
+                                    np.take(dst[gs], arc)], axis=1))
+    return (np.concatenate(owners),
+            np.concatenate(blocks).astype(np.int64, copy=False))
 
 
 def tuple_switchable(i, j, m, n, a):
@@ -143,13 +175,13 @@ def invariance_report(n_vertices, degree):
     """Verify detailed balance, hence uniform invariance, exhaustively.
 
     Enumerates every labeled d-regular graph on ``n_vertices`` vertices,
-    lists the moves of each once (``switchings``; the chain's four tuples
-    per move scale every count alike), and checks that the transition
-    multiset is exactly symmetric: each move and its inverse occur equally
-    often, so the uniform measure is reversible.  A move that leaves the
-    enumerated state space reads as not reversible.  Reversibility implies
-    stationarity: a symmetric multiset gives every graph B equal in- and
-    out-degree, so for every observable f
+    lists the moves of each once (``switchings``, all graphs in one stacked
+    scan; the chain's four tuples per move scale every count alike), and
+    checks that the transition multiset is exactly symmetric: each move and
+    its inverse occur equally often, so the uniform measure is reversible.
+    A move that leaves the enumerated state space reads as not reversible.
+    Reversibility implies stationarity: a symmetric multiset gives every
+    graph B equal in- and out-degree, so for every observable f
     sum_A Qf(A) = sum_B (indeg - outdeg)(B) f(B) / (2 N d) = 0.
     """
     graphs = enumerate_regular_graphs(n_vertices, degree)
@@ -168,19 +200,15 @@ def invariance_report(n_vertices, degree):
     bit_of[triu] = np.arange(n_bits)
     bit_of = bit_of + bit_of.T
     weights = np.int64(1) << np.arange(n_bits, dtype=np.int64)
-    bits = np.stack([g[triu] for g in graphs]).astype(np.int64)
-    keys = bits @ weights
+    stack = np.stack(graphs)
+    keys = stack[:, triu[0], triu[1]].astype(np.int64) @ weights
 
-    src_parts, dst_parts = [], []
-    for key, g in zip(keys.tolist(), graphs):
-        moves = switchings(g)
-        i, j, k, l = moves.T
-        flips = ((np.int64(1) << bit_of[i, j]) ^ (np.int64(1) << bit_of[k, l])
-                 ^ (np.int64(1) << bit_of[i, k]) ^ (np.int64(1) << bit_of[j, l]))
-        src_parts.append(np.full(len(moves), key, dtype=np.int64))
-        dst_parts.append(key ^ flips)
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
+    owner, moves = _stacked_switchings(stack)
+    i, j, k, l = moves.T
+    flips = ((np.int64(1) << bit_of[i, j]) ^ (np.int64(1) << bit_of[k, l])
+             ^ (np.int64(1) << bit_of[i, k]) ^ (np.int64(1) << bit_of[j, l]))
+    src = keys[owner]
+    dst = src ^ flips
 
     # Detailed balance w.r.t. the uniform measure: the multiset of
     # (source, destination) key pairs equals the multiset of reversed pairs;

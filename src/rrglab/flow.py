@@ -16,8 +16,10 @@ observables, and the switching-derivative seminorms of F = Im s(z) that
 normalize the Q-vs-L discrepancy, share one path: a switching direction
 is a rank-2 update of H, so every resolvent trace they need comes from
 gathers of G = (H - z)^{-1} and G^2 and small 2r x 2r algebra.  Q takes
-one 2x2 determinant per switching (matrix determinant lemma); the
-seminorm's probes and their stencil corners are rank-2r Woodbury updates.
+one 2x2 determinant per switching (matrix determinant lemma); each
+seminorm probe is a rank-2r Woodbury update, and its order-r mixed
+derivative is exact: a sum over permutations of traces of products of
+2x2 resolvent blocks, with no difference step.
 
 Also here: the eigenvector moment flow at p = 1 (an ODE over the M
 eigenvector sites driven by a frozen eigenvalue path, integrated by RK4 on
@@ -27,7 +29,7 @@ eigenvector SDEs, and the free-convolution Stieltjes fixed point.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations
 
 import numpy as np
 
@@ -176,63 +178,53 @@ def switch_generator_stieltjes(graph, z):
 # Seminorm estimation and the Q-vs-L discrepancy scan
 
 
-def _seminorm_stencils(h, sites, thetas, scale, z):
-    """Central-difference derivatives of F = Im s(z) at a stack of probes.
+def _probe_derivatives(h, sites, thetas, scale, z):
+    """Exact mixed switching derivatives of F = Im s(z) at a stack of probes.
 
     Probe p (``sites`` (P, r, 4), ``thetas`` (P, r), r the order) sits at
     B_p = H + scale * sum_a thetas[p, a] X_a, X_a the switching direction
-    at sites[p, a]; its value is the 2^r-corner stencil
+    at sites[p, a].  With G_p = (B_p - z)^{-1} and d_X G_p = -G_p X G_p,
 
-        sum_{s in {-1,+1}^r} (prod_a s_a) F(B_p + step_p sum_a s_a X_a)
-            / (2 step_p)^r,
+        d_{X_1}...d_{X_r} tr G_p
+            = (-1)^r sum_{sigma in S_r} tr(G_p X_s1 G_p X_s2 ... X_sr G_p),
 
-    step_p = base * (1 + max|B_p|), base 1e-5 for r <= 2 and 1e-3 above.
-    With V holding the pair (v_a, w_a) of every X_a, B_p = H + V C_p V^T,
-    C_p = scale blockdiag(thetas[p, a] ``_SWITCH_PAIR``), and a corner is
-    B_p + V C V^T, C = step_p blockdiag(s_a ``_SWITCH_PAIR``).  From the
-    gathers G_VV = V^T G V and (G^2)_VV of G = (H - z)^{-1}, the Woodbury
-    identity with M = (I + C_p G_VV)^{-1} gives G_p = (B_p - z)^{-1}'s
-    blocks V^T G_p V = G_VV M and V^T G_p^2 V = M^T (G^2)_VV M, and then
+    s_a = sigma(a).  Each X_a is V_a J V_a^T with V_a = [v_a, w_a] and J
+    the 2x2 swap (``_SWITCH_PAIR``), so by cyclicity a term is
+    tr(J A_{s1 s2} J A_{s2 s3} ... J D_{sr s1}) over the 2x2 blocks
+    A_ab = V_a^T G_p V_b and D_ab = V_a^T G_p^2 V_b.  G_p is complex
+    symmetric, so a permutation's term equals its reversal's: only those
+    with s_1 <= s_r are formed, the others counted by a weight of 2.
 
-        tr (B_p + V C V^T - z)^{-1} - tr G_p
-            = -tr[(I + C V^T G_p V)^{-1} C V^T G_p^2 V],
-
-    all by stacked 2r x 2r solves, invertible for Im z != 0 (each determinant
-    is a ratio of two det(. - z)).  The stencil weights sum to zero, so
-    F(B_p) and the trivial eigenvalue's -1/z cancel: the corner differences
-    are formed directly, never as differences of F's rounded values.
+    With V holding the pair of every X_a, B_p = H + V C_p V^T, C_p = scale
+    blockdiag(thetas[p, a] J).  From the gathers G_VV = V^T G V and
+    (G^2)_VV of G = (H - z)^{-1}, the Woodbury identity with
+    M = (I + C_p G_VV)^{-1} (invertible for Im z != 0) gives the blocks
+    V^T G_p V = G_VV M and V^T G_p^2 V = M^T (G^2)_VV M.  The trivial
+    eigenvalue's -1/z does not move along any X_a, so the derivative of F
+    is Im(.)/(N - 1).
     """
     n_probes, order = thetas.shape
     n = h.shape[0]
-    eye = np.eye(n)
-    i, j, k, l = np.moveaxis(sites, -1, 0)
-    # integer entries, so each v w^T + w v^T is xi_ijkl exactly
-    half = np.einsum("pa,pax,pay->pxy", thetas, eye[i] - eye[l],
-                     eye[j] - eye[k])
-    # the dense stencil's step rule (truncation against F's rounding), which
-    # the tests' dense oracle shares
-    step = (1e-5 if order <= 2 else 1e-3) * (
-        1.0 + abs(h + scale * (half + half.swapaxes(1, 2))).max(axis=(1, 2)))
-
-    def pair_blocks(coeffs):  # blockdiag(coeffs[x, a] J) for each row x
-        return np.einsum("xa,ab,qr->xaqbr", coeffs, np.eye(order),
-                         _SWITCH_PAIR).reshape(len(coeffs), 2 * order, -1)
-
-    g = np.linalg.inv(h - z * eye)
+    g = np.linalg.inv(h - z * np.eye(n))
     # columns v_1, w_1, v_2, w_2, ...: v_a = e_i - e_l, w_a = e_j - e_k
     plus = sites[..., :2].reshape(n_probes, 1, 2 * order)
     minus = sites[..., [3, 2]].reshape(n_probes, 1, 2 * order)
     g_vv, g_sq_vv = (_bilinear(mat, plus.swapaxes(1, 2), minus.swapaxes(1, 2),
                                plus, minus) for mat in (g, g @ g))
-    m = np.linalg.inv(scale * pair_blocks(thetas) @ g_vv + np.eye(2 * order))
-    g_vv, g_sq_vv = g_vv @ m, m.swapaxes(1, 2) @ g_sq_vv @ m
-    signs = np.array(list(product((1.0, -1.0), repeat=order)))
-    c = step[:, None, None, None] * pair_blocks(signs)
-    solved = np.linalg.solve(np.matmul(c, g_vv[:, None]) + np.eye(2 * order),
-                             c)
-    shifts = -np.einsum("pcab,pba->pc", solved, g_sq_vv)
-    total = (shifts @ signs.prod(axis=1)).imag / (n - 1)
-    return total / (2.0 * step) ** order
+    c = np.einsum("pa,ab,qr->paqbr", scale * thetas, np.eye(order),
+                  _SWITCH_PAIR).reshape(n_probes, 2 * order, 2 * order)
+    m = np.linalg.inv(c @ g_vv + np.eye(2 * order))
+    # J A_ab and J D_ab as (P, r, r, 2, 2): J swaps each block's rows
+    ja, jd = (mat.reshape(n_probes, order, 2, order, 2)[:, :, ::-1]
+              .swapaxes(2, 3)
+              for mat in (g_vv @ m, m.swapaxes(1, 2) @ g_sq_vv @ m))
+    perms = np.array([s for s in permutations(range(order)) if s[0] <= s[-1]])
+    terms = jd[:, perms[:, -1], perms[:, 0]]
+    for a in reversed(range(order - 1)):
+        terms = ja[:, perms[:, a], perms[:, a + 1]] @ terms
+    weight = (-1.0) ** order * (2.0 if order > 1 else 1.0)
+    total = weight * np.trace(terms, axis1=2, axis2=3).sum(axis=1)
+    return total.imag / (n - 1)
 
 
 def estimate_seminorm(z, matrices, order, scale, *, rng):
@@ -243,9 +235,9 @@ def estimate_seminorm(z, matrices, order, scale, *, rng):
     random draws of |d_{X_1}...d_{X_n} F| evaluated at
     H + scale * sum theta_a X_a (each probe draws its (n, 4) sites, then its
     n thetas); the outer average is the L^r mean over samples, r =
-    ``_SEMINORM_POWER``.  The derivatives are the probes' central-difference
-    stencils, all probes of a sample at once, whose probes and corners are
-    low-rank updates of H's resolvent (see ``_seminorm_stencils``).
+    ``_SEMINORM_POWER``.  The derivatives are exact, all probes of a sample
+    at once, from low-rank updates of H's resolvent (see
+    ``_probe_derivatives``).
     A sampled max can only undershoot: the estimate is a lower bound of the
     true seminorm.
     """
@@ -259,8 +251,8 @@ def estimate_seminorm(z, matrices, order, scale, *, rng):
         for p in range(_SEMINORM_PROBES):
             sites[p] = rng.integers(0, n, size=(order, 4))
             thetas[p] = rng.uniform(size=order)
-        stencils = _seminorm_stencils(h, sites, thetas, scale, z)
-        values.append(float(np.abs(stencils).max()))
+        derivatives = _probe_derivatives(h, sites, thetas, scale, z)
+        values.append(float(np.abs(derivatives).max()))
     arr = np.asarray(values, dtype=np.float64)
     return float(np.mean(arr ** _SEMINORM_POWER) ** (1.0 / _SEMINORM_POWER))
 

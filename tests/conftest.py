@@ -2,7 +2,7 @@
 and the oracles that several test modules check the library against."""
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -105,7 +105,7 @@ def stieltjes_observable(z):
     return func
 
 
-def directional_derivative(func, h, directions):
+def directional_derivative(func, h, directions, step=None):
     """Mixed central-difference derivative of F along matrix directions.
 
     The dense-stencil oracle: for dense matrix directions X_1, ..., X_n
@@ -115,18 +115,41 @@ def directional_derivative(func, h, directions):
         sum_{s in {-1,+1}^n} (prod_a s_a) F(H + step * sum_a s_a X_a)
             / (2 * step)^n,
 
-    with step = base * (1 + max|H|), base 1e-5 for n <= 2 and 1e-3 above,
-    the step rule of ``flow.estimate_seminorm``.  Every corner is a full
-    evaluation of F, so F's rounding is divided by (2 * step)^n.
+    whose truncation error is O(step^2).  By default step = base *
+    (1 + max|H|), base 1e-5 for n <= 2 and 1e-3 above, which balances that
+    truncation against F's rounding.  Every corner is a full evaluation of
+    F, so F's rounding is divided by (2 * step)^n.
     """
     n = len(directions)
-    base = 1e-5 if n <= 2 else 1e-3
-    step = base * (1.0 + float(abs(h).max()))
+    if step is None:
+        step = (1e-5 if n <= 2 else 1e-3) * (1.0 + float(abs(h).max()))
     total = 0.0
     for signs in product((1.0, -1.0), repeat=n):
         point = h + step * sum(s * x for s, x in zip(signs, directions))
         total += float(np.prod(signs)) * func(point)
     return total / (2.0 * step) ** n
+
+
+def stieltjes_derivative(z, h, directions):
+    """Exact mixed derivative of F = Im s(H; z) along matrix directions.
+
+    The dense resolvent oracle: with G = (H - z)^{-1} and d_X G = -G X G,
+
+        d_{X_1}...d_{X_n} tr G
+            = (-1)^n sum_{sigma in S_n} tr(G X_sigma(1) G ... X_sigma(n) G),
+
+    every permutation formed with dense N x N products.  For directions in
+    the constrained space (X e = 0) the trivial eigenvalue stays at 0, so
+    the derivative of F is Im(.)/(N - 1).
+    """
+    g = np.linalg.inv(h - z * np.eye(len(h)))
+    total = 0.0
+    for sigma in permutations(range(len(directions))):
+        term = g
+        for a in sigma:
+            term = term @ directions[a] @ g
+        total += np.trace(term)
+    return float(((-1) ** len(directions) * total).imag) / (len(h) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,22 @@ def test_switchings_name_each_move_once(graph_24_4):
     assert rows.tolist() == sorted(rows.tolist())
 
 
+def test_stacked_scan_is_the_graph_by_graph_scan(monkeypatch):
+    # a stack's rows are each graph's switchings rows in stack order, with
+    # the stack index as owner, whether a scan block holds the whole stack,
+    # 7 of its graphs (12 edges x 24 directed edges each) or 4 edges of one
+    graphs = enumerate_regular_graphs(8, 3)[::1000]
+    expected = [switchings(g) for g in graphs]
+    owners = np.repeat(np.arange(len(graphs)), [len(m) for m in expected])
+    for block in (1 << 22, 7 * 12 * 24, 4 * 24):
+        monkeypatch.setattr(chain, "_SCAN_BLOCK", block)
+        owner, moves = chain._stacked_switchings(np.stack(graphs))
+        assert np.array_equal(moves, np.concatenate(expected)), block
+        assert np.array_equal(owner, owners), block
+        assert all(np.array_equal(switchings(g), m)
+                   for g, m in zip(graphs, expected)), block
+
+
 def test_hexagonal_state_space_has_no_moves():
     report = invariance_report(6, 3)
     assert report.n_graphs == 70

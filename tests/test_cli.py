@@ -27,13 +27,14 @@ def test_verify_small_passes(tmp_path):
 
 def test_verify_small_fails_on_an_irreversible_chain(tmp_path, monkeypatch):
     """Negative control: no moves leave a graph that holds the edge {0, 1}."""
-    full = chain.switchings
+    full = chain._stacked_switchings
 
-    def blocked(graph):
-        moves = full(graph)
-        return moves[:0] if graph[0, 1] else moves
+    def blocked(graphs):
+        owner, moves = full(graphs)
+        keep = graphs[owner, 0, 1] == 0
+        return owner[keep], moves[keep]
 
-    monkeypatch.setattr(chain, "switchings", blocked)
+    monkeypatch.setattr(chain, "_stacked_switchings", blocked)
     report = chain.invariance_report(8, 3)
     assert report.n_transitions == 203_040
     assert not report.reversible
@@ -51,16 +52,20 @@ def test_verify_small_fails_on_a_move_off_the_state_space(tmp_path,
     Its switch leaves some vertex with degree d +- 2, a graph outside the
     enumerated space, which is never a source: not reversible, no crash.
     """
-    full = chain.switchings
+    full = chain._stacked_switchings
 
-    def leaking(graph):
-        i, j = chain.edge_array(graph)[0]
-        k, l = next((k, l) for k, l in
-                    itertools.combinations(range(len(graph)), 2)
-                    if not graph[k, l] and not {k, l} & {i, j})
-        return np.vstack([full(graph), [[i, j, k, l]]])
+    def leaking(graphs):
+        owner, moves = full(graphs)
+        extra = []
+        for graph in graphs:
+            i, j = chain.edge_array(graph)[0]
+            extra.append(next((i, j, k, l) for k, l in
+                              itertools.combinations(range(len(graph)), 2)
+                              if not graph[k, l] and not {k, l} & {i, j}))
+        return (np.concatenate([owner, np.arange(len(graphs))]),
+                np.vstack([moves, extra]))
 
-    monkeypatch.setattr(chain, "switchings", leaking)
+    monkeypatch.setattr(chain, "_stacked_switchings", leaking)
     report = chain.invariance_report(8, 3)
     assert report.n_transitions == 355_320 + 19_355
     assert not report.reversible

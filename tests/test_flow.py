@@ -20,11 +20,12 @@ from conftest import (BLOCK_SIZES, ZeroNoise, constraint_violation,
                       dense_evolve_exact, directional_derivative,
                       flow_generator, flow_generator_entrywise,
                       h_switch_component, inner_product,
-                      semicircle_semigroup_residual, stieltjes_observable,
-                      switch_direction, switchable_tuples, switched_graph)
+                      semicircle_semigroup_residual, stieltjes_derivative,
+                      stieltjes_observable, switch_direction,
+                      switchable_tuples, switched_graph)
 from rrglab import flow
 from rrglab.flow import (ConvergenceError, SingularityError,
-                         _orthonormalize, _path_row, _seminorm_stencils,
+                         _orthonormalize, _path_row, _probe_derivatives,
                          emf_solve, estimate_seminorm, eigenvalue_path,
                          eigenvector_sde, evolve_exact, evolve_sde,
                          free_conv_stieltjes, moment_flow_rates, qf_lf_compare,
@@ -216,20 +217,13 @@ def test_switch_generator_peak_memory_stays_at_the_tuple_scan():
 # Seminorms and the discrepancy scan
 
 
-# The dense oracle's rounding, fixed from F's rounding (about 1e-16 at
-# N = 8) over (2 step)^n with step >= 1.3e-5 (orders 1, 2) or 1.3e-3
-# (orders 3, 4), relative to maxima of 0.05 or more, with a factor 10
-_ORACLE_RTOL = {1: 1e-9, 2: 3e-5, 3: 1e-6, 4: 5e-4}
-
-
 def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
-    # replaying the probe stream, the dense-stencil oracle gives each
+    # replaying the probe stream, the dense resolvent oracle gives each
     # sample's max over its probes; their L^8 mean is the estimate up to
-    # the oracle's own rounding
+    # rounding (about 4e-16 relative here)
     z = 0.1 + 0.5j
-    func = stieltjes_observable(z)
     mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1, 2)]
-    for order, rtol in _ORACLE_RTOL.items():
+    for order in (1, 2, 3, 4):
         got = estimate_seminorm(z, mats, order, 0.5, rng=rng_stream(order))
         replay, maxima = rng_stream(order), []
         for h in mats:
@@ -239,55 +233,72 @@ def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
                 thetas = replay.uniform(size=order)
                 dirs = [switch_direction(8, *site) for site in sites]
                 base = h + 0.5 * sum(t * x for t, x in zip(thetas, dirs))
-                best = max(best, abs(directional_derivative(func, base, dirs)))
+                best = max(best, abs(stieltjes_derivative(z, base, dirs)))
             maxima.append(best)
         assert len(set(maxima)) > 1
         expected = float(np.mean(np.array(maxima) ** 8) ** (1 / 8))
-        assert got == pytest.approx(expected, rel=rtol), order
+        assert got == pytest.approx(expected, rel=1e-12), order
     for order in (0, 5):
         with pytest.raises(ValueError):
             estimate_seminorm(z, mats, order, 0.5, rng=rng_stream(0))
 
 
+# one probe per order at N = 8: the sites of its directions and its base
+_PROBE_SITES = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [1, 3, 5, 7],
+                         [6, 4, 2, 0]])
+
+
+def _probe(order):
+    """(H, thetas, directions, base) of the order's probe at scale 0.5."""
+    h = sample_constrained_goe(8, rng=rng_stream(3))
+    thetas = np.linspace(0.2, 0.8, order)
+    dirs = [switch_direction(8, *site) for site in _PROBE_SITES[:order]]
+    return h, thetas, dirs, h + 0.5 * sum(t * x for t, x in zip(thetas, dirs))
+
+
 def test_seminorm_stencil_matches_a_40_digit_reference():
-    # one probe per order at N = 8: the same base, step and 2^n corners
-    # evaluated in 40-digit arithmetic.  The Woodbury stencil differences
-    # the corners directly; the dense oracle divides F's rounding by
-    # (2 step)^n, so it must be the one farther from the reference
+    # the same permutation sum as the dense oracle, every product formed in
+    # 40-digit arithmetic: the Woodbury blocks' derivative meets it to
+    # rounding (errors 3e-17 to 9e-16, at most 7e-13 relative here)
     import mpmath
 
-    n, z, scale = 8, 0.1 + 0.5j, 0.5
-    h = sample_constrained_goe(n, rng=rng_stream(3))
-    all_sites = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [1, 3, 5, 7],
-                          [6, 4, 2, 0]])
+    z = 0.1 + 0.5j
     with mpmath.workdps(40):
         z_mp = mpmath.mpc(z.real, z.imag)
         for order in (1, 2, 3, 4):
-            sites = all_sites[:order]
-            thetas = np.linspace(0.2, 0.8, order)
-            woodbury = _seminorm_stencils(h, sites[None], thetas[None],
-                                          scale, z)[0]
-            dirs = [switch_direction(n, *site) for site in sites]
-            base = h + scale * sum(t * x for t, x in zip(thetas, dirs))
-            dense = directional_derivative(stieltjes_observable(z), base, dirs)
-            step = mpmath.mpf((1e-5 if order <= 2 else 1e-3)
-                              * (1.0 + float(abs(base).max())))
-            total = mpmath.mpf(0)
-            for signs in itertools.product((1, -1), repeat=order):
-                corner = mpmath.matrix(base.tolist())
-                for sign, x in zip(signs, dirs):
-                    corner += step * sign * mpmath.matrix(x.tolist())
-                g = mpmath.inverse(corner - z_mp * mpmath.eye(n))
-                trace = sum(g[q, q] for q in range(n))
-                total += math.prod(signs) * mpmath.im((trace + 1 / z_mp)
-                                                      / (n - 1))
-            reference = float(total / (2 * step) ** order)
-            woodbury_err = abs(woodbury - reference)
-            dense_err = abs(dense - reference)
-            print(f"order {order}: reference {reference:.12e}, Woodbury "
-                  f"error {woodbury_err:.1e}, dense error {dense_err:.1e}")
-            assert woodbury_err <= dense_err
-            assert woodbury_err < 1e-7 * max(1.0, abs(reference))
+            h, thetas, dirs, base = _probe(order)
+            woodbury = _probe_derivatives(h, _PROBE_SITES[None, :order],
+                                          thetas[None], 0.5, z)[0]
+            g = mpmath.inverse(mpmath.matrix(base.tolist())
+                               - z_mp * mpmath.eye(8))
+            g_x = [g * mpmath.matrix(x.tolist()) for x in dirs]
+            total = mpmath.mpc(0)
+            for sigma in itertools.permutations(range(order)):
+                term = g
+                for a in reversed(sigma):
+                    term = g_x[a] * term
+                total += sum(term[q, q] for q in range(8))
+            reference = float(mpmath.im((-1) ** order * total) / (8 - 1))
+            err = abs(woodbury - reference)
+            print(f"order {order}: reference {reference:.12e}, "
+                  f"error {err:.1e}")
+            assert err < 1e-10 * abs(reference)
+
+
+def test_stencil_oracle_converges_to_the_exact_derivative_at_second_order():
+    # the central 2^n-corner stencil errs by O(step^2), so halving the step
+    # quarters its distance from the exact derivative (ratios 3.96 to 4.00
+    # here): this fixes the exact formula's sign and permutation sum
+    # independently of the resolvent algebra
+    z = 0.1 + 0.5j
+    func = stieltjes_observable(z)
+    for order in (1, 2, 3, 4):
+        _, _, dirs, base = _probe(order)
+        exact = stieltjes_derivative(z, base, dirs)
+        errors = [abs(directional_derivative(func, base, dirs, step=step)
+                      - exact) for step in (0.02, 0.01, 0.005)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(4.0, abs=0.1), order
 
 
 def test_estimate_seminorm_draws_the_probe_stream_unchanged():
@@ -305,10 +316,11 @@ def test_estimate_seminorm_draws_the_probe_stream_unchanged():
             replay.bit_generator.state)
 
 
-def test_estimate_seminorm_peak_memory_stays_below_8_mib():
-    # the probes are low-rank updates of one resolvent: past the real
-    # (64, N, N) stack that sets the step rule, nothing per probe is N x N
-    # (the dense per-probe solve peaked at 12.5 MiB here)
+def test_estimate_seminorm_peak_memory_stays_below_300_kib():
+    # the probes are low-rank updates of one resolvent and their derivatives
+    # products of 2x2 blocks: past the N x N resolvent, its square and the
+    # shifted matrix (about 200 KB at N = 64), nothing is N x N (a real
+    # (64, N, N) stack for a difference step's size peaked at 6.1 MiB here)
     h = center_rescale(sample_regular_graph(64, 8, rng=rng_stream(0)))
     tracemalloc.start()
     try:
@@ -317,7 +329,7 @@ def test_estimate_seminorm_peak_memory_stays_below_8_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20, peak
+    assert peak < 300 << 10, peak
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():
