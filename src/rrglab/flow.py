@@ -36,7 +36,6 @@ import numpy as np
 from .chain import switchings
 from .matrices import center_rescale, sample_constrained_goe
 from .spectra import decompose
-from .streams import rng_stream
 
 # Eigenvalue gaps below this make the flows' 1/gap terms unsafe.
 _MIN_GAP = 1e-8
@@ -45,10 +44,9 @@ _EMF_SUBSTEPS = 4  # emf_solve's fewest RK4 steps between two knots
 _EMF_MAX_STEPS = 100_000  # emf_solve's step budget
 _FREE_CONV_MAX_ITER = 10_000
 # estimate_seminorm: the power of its mean over samples and its random
-# (theta, X) probes per sample; qf_lf_compare: samples per degree it uses
+# (theta, X) probes per sample
 _SEMINORM_POWER = 8
 _SEMINORM_PROBES = 64
-_SEMINORM_SAMPLES = 16
 
 
 class SingularityError(RuntimeError):
@@ -109,14 +107,14 @@ def evolve_sde(h0, t, dt, *, rng):
 # Flow generator on Stieltjes observables
 
 
-def stieltjes_flow_generator(eigenvalues, z):
-    """Closed-form L s(z) on a nontrivial spectrum: no finite differences.
+def stieltjes_flow_generator(h, z):
+    """Closed-form L s(z) at a constrained H: no finite differences.
 
     L s = (g_3 + g_1 g_2)/(N M) + h_2/(2 M), with g_k = sum (lambda-z)^{-k}
-    and h_2 = sum lambda (lambda-z)^{-2}.  ``eigenvalues`` excludes the
-    trivial zero, so N = M + 1.
+    and h_2 = sum lambda (lambda-z)^{-2} over the M = N - 1 nontrivial
+    eigenvalues of H (``decompose``).
     """
-    lam = np.asarray(eigenvalues, dtype=np.float64)
+    lam = decompose(h)
     m = len(lam)
     n = m + 1
     w = 1.0 / (lam - z)
@@ -175,7 +173,7 @@ def switch_generator_stieltjes(graph, z):
 
 
 # ---------------------------------------------------------------------------
-# Seminorm estimation and the Q-vs-L discrepancy scan
+# Switching-derivative seminorms
 
 
 def _probe_derivatives(h, sites, thetas, scale, z):
@@ -255,66 +253,6 @@ def estimate_seminorm(z, matrices, order, scale, *, rng):
         values.append(float(np.abs(derivatives).max()))
     arr = np.asarray(values, dtype=np.float64)
     return float(np.mean(arr ** _SEMINORM_POWER) ** (1.0 / _SEMINORM_POWER))
-
-
-@dataclass(frozen=True)
-class DiscrepancyRow:
-    """Q-vs-L discrepancy at one degree, normalized by its predicted scale."""
-
-    degree: int
-    big_d: float
-    mean_abs: float
-    stderr: float
-    seminorm: float
-    normalized: float
-    normalized_stderr: float
-    n_samples: int
-
-
-def qf_lf_compare(n, degrees, z, n_samples, seed):
-    """Measure E|Qf - LF| for F = Im s(z) over uniform graph ensembles.
-
-    For each degree d: samples graphs, evaluates the jump generator exactly
-    (rank-2 determinant updates) and the flow generator in closed form, and
-    reports the mean absolute discrepancy normalized by D^{-1/2} N
-    max_{1<=k<=4} of the sampled order-k seminorms (D = min(d, N^2/d^3)).
-    The normalized discrepancy should decrease as d grows.  The seminorms
-    are L^8 means over the first ``_SEMINORM_SAMPLES`` graphs of each
-    degree.
-    """
-    # imported here, not at the top, so that the traced benchmark's wrapper
-    # of graphs.sample_regular_graph sees generator-check's pairing: a
-    # top-level import would bind the unwrapped function and make
-    # graphs.pairing_s read 0
-    from .graphs import sample_regular_graph
-
-    rows = []
-    for d_idx, d in enumerate(degrees):
-        discrepancies = np.empty(n_samples)
-        matrices = []
-        for s_idx in range(n_samples):
-            rng = rng_stream(seed, stream_id=d_idx * 1_000_000 + s_idx)
-            graph = sample_regular_graph(n, d, rng=rng)
-            h = center_rescale(graph)
-            q_val = switch_generator_stieltjes(graph, z).imag
-            l_val = stieltjes_flow_generator(decompose(h), z).imag
-            discrepancies[s_idx] = abs(q_val - l_val)
-            if len(matrices) < _SEMINORM_SAMPLES:
-                matrices.append(h)
-        seminorm_rng = rng_stream(seed, stream_id=900_000_000 + d_idx)
-        seminorm = max(
-            estimate_seminorm(z, matrices, order, 1.0 / math.sqrt(d - 1.0),
-                              rng=seminorm_rng)
-            for order in (1, 2, 3, 4))
-        big_d = min(float(d), n ** 2 / d ** 3)
-        denom = big_d ** -0.5 * n * seminorm
-        mean = float(discrepancies.mean())
-        stderr = float(discrepancies.std(ddof=1)) / math.sqrt(n_samples)
-        rows.append(DiscrepancyRow(
-            degree=d, big_d=big_d, mean_abs=mean, stderr=stderr,
-            seminorm=seminorm, normalized=mean / denom,
-            normalized_stderr=stderr / denom, n_samples=n_samples))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,10 @@ def enumerate_regular_graphs(n_vertices, degree):
     out = []
 
     def extend(u):
+        # each vertex zeroes its residual on its own turn, and later ones
+        # pick only vertices above them, so every leaf is regular
         if u == n:
-            if all(r == 0 for r in residual):
-                out.append(_read_only(adj.copy()))
+            out.append(_read_only(adj.copy()))
             return
         need = residual[u]
         if need == 0:

@@ -207,9 +207,6 @@ _FUNCTION_LEVEL_IMPORTS = {
     ("harness", "_tridiagonal_spectrum", "eigvalsh_tridiagonal"),
     # chain imports graphs, and the benchmark's tracer wraps chain.run_chain
     ("graphs", "sample_regular_graph", "run_chain"),
-    # the tracer wraps graphs.sample_regular_graph, which a top-level
-    # import would bind before the wrapper exists
-    ("flow", "qf_lf_compare", "sample_regular_graph"),
 }
 
 
@@ -227,6 +224,19 @@ def test_function_level_imports_are_the_listed_ones():
                     found.update((path.stem, func.name, alias.name)
                                  for alias in node.names)
     assert found == _FUNCTION_LEVEL_IMPORTS
+
+
+def test_only_harness_derives_random_streams():
+    """Stream ratchet: stream ids are chosen in one place, so every other
+    library function takes its generator as a required ``rng=``."""
+    naming = set()
+    for path in Path(rrglab.__path__[0]).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, attr, None)
+                     for attr in ("id", "attr", "name")}
+            if "rng_stream" in names:
+                naming.add(path.stem)
+    assert naming == {"streams", "harness"}
 
 
 # Public names that no code in src/rrglab calls but the paper's criteria or

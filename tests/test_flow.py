@@ -28,7 +28,7 @@ from rrglab.flow import (ConvergenceError, SingularityError,
                          _orthonormalize, _path_row, _probe_derivatives,
                          emf_solve, estimate_seminorm, eigenvalue_path,
                          eigenvector_sde, evolve_exact, evolve_sde,
-                         free_conv_stieltjes, moment_flow_rates, qf_lf_compare,
+                         free_conv_stieltjes, moment_flow_rates,
                          stieltjes_flow_generator,
                          switch_generator_stieltjes)
 from rrglab.graphs import sample_regular_graph
@@ -161,7 +161,7 @@ def test_stieltjes_flow_generator_matches_finite_differences():
     h = center_rescale(sample_regular_graph(n, 3, rng=rng_stream(16)))
     z = 0.0 + 0.5j
     func = stieltjes_observable(z)
-    closed = stieltjes_flow_generator(decompose(h), z).imag
+    closed = stieltjes_flow_generator(h, z).imag
     step = 1e-4 * (1.0 + np.abs(h).max())
     fd = flow_generator(func, h, step=step)
     assert abs(closed - fd) < 1e-6 * max(1.0, abs(closed))
@@ -337,17 +337,6 @@ def test_estimate_seminorm_is_deterministic_and_positive():
     a = estimate_seminorm(0.5j, mats, 2, 1.0, rng=rng_stream(20))
     b = estimate_seminorm(0.5j, mats, 2, 1.0, rng=rng_stream(20))
     assert a == b > 0
-
-
-def test_qf_lf_compare_row_contents():
-    rows = qf_lf_compare(16, (4, 8), 0.5j, 4, seed=0)
-    assert [r.degree for r in rows] == [4, 8]
-    for r in rows:
-        assert r.big_d == min(r.degree, 16 ** 2 / r.degree ** 3)
-        assert r.n_samples == 4
-        assert r.mean_abs >= 0 and r.seminorm > 0
-        assert r.normalized == pytest.approx(
-            r.mean_abs / (r.big_d ** -0.5 * 16 * r.seminorm))
 
 
 # ---------------------------------------------------------------------------

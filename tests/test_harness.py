@@ -1,5 +1,6 @@
 """Experiment driver: reference ensembles, property suites, recipe wiring."""
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -150,13 +151,8 @@ def test_corr_test_rejects_poisson_semicircle_levels(tmp_path, monkeypatch):
     assert not ok, reports
 
 
-@pytest.mark.xfail(strict=True, reason="emf-check's path attempt a and SDE "
-                   "segment k both draw stream _STREAM_FLOW + 1 + a when "
-                   "a = k + 1: at n = 8, t_grid 0.04 0.2, 812 of seeds 0-999 "
-                   "draw a stream twice, 251 the accepted path's")
-def test_emf_check_draws_each_stream_once(tmp_path, monkeypatch):
-    """At seed 3 the path accepts attempt 1, whose stream the first SDE
-    segment draws again, so its Brownian increments replay the path's."""
+def _record_stream_ids(monkeypatch):
+    """The list that every stream id harness derives is appended to."""
     stream_ids = []
 
     def recording_stream(seed, stream_id=0):
@@ -164,6 +160,17 @@ def test_emf_check_draws_each_stream_once(tmp_path, monkeypatch):
         return rng_stream(seed, stream_id=stream_id)
 
     monkeypatch.setattr(harness, "rng_stream", recording_stream)
+    return stream_ids
+
+
+@pytest.mark.xfail(strict=True, reason="emf-check's path attempt a and SDE "
+                   "segment k both draw stream _STREAM_FLOW + 1 + a when "
+                   "a = k + 1: at n = 8, t_grid 0.04 0.2, 812 of seeds 0-999 "
+                   "draw a stream twice, 251 the accepted path's")
+def test_emf_check_draws_each_stream_once(tmp_path, monkeypatch):
+    """At seed 3 the path accepts attempt 1, whose stream the first SDE
+    segment draws again, so its Brownian increments replay the path's."""
+    stream_ids = _record_stream_ids(monkeypatch)
     config = ExperimentConfig(n=8, d=3, n_samples=2, seed=3,
                               t_grid=(0.04, 0.2), output_dir=tmp_path)
     harness.recipe_emf_check(config, tmp_path)
@@ -323,6 +330,53 @@ def test_sample_recipe_graphs_pin_the_rng_contract(tmp_path, n, d, digests):
     assert run_experiment(config, "sample") == 0
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted((tmp_path / "graphs").iterdir())} == digests
+
+
+def _generator_check(tmp_path, n_samples):
+    # at n = 20 the degrees 8 and 16 lie above the window
+    config = ExperimentConfig(n=20, d=4, n_samples=n_samples, seed=0,
+                              output_dir=tmp_path)
+    with pytest.warns(DegreeWindowWarning):
+        return run_experiment(config, "generator-check")
+
+
+def test_generator_check_artifacts_pin_the_rng_contract(tmp_path):
+    # a changed digest means the graph or seminorm draws changed; the
+    # floats also carry the last bits of numpy's BLAS and LAPACK build
+    _generator_check(tmp_path, 3)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("discrepancy.csv", "report.json")} == {
+        "discrepancy.csv":
+            "27109a4a5f2deab0cc10d15ea802958b891ab0d63ba02525d264d984e582721a",
+        "report.json":
+            "63c24e725c7fc9de9c47703e5f54806dec693bce3b4e5097b685f3f4dcc38423",
+    }
+
+
+def test_generator_check_draws_a_degree_strided_block_and_seminorm_streams(
+        tmp_path, monkeypatch):
+    # trial s of the k-th degree draws stream k 10^6 + s, and the k-th
+    # degree's seminorm probes draw stream 9 10^8 + k, each once
+    stream_ids = _record_stream_ids(monkeypatch)
+    _generator_check(tmp_path, 3)
+    assert sorted(stream_ids) == sorted(
+        [k * 10 ** 6 + s for k in range(3) for s in range(3)]
+        + [9 * 10 ** 8 + k for k in range(3)])
+
+
+def test_generator_check_rows_hold_the_normalized_discrepancy(tmp_path):
+    n = 20
+    _generator_check(tmp_path, 4)
+    with open(tmp_path / "discrepancy.csv", newline="") as fh:
+        rows = [{key: float(value) for key, value in row.items()}
+                for row in csv.DictReader(fh)]
+    assert [row["d"] for row in rows] == [4, 8, 16]
+    for row in rows:
+        assert row["big_d"] == min(row["d"], n ** 2 / row["d"] ** 3)
+        assert row["n_samples"] == 4
+        assert row["mean_abs"] >= 0 and row["seminorm"] > 0
+        assert row["normalized"] == pytest.approx(
+            row["mean_abs"] / (row["big_d"] ** -0.5 * n * row["seminorm"]))
 
 
 def test_evolve_peak_memory_stays_near_two_matrices(tmp_path):
