@@ -112,7 +112,7 @@ def stieltjes_flow_generator(h, z):
 
     L s = (g_3 + g_1 g_2)/(N M) + h_2/(2 M), with g_k = sum (lambda-z)^{-k}
     and h_2 = sum lambda (lambda-z)^{-2} over the M = N - 1 nontrivial
-    eigenvalues of H (``decompose``).
+    eigenvalues of H (``decompose``, which consumes H).
     """
     lam = decompose(h)
     m = len(lam)

@@ -175,27 +175,40 @@ def recipe_sample(config, out_dir):
 
 
 def recipe_evolve(config, out_dir):
-    """Evolve one centered matrix along t_grid; snapshot and track s(z)."""
+    """Evolve one centered matrix along t_grid; snapshot and track s(z).
+
+    The eigensolve consumes the matrix it deflates, so each snapshot is
+    written first and the file carries the flow's state across it: the
+    next step starts from H(t_k) read back from ``matrix_k.bin``, which
+    holds its float64 bytes exactly.  H(0) is built twice from the graph,
+    once for its spectrum and once for the flow.
+    """
     config.warn_if_outside_window()
     t_grid = tuple(config.t_grid) or (0.0, config.n ** -1.2, 5.0)
     if sorted(t_grid) != list(t_grid) or t_grid[0] < 0:
         raise ConfigError("t_grid must be sorted and nonnegative")
     z_grid = _z_grid(config)
-    h = center_rescale(trial_graph(config, 0))
-    spectrum0 = decompose(h)
+    graph = trial_graph(config, 0)
+    spectrum0 = decompose(center_rescale(graph))
+    h = center_rescale(graph)
+    del graph  # N x N bytes that the flow never reads
     flow_rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
     t_prev, lam = 0.0, spectrum0
     rows = []
     for k, t in enumerate(t_grid):
         span = t - t_prev
+        snapshot = out_dir / f"matrix_{k:04d}.bin"
         if span > 0:
             if config.scheme == "exact":
                 h = evolve_exact(h, span, rng=flow_rng)
             else:
                 h = evolve_sde(h, span, min(1e-2, span / 10.0), rng=flow_rng)
+            io.write_matrix(h, snapshot)
             lam = decompose(h)
+            h = io.read_matrix(snapshot)
+        else:
+            io.write_matrix(h, snapshot)
         t_prev = t
-        io.write_matrix(h, out_dir / f"matrix_{k:04d}.bin")
         for z in z_grid:
             rows.append((z, stieltjes_empirical(lam, z),
                          free_conv_stieltjes(spectrum0, t, z)))
@@ -344,11 +357,11 @@ def recipe_generator_check(config, out_dir):
         discrepancies, matrices = np.empty(config.n_samples), []
         for s in range(config.n_samples):
             graph = trial_graph(at_d, k * _DEGREE_STRIDE + s)
-            h = center_rescale(graph)
-            discrepancies[s] = abs(flow.switch_generator_stieltjes(graph, z).imag
-                                   - flow.stieltjes_flow_generator(h, z).imag)
+            discrepancies[s] = abs(
+                flow.switch_generator_stieltjes(graph, z).imag
+                - flow.stieltjes_flow_generator(center_rescale(graph), z).imag)
             if s < _SEMINORM_SAMPLES:
-                matrices.append(h)
+                matrices.append(center_rescale(graph))
         rng = rng_stream(config.seed, stream_id=_STREAM_SEMINORM + k)
         seminorm = max(flow.estimate_seminorm(z, matrices, order,
                                               1.0 / math.sqrt(at_d.d - 1.0),

@@ -12,9 +12,11 @@ ensemble of the constrained matrix flow.
 Matrices are plain float64 numpy arrays, not a wrapper type.  The layer
 makes no N x N temporaries: the Gaussian draw, the reflection and the
 symmetrization work on fixed blocks of rows, in place where the caller
-allows it, and every result is built in the array that is returned.  Each
-entry still takes the operations of the dense formula in the same order,
-so the results are bitwise those of the dense formulas.
+allows it, and every result is built in the array that is returned.  The
+restriction to the complement of e works in the matrix it is given, so a
+caller that needs H after deflating it keeps its own copy.  Each entry
+still takes the operations of the dense formula in the same order, so the
+results are bitwise those of the dense formulas.
 """
 
 from functools import lru_cache
@@ -99,9 +101,10 @@ def restrict_to_offspace(mat):
     Conjugates by the Householder reflection sending e to e_N and drops the
     last row and column; for symmetric H with H e = 0 the result is the
     (N-1) x (N-1) core whose spectrum is exactly the nontrivial spectrum of
-    H, and ``embed_in_offspace`` maps its eigenvectors back.
+    H, and ``embed_in_offspace`` maps its eigenvectors back.  Consumes
+    ``mat``: the conjugation overwrites it, and the core is a view of it.
     """
-    return _householder_conjugate(mat, np.empty(mat.shape))[:-1, :-1]
+    return _householder_conjugate(mat, mat)[:-1, :-1]
 
 
 def _householder_conjugate(mat, out):

@@ -4,13 +4,13 @@ A constrained matrix H (symmetric, H e = 0) has the trivial eigenpair
 (0, e); everything of interest lives in the M = N-1 dimensional complement.
 A spectrum is a float64 array of the M nontrivial eigenvalues, descending,
 so N is its length plus one: ``decompose`` computes it and ``eigenpairs``
-adds the eigenvectors.  Built on spectra: the semicircle density/CDF and
-its Stieltjes transform m(z), the classical eigenvalue locations gamma_i,
-the empirical Stieltjes transform, normalized bulk gap ensembles (1-D
-arrays of pooled gaps), a locally averaged pair-correlation estimator,
-delocalization and rigidity diagnostics, the two-sample
-Kolmogorov-Smirnov distance, and smooth compactly supported test
-functions.
+adds the eigenvectors, both in the array of H, which they consume.  Built
+on spectra: the semicircle density/CDF and its Stieltjes transform m(z),
+the classical eigenvalue locations gamma_i, the empirical Stieltjes
+transform, normalized bulk gap ensembles (1-D arrays of pooled gaps), a
+locally averaged pair-correlation estimator, delocalization and rigidity
+diagnostics, the two-sample Kolmogorov-Smirnov distance, and smooth
+compactly supported test functions.
 
 Normalization conventions, fixed throughout: the semicircle density is
 rho(x) = sqrt((4 - x^2)_+) / (2 pi) on [-2, 2]; m(z) is the root of
@@ -36,11 +36,13 @@ class DeflationError(ValueError):
 
 
 def _deflated_core(h):
-    """The (N-1) x (N-1) core of H on the complement of e.
+    """The (N-1) x (N-1) core of H on the complement of e, built in H.
 
     Deflating e (eigenvalue 0) before any eigensolve is immune to the 0
     eigenvalue colliding with bulk values, which could otherwise smear e
-    across the eigenvectors of a degenerate eigh cluster.
+    across the eigenvectors of a degenerate eigh cluster.  The constraint
+    is checked before anything is written, so a rejected H is left as it
+    is.
     """
     n = h.shape[0]
     # max|H| as max(max H, -min H): no N x N array of absolute values
@@ -54,7 +56,13 @@ def _deflated_core(h):
 
 
 def decompose(h):
-    """The M = N-1 nontrivial eigenvalues of a constrained H, descending."""
+    """The M = N-1 nontrivial eigenvalues of a constrained H, descending.
+
+    Consumes H: it is deflated in place, so only the core and LAPACK's
+    private copy of it are N x N during the eigensolve.  A caller that
+    needs H afterwards passes a copy, or keeps H somewhere else, as
+    ``recipe_evolve`` keeps the flow's state in its snapshot file.
+    """
     return np.linalg.eigvalsh(_deflated_core(h))[::-1].copy()
 
 
@@ -62,7 +70,8 @@ def eigenpairs(h):
     """The eigenvalues of ``decompose`` and their eigenvectors.
 
     Returns ``(eigenvalues, vectors)``; column k of the N x M ``vectors``
-    is the unit eigenvector of eigenvalue k, orthogonal to e.
+    is the unit eigenvector of eigenvalue k, orthogonal to e.  Consumes H,
+    as ``decompose`` does.
     """
     eigenvalues, vectors = np.linalg.eigh(_deflated_core(h))
     return eigenvalues[::-1].copy(), embed_in_offspace(vectors[:, ::-1])

@@ -21,7 +21,11 @@ def graph_24_4():
 
 @pytest.fixture(scope="session")
 def h_24_4(graph_24_4):
-    return center_rescale(graph_24_4)
+    # read-only, like the graph: a call that consumes its input (decompose,
+    # eigenpairs) raises on it instead of leaving R H R for later tests
+    h = center_rescale(graph_24_4)
+    h.flags.writeable = False
+    return h
 
 
 @pytest.fixture()

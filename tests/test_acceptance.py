@@ -73,10 +73,10 @@ def bulk_ensembles():
     raw, short, long_ = [], [], []
     for trial in range(config.n_samples):
         h = center_rescale(trial_graph(config, trial))
-        raw.append(decompose(h))
+        raw.append(decompose(h.copy()))
         flow_rng = rng_stream(config.seed, _STREAM_FLOW + trial)
         h = evolve_exact(h, t_short, rng=flow_rng)
-        short.append(decompose(h))
+        short.append(decompose(h.copy()))
         h = evolve_exact(h, 5.0 - t_short, rng=flow_rng)
         long_.append(decompose(h))
     goe = goe_reference(config.n, config.n_samples, config.seed)
@@ -147,7 +147,7 @@ def test_criterion_03_generator_cross_validation():
         if trial < 5:
             # the closed form that generator-check runs, against the dense
             # sum on Im s(z) at the unit test's step
-            library = stieltjes_flow_generator(h, z).imag
+            library = stieltjes_flow_generator(h.copy(), z).imag
             oracle = flow_generator(stieltjes, h,
                                     step=1e-4 * (1.0 + np.abs(h).max()))
             stieltjes_worst = max(stieltjes_worst, abs(library - oracle)

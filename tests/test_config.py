@@ -241,9 +241,9 @@ def test_only_harness_derives_random_streams():
 
 # Public names that no code in src/rrglab calls but the paper's criteria or
 # the documented artifact formats need: criterion 11's eigenvectors and its
-# two statistics, and the readers of the graph text and matrix snapshot.
+# two statistics, and the reader of the graph text.
 _UNCALLED_PUBLIC_NAMES = {"eigenpairs", "delocalization_stat", "rigidity_stat",
-                          "read_graph_text", "read_matrix"}
+                          "read_graph_text"}
 
 
 def test_public_names_are_used_in_the_library():

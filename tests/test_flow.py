@@ -152,7 +152,7 @@ def test_flow_generator_forms_agree_on_stieltjes_observable():
 def test_stieltjes_observable_uses_deflated_spectrum():
     h = center_rescale(sample_regular_graph(12, 3, rng=rng_stream(15)))
     z = -0.3 + 0.4j
-    expected = stieltjes_empirical(decompose(h), z)
+    expected = stieltjes_empirical(decompose(h.copy()), z)
     assert abs(stieltjes_observable(z)(h) - expected.imag) < 1e-12
 
 
@@ -161,7 +161,7 @@ def test_stieltjes_flow_generator_matches_finite_differences():
     h = center_rescale(sample_regular_graph(n, 3, rng=rng_stream(16)))
     z = 0.0 + 0.5j
     func = stieltjes_observable(z)
-    closed = stieltjes_flow_generator(h, z).imag
+    closed = stieltjes_flow_generator(h.copy(), z).imag
     step = 1e-4 * (1.0 + np.abs(h).max())
     fd = flow_generator(func, h, step=step)
     assert abs(closed - fd) < 1e-6 * max(1.0, abs(closed))

@@ -8,13 +8,14 @@ reimplementations evaluated in this file.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from conftest import cycle_adjacency, validate_eigenpairs
-from rrglab.matrices import center_rescale
+from rrglab.matrices import center_rescale, sample_constrained_goe
 from rrglab.spectra import (DeflationError, bulk_range, bump, bump_product,
                             bump_test_function, classical_locations,
                             correlation_estimator, decompose,
@@ -49,14 +50,14 @@ def test_decompose_survives_exact_zero_degeneracy():
     # the square's nontrivial adjacency eigenvalues are {0, 0, -2}: two of
     # them coincide exactly with the deflated trivial eigenvalue
     h = center_rescale(cycle_adjacency(4))
-    lam, vectors = eigenpairs(h)
+    lam, vectors = eigenpairs(h.copy())
     assert np.abs(lam - np.array([0.0, 0.0, -2.0])).max() < 1e-14
     assert np.abs(decompose(h) - lam).max() < 1e-14
     validate_eigenpairs(lam, vectors)
 
 
 def test_decompose_reconstructs_matrix(h_24_4):
-    lam, v = eigenpairs(h_24_4)
+    lam, v = eigenpairs(h_24_4.copy())
     assert v.shape == (24, 23)
     assert np.abs(v @ np.diag(lam) @ v.T - h_24_4).max() < 1e-10
     assert (np.diff(lam) <= 0).all()
@@ -64,10 +65,36 @@ def test_decompose_reconstructs_matrix(h_24_4):
 
 
 def test_decompose_rejects_unconstrained_input():
+    # the constraint is checked before the in-place deflation writes
+    ones = np.ones((6, 6))
     with pytest.raises(DeflationError):
-        decompose(np.ones((6, 6)))
+        decompose(ones)
     with pytest.raises(DeflationError):
-        eigenpairs(np.ones((6, 6)))
+        eigenpairs(ones)
+    assert np.array_equal(ones, np.ones((6, 6)))
+
+
+def test_decompose_raises_on_a_read_only_matrix(h_24_4):
+    # the fixture is read-only, so deflating it in place must raise
+    kept = h_24_4.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        decompose(h_24_4)
+    assert np.array_equal(h_24_4, kept)
+
+
+def test_decompose_traces_no_n_by_n_array():
+    # the core is deflated in H itself, and LAPACK's copy of it is not
+    # traced: what remains are vectors (a separate N x N core traced
+    # 1.10 N^2 here)
+    n = 600
+    h = sample_constrained_goe(n, rng=rng_stream(23))
+    tracemalloc.start()
+    try:
+        decompose(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 0.25 * n * n, peak / (8 * n * n)
 
 
 def test_decompose_eigenvalues_match_dense_solver(h_24_4):
@@ -75,8 +102,9 @@ def test_decompose_eigenvalues_match_dense_solver(h_24_4):
     # drop the trivial zero from the dense spectrum
     trivial = int(np.argmin(np.abs(dense)))
     kept = np.delete(dense, trivial)
-    assert np.abs(np.sort(decompose(h_24_4)) - kept).max() < 1e-10
-    assert np.abs(decompose(h_24_4) - eigenpairs(h_24_4)[0]).max() < 1e-12
+    assert np.abs(np.sort(decompose(h_24_4.copy())) - kept).max() < 1e-10
+    assert np.abs(decompose(h_24_4.copy())
+                  - eigenpairs(h_24_4.copy())[0]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +234,7 @@ def test_correlation_estimator_matches_naive_sum():
 
 
 def test_delocalization_stat_is_scaled_max_entry(h_24_4):
-    _, vectors = eigenpairs(h_24_4)
+    _, vectors = eigenpairs(h_24_4.copy())
     expected = math.sqrt(24) * np.abs(vectors).max()
     assert delocalization_stat(vectors) == expected
     assert expected >= 1.0  # a unit vector has an entry >= 1/sqrt(N)
