@@ -7,8 +7,8 @@ built-in acceptance thresholds held, and the records that
 artifact is a pure function of (config, recipe): trials draw from
 counter-based streams keyed by trial index, so worker counts and retries
 cannot reshuffle randomness.  The gates of
-``gap-test``, ``repulsion-scan`` and ``semicircle-scan`` are public so that
-the acceptance battery applies them to its shared ensembles.
+``gap-test``, ``corr-test``, ``repulsion-scan`` and ``semicircle-scan`` are
+public so that the acceptance battery applies them to its shared ensembles.
 """
 
 import math
@@ -26,8 +26,7 @@ from .flow import (eigenvalue_path, eigenvector_sde, emf_solve, evolve_exact,
 from .graphs import sample_regular_graph
 from .matrices import center_rescale
 from .matrices import embed_in_offspace  # noqa: F401  traced by recipebench
-from .spectra import (bulk_range, bump_product, bump_test_function,
-                      correlation_estimator, decompose, gap_ensemble,
+from .spectra import (bulk_range, close_pair_counts, decompose, gap_ensemble,
                       ks_distance, semicircle_cdf, semicircle_m,
                       stieltjes_empirical)
 from .streams import rng_stream
@@ -48,6 +47,10 @@ _INVOLUTION_PAIRS = 10_000
 _EMF_PATH_DT = 1e-3
 # generator-check's seminorm: the first graphs of each degree it averages
 _SEMINORM_SAMPLES = 16
+# corr-test counts partners within _CORR_REACH unfolded spacings of the
+# levels in |lambda| < _CORR_WINDOW
+_CORR_WINDOW = 0.5
+_CORR_REACH = 0.5
 
 
 def _tridiagonal_spectrum(m, n, beta, rng):
@@ -124,6 +127,12 @@ def _gap_table(spectra, kappa):
     indices = np.tile(np.arange(lo, hi + 1), len(spectra))
     sample_ids = np.repeat(np.arange(len(spectra)), hi - lo + 1)
     return gaps, indices, sample_ids
+
+
+def _mean_stderr(values):
+    """Sample mean and its standard error; needs two values."""
+    return (float(values.mean()),
+            float(values.std(ddof=1)) / math.sqrt(values.size))
 
 
 def _histogram_series(values, bins, span):
@@ -231,9 +240,8 @@ def gap_gate(rrg_gaps, goe_gaps):
         io.report_record("ks_statistic", ks, n_samples=rrg_gaps.size),
         io.report_record(
             "gap_mean_difference", mean_diff,
-            stderr=math.hypot(
-                rrg_gaps.std(ddof=1) / math.sqrt(rrg_gaps.size),
-                goe_gaps.std(ddof=1) / math.sqrt(goe_gaps.size)),
+            stderr=math.hypot(_mean_stderr(rrg_gaps)[1],
+                              _mean_stderr(goe_gaps)[1]),
             n_samples=rrg_gaps.size),
     ]
     return ks < 0.05 and abs(mean_diff) < 0.03, reports
@@ -256,40 +264,43 @@ def recipe_gap_test(config, out_dir):
     return gap_gate(rrg_gaps, goe_gaps)
 
 
-def recipe_corr_test(config, out_dir):
-    """Local two-point correlation comparison vs. the GOE reference.
+def corr_gate(rrg_counts, goe_counts):
+    """Gate of ``corr-test``: close level pairs are as frequent as in the GOE.
 
-    The gated statistic is the smoothed two-point correlation integral at
-    the spectral center (a local observable, universal in the bulk); its
-    graph-vs-GOE difference must stay within 4 combined standard errors.
+    Takes one ``close_pair_counts`` value per spectrum of each ensemble and
+    returns ``(ok, reports)``: the difference of the mean counts must stay
+    within 4 combined standard errors.
+    """
+    (mean_r, se_r), (mean_g, se_g) = (_mean_stderr(rrg_counts),
+                                      _mean_stderr(goe_counts))
+    combined = math.hypot(se_r, se_g)
+    reports = [io.report_record("two_point_difference", mean_r - mean_g,
+                                stderr=combined, n_samples=rrg_counts.size)]
+    return abs(mean_r - mean_g) <= 4.0 * combined, reports
+
+
+def recipe_corr_test(config, out_dir):
+    """Close level pairs at the spectral center vs. the GOE reference.
+
+    Counts, per spectrum, the other levels within ``_CORR_REACH`` unfolded
+    spacings of each level in |lambda| < ``_CORR_WINDOW``: level repulsion
+    makes close pairs rarer than for uncorrelated levels.
     """
     # the gate divides by the samples' standard error, which needs two
     _require_samples(config, minimum=2)
     config.warn_if_outside_window()
-    spectra = _rrg_ensemble(config)
-    goe = goe_reference(config.n, config.n_samples, config.seed)
-
-    width = 3.0
-    pair_phi = bump_product(bump_test_function(0.0, width),
-                            bump_test_function(0.0, width))
-
-    def per_sample(ensemble):
-        vals = np.array([correlation_estimator([lam], 0.0, pair_phi, width)
-                         for lam in ensemble])
-        return (float(vals.mean()),
-                float(vals.std(ddof=1)) / math.sqrt(len(vals)))
-
-    mean_r, se_r = per_sample(spectra)
-    mean_g, se_g = per_sample(goe)
-    diff = mean_r - mean_g
-    combined = math.hypot(se_r, se_g)
-    rows = [("two_point[E=0]", mean_r, se_r, mean_g, se_g, diff, combined)]
-    reports = [io.report_record("two_point_difference", diff, stderr=combined,
-                                n_samples=config.n_samples)]
+    rrg = close_pair_counts(_rrg_ensemble(config), _CORR_WINDOW, _CORR_REACH)
+    goe = close_pair_counts(goe_reference(config.n, config.n_samples,
+                                          config.seed),
+                            _CORR_WINDOW, _CORR_REACH)
+    ok, reports = corr_gate(rrg, goe)
     io.write_csv(out_dir / "correlation.csv",
                  ["statistic", "value_rrg", "stderr_rrg", "value_goe",
-                  "stderr_goe", "difference", "combined_stderr"], rows)
-    return abs(diff) <= 4.0 * combined, reports
+                  "stderr_goe", "difference", "combined_stderr"],
+                 [(f"close_pairs[reach={_CORR_REACH:g}]", *_mean_stderr(rrg),
+                   *_mean_stderr(goe), reports[0]["value"],
+                   reports[0]["stderr"])])
+    return ok, reports
 
 
 def _stieltjes_rows(spectra, z_grid):
@@ -368,8 +379,7 @@ def recipe_generator_check(config, out_dir):
                                               rng=rng)
                        for order in (1, 2, 3, 4))
         denom = at_d.big_d ** -0.5 * config.n * seminorm
-        mean = float(discrepancies.mean())
-        stderr = float(discrepancies.std(ddof=1)) / math.sqrt(config.n_samples)
+        mean, stderr = _mean_stderr(discrepancies)
         rows.append((at_d.d, at_d.big_d, mean, stderr, seminorm, mean / denom,
                      stderr / denom, config.n_samples))
         reports.append(io.report_record(

@@ -7,10 +7,9 @@ so N is its length plus one: ``decompose`` computes it and ``eigenpairs``
 adds the eigenvectors, both in the array of H, which they consume.  Built
 on spectra: the semicircle density/CDF and its Stieltjes transform m(z),
 the classical eigenvalue locations gamma_i, the empirical Stieltjes
-transform, normalized bulk gap ensembles (1-D arrays of pooled gaps), a
-locally averaged pair-correlation estimator, delocalization and rigidity
-diagnostics, the two-sample Kolmogorov-Smirnov distance, and smooth
-compactly supported test functions.
+transform, normalized bulk gap ensembles (1-D arrays of pooled gaps),
+close level pair counts, delocalization and rigidity diagnostics, and the
+two-sample Kolmogorov-Smirnov distance.
 
 Normalization conventions, fixed throughout: the semicircle density is
 rho(x) = sqrt((4 - x^2)_+) / (2 pi) on [-2, 2]; m(z) is the root of
@@ -27,8 +26,6 @@ from .matrices import embed_in_offspace, restrict_to_offspace
 
 # Largest max|H e| / (1 + max|H|) accepted as H e = 0.
 _CONSTRAINT_TOL = 1e-8
-# Quadrature nodes of correlation_estimator's average over the energy window.
-_CORRELATION_NODES = 64
 
 
 class DeflationError(ValueError):
@@ -181,46 +178,35 @@ def gap_ensemble(spectra, kappa):
 
 
 # ---------------------------------------------------------------------------
-# Correlation estimator
+# Close level pairs
 
 
-def correlation_estimator(spectra, energy, phi, support_radius):
-    """Locally averaged two-point correlation integral around ``energy``.
+def close_pair_counts(spectra, window, reach):
+    """Mean number of other levels within ``reach`` of a level in the window.
 
-    Estimates the average over E' in [E - b, E + b] of
-
-        N^2 (M-2)!/M! sum_{ordered pairs s != t}
-            phi((lambda_s - E') N rho(E), (lambda_t - E') N rho(E)),
-
-    with b = N^(-1+0.3) and a uniform ``_CORRELATION_NODES``-node
-    quadrature grid.  ``phi`` must vanish outside max|x_a| <=
-    ``support_radius``, which bounds the eigenvalues that can contribute.
+    Each spectrum is unfolded by its own mean density in the window
+    |lambda| < ``window``: x = lambda K / (2 window), with K the number of
+    levels inside.  Its count is the mean over those K levels of
+    #{j != i : |x_j - x_i| < reach}, and partners outside the window count,
+    so no pair is lost at its edge.  GOE levels give the integral of the
+    two-point function R_2 = 1 - Y_2 over (-reach, reach); uncorrelated
+    levels give 2 reach.  Returns one count per spectrum.
     """
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("empty ensemble")
-    m = len(spectra[0])
-    n = m + 1
-    bandwidth = float(n) ** (-1 + 0.3)
-    rho = semicircle_density(energy)
-    if rho <= 0:
-        raise ValueError("energy must lie inside (-2, 2)")
-    scale = n * rho
-    nodes = np.linspace(energy - bandwidth, energy + bandwidth,
-                        _CORRELATION_NODES)
-    norm = float(n) ** 2 / (m * (m - 1))
-    window = bandwidth + support_radius / scale
-
-    total = 0.0
+    counts = []
     for lam in spectra:
-        local = lam[np.abs(lam - energy) <= window]
-        if len(local) == 0:
-            continue
-        x = scale * (local[None, :] - nodes[:, None])  # (nodes, local)
-        pair = phi(x[:, :, None], x[:, None, :])
-        pair[:, np.arange(len(local)), np.arange(len(local))] = 0.0
-        total += pair.sum(axis=(1, 2)).mean()
-    return norm * total / len(spectra)
+        lam = np.sort(lam)
+        inside = np.abs(lam) < window
+        k = np.count_nonzero(inside)
+        if k == 0:
+            raise ValueError(f"a spectrum has no level in "
+                             f"|lambda| < {window:g}")
+        x = lam * (k / (2.0 * window))
+        centers = x[inside]
+        close = (np.searchsorted(x, centers + reach, side="left")
+                 - np.searchsorted(x, centers - reach, side="right"))
+        # each center lies within reach of itself
+        counts.append((close.sum() - k) / k)
+    return np.array(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,38 +243,3 @@ def ks_distance(a, b):
     cdf_a = np.searchsorted(a, grid, side="right") / len(a)
     cdf_b = np.searchsorted(b, grid, side="right") / len(b)
     return float(np.abs(cdf_a - cdf_b).max())
-
-
-# ---------------------------------------------------------------------------
-# Smooth compactly supported test functions
-
-
-def bump(x):
-    """C-infinity bump exp(1 - 1/(1 - x^2)) on |x| < 1, zero outside."""
-    x = np.asarray(x, dtype=np.float64)
-    inside = np.abs(x) < 1.0
-    xs = np.where(inside, x, 0.0)
-    out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - xs * xs)), 0.0)
-    return out if out.ndim else float(out)
-
-
-def bump_test_function(center, width):
-    """A shifted/scaled bump x -> bump((x - center)/width); support radius
-    ``width`` around ``center``."""
-    def phi(x):
-        return bump((np.asarray(x, dtype=np.float64) - center) / width)
-
-    return phi
-
-
-def bump_product(*factors):
-    """Tensor product of 1-d test functions: phi(x_1, ..., x_n) = prod f_a(x_a)."""
-    def phi(*coords):
-        if len(coords) != len(factors):
-            raise ValueError(f"expected {len(factors)} coordinates")
-        out = factors[0](coords[0])
-        for f, x in zip(factors[1:], coords[1:]):
-            out = out * f(x)
-        return out
-
-    return phi

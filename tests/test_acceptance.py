@@ -31,7 +31,11 @@ from rrglab.flow import (
     stieltjes_flow_generator,
 )
 from rrglab.harness import (
+    _CORR_REACH,
+    _CORR_WINDOW,
     _STREAM_FLOW,
+    _tridiagonal_spectrum,
+    corr_gate,
     gap_gate,
     goe_reference,
     involution_suite,
@@ -42,6 +46,7 @@ from rrglab.harness import (
 )
 from rrglab.matrices import center_rescale, sample_constrained_goe
 from rrglab.spectra import (
+    close_pair_counts,
     decompose,
     delocalization_stat,
     eigenpairs,
@@ -193,16 +198,35 @@ def test_criterion_05_semicircle_law(wide_ensemble):
     assert elapsed < 600
 
 
+def close_pair_sigma(spectra, goe):
+    """corr-test's gate on two ensembles: ok, and the difference in
+    standard errors."""
+    ok, (record,) = corr_gate(
+        close_pair_counts(spectra, _CORR_WINDOW, _CORR_REACH),
+        close_pair_counts(goe, _CORR_WINDOW, _CORR_REACH))
+    return ok, record["value"] / record["stderr"]
+
+
 def test_criterion_06_goe_gap_universality(bulk_ensembles):
     start = time.perf_counter()
+    goe = bulk_ensembles["goe"]
     ok, reports = gap_gate(gap_ensemble(bulk_ensembles["raw"], kappa=0.1),
-                           gap_ensemble(bulk_ensembles["goe"], kappa=0.1))
+                           gap_ensemble(goe, kappa=0.1))
     values = report_values(reports)
+    # the raw spectra are the ones corr-test draws at its default config
+    corr_ok, corr_sigma = close_pair_sigma(bulk_ensembles["raw"], goe)
+    # control: beta = 2 levels repel harder, so the gate must refuse them
+    gue = [_tridiagonal_spectrum(999, 1000, 2, rng_stream(0, stream_id=k))
+           for k in range(100)]
+    gue_ok, gue_sigma = close_pair_sigma(gue, goe)
+    ok = ok and corr_ok and not gue_ok
     elapsed = time.perf_counter() - start + bulk_ensembles["elapsed"]
-    report_line(6, "pooled bulk gaps match GOE at N=1000, d=32", ok,
+    report_line(6, "pooled bulk gaps and close pairs match GOE at N=1000, "
+                   "d=32", ok,
                 f"KS {values['ks_statistic']:.4f}, "
-                f"|mean diff| {abs(values['gap_mean_difference']):.4f}; "
-                f"{elapsed:.0f}s")
+                f"|mean diff| {abs(values['gap_mean_difference']):.4f}, "
+                f"close pairs {corr_sigma:+.2f} sigma, GUE control "
+                f"{gue_sigma:+.2f} sigma (|.| <= 4 passes); {elapsed:.0f}s")
     assert ok
     assert elapsed < 1800
 

@@ -9,6 +9,7 @@ import pytest
 
 from rrglab import chain, flow
 from rrglab.cli import EXIT_ACCEPTANCE, EXIT_OK, EXIT_PARAMETER, main
+from rrglab.config import DegreeWindowWarning
 
 
 def test_verify_small_passes(tmp_path):
@@ -201,6 +202,21 @@ def test_single_sample_standard_error_gates_fail(tmp_path, capsys, recipe,
                        "--seed", "0", "--out", str(out)])
     assert status == EXIT_PARAMETER
     assert "n_samples >= 2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_corr_test_refuses_a_spectrum_without_central_levels(tmp_path,
+                                                           capsys):
+    """The triangle's nontrivial eigenvalues are both -1: no level lies in
+    corr-test's window, so there is nothing to unfold or count."""
+    cfg = tmp_path / "triangle.cfg"
+    cfg.write_text("n = 3\nd = 2\n")
+    out = tmp_path / "out"
+    with pytest.warns(DegreeWindowWarning, match="d=2 outside window"):
+        status = main(["corr-test", "--config", str(cfg), "--samples", "4",
+                       "--seed", "0", "--out", str(out)])
+    assert status == EXIT_PARAMETER
+    assert "no level in |lambda| < 0.5" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

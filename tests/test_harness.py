@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 import rrglab.cli  # noqa: F401  binds the modules the tracer wraps
 from rrglab.config import ConfigError, DegreeWindowWarning, ExperimentConfig
@@ -28,7 +29,7 @@ from rrglab.harness import (
     run_experiment,
 )
 from rrglab.io import read_graph_text, read_matrix
-from rrglab.spectra import gap_ensemble, ks_distance
+from rrglab.spectra import close_pair_counts, gap_ensemble, ks_distance
 from rrglab.streams import rng_stream
 
 
@@ -131,14 +132,31 @@ def test_gap_gate_rejects_gue():
     assert not ok and ks >= 0.05
 
 
-@pytest.mark.xfail(strict=True, reason="corr-test passes Poisson levels: "
-                   "0.37 sigma against its 4 sigma bound")
+def _goe_two_point(u):
+    """R_2(u) = 1 - Y_2(u) of the GOE (Mehta, "Random Matrices", ch. 6)."""
+    s = np.sinc(u)
+    tail = 0.5 - special.sici(np.pi * u)[0] / np.pi  # integral_u^inf s
+    return 1.0 - s * s - (np.cos(np.pi * u) - s) / u * tail
+
+
+def test_goe_close_pair_count_matches_closed_form():
+    reach = harness._CORR_REACH
+    exact = 2.0 * integrate.quad(_goe_two_point, 0.0, reach)[0]
+    assert abs(exact - 0.3715) < 1e-4
+    counts = close_pair_counts(goe_reference(1000, 100, 0),
+                               harness._CORR_WINDOW, reach)
+    stderr = counts.std(ddof=1) / math.sqrt(counts.size)
+    # measured 0.3741 +- 0.0040, +0.64 standard errors
+    assert abs(counts.mean() - exact) < 3.0 * stderr
+
+
 def test_corr_test_rejects_poisson_semicircle_levels(tmp_path, monkeypatch):
     """Negative control: i.i.d. semicircle levels, 4 Beta(1.5, 1.5) - 2.
 
-    They share the semicircle density but have no level repulsion.
-    Measured 0.37, 3.58 and 3.12 sigma at seeds 0-2 (N = 1000, 100
-    samples), all within the gate's 4 sigma.
+    They share the semicircle density but have no level repulsion, so
+    about 2 reach = 1 other level lies within reach of each, against the
+    GOE's 0.37.  Measured +69.3, +71.8 and +74.3 sigma at seeds 0-2
+    (N = 1000, 100 samples), against the gate's 4 sigma.
     """
     def poisson_levels(config):
         return [np.sort(4.0 * rng_stream(config.seed, stream_id=k).beta(

@@ -2,8 +2,8 @@
 
 Closed-form oracles: complete graphs and cycles have explicit adjacency
 spectra; the semicircle transform satisfies m^2 + z m + 1 = 0; classical
-locations invert the tail integral.  Estimators with nontrivial
-bookkeeping (correlation integrals) are checked against naive
+locations invert the tail integral.  Statistics with nontrivial
+bookkeeping (close pair counts) are checked against naive
 reimplementations evaluated in this file.
 """
 
@@ -16,9 +16,8 @@ from scipy import integrate, stats
 
 from conftest import cycle_adjacency, validate_eigenpairs
 from rrglab.matrices import center_rescale, sample_constrained_goe
-from rrglab.spectra import (DeflationError, bulk_range, bump, bump_product,
-                            bump_test_function, classical_locations,
-                            correlation_estimator, decompose,
+from rrglab.spectra import (DeflationError, bulk_range, classical_locations,
+                            close_pair_counts, decompose,
                             delocalization_stat, eigenpairs, gap_ensemble,
                             ks_distance, rigidity_stat, semicircle_cdf,
                             semicircle_density, semicircle_m,
@@ -196,37 +195,41 @@ def test_gap_ensemble_refuses_mixed_lengths():
         gap_ensemble([], 0.1)
 
 
-def test_correlation_estimator_matches_naive_sum():
-    rng = rng_stream(20)
-    n = 30
-    spectra = [np.sort(rng.uniform(-1.9, 1.9, n - 1))[::-1] for _ in range(2)]
-    energy, radius = 0.1, 2.0
-    pair_phi = bump_product(bump_test_function(0.0, radius),
-                            bump_test_function(0.0, radius))
-    got = correlation_estimator(spectra, energy, pair_phi, radius)
+def _naive_close_pair_count(lam, window, reach):
+    """Double loop over the unfolded levels of one spectrum."""
+    inside = [v for v in lam if abs(v) < window]
+    x = [v * (len(inside) / (2.0 * window)) for v in lam]
+    total = 0
+    for i, xi in enumerate(x):
+        if abs(lam[i]) < window:
+            total += sum(abs(xj - xi) < reach
+                         for j, xj in enumerate(x) if j != i)
+    return total / len(inside)
 
-    rho = semicircle_density(energy)
-    scale = n * rho
-    bandwidth = float(n) ** (-1 + 0.3)
-    # the estimator's fixed 64-node quadrature grid
-    nodes = np.linspace(energy - bandwidth, energy + bandwidth, 64)
-    m = n - 1
-    total = 0.0
-    for lam in spectra:
-        per_node = np.zeros(len(nodes))
-        for a in range(m):
-            for b in range(m):
-                if a != b:
-                    per_node += pair_phi(scale * (lam[a] - nodes),
-                                         scale * (lam[b] - nodes))
-        total += np.mean(per_node)
-    naive = n ** 2 / (m * (m - 1)) * total / len(spectra)
-    assert abs(got - naive) < 1e-10 * max(1.0, abs(naive))
-    assert got != 0.0  # the probe actually caught eigenvalue pairs
-    with pytest.raises(ValueError):
-        correlation_estimator(spectra, 2.5, pair_phi, radius)
-    with pytest.raises(ValueError, match="empty ensemble"):
-        correlation_estimator([], energy, pair_phi, radius)
+
+def test_close_pair_counts_match_double_loop():
+    # five levels in |lambda| < 2.5, so x = lambda; -2.25 and -1.75 lie
+    # exactly one reach apart, which the strict < leaves out, and 2.625
+    # counts as 2.25's partner from outside the window
+    lam = np.array([2.625, 2.25, 0.25, 0.0, -1.75, -2.25, -3.0])
+    assert _naive_close_pair_count(lam, 2.5, 0.5) == 0.6
+    assert close_pair_counts([lam], 2.5, 0.5).tolist() == [0.6]
+
+    rng = rng_stream(20)
+    spectra = [np.sort(rng.uniform(-2.0, 2.0, m))[::-1] for m in (5, 30, 61)]
+    for window, reach in ((0.5, 0.5), (1.0, 1.7), (1.9, 0.2)):
+        got = close_pair_counts(spectra, window, reach)
+        naive = [_naive_close_pair_count(lam, window, reach)
+                 for lam in spectra]
+        assert got.shape == (3,)
+        assert np.abs(got - naive).max() < 1e-12
+    assert got.max() > 0  # the probe actually caught level pairs
+
+
+def test_close_pair_counts_refuse_an_empty_window():
+    with pytest.raises(ValueError, match="no level"):
+        close_pair_counts([np.array([0.1, -0.2]), np.array([-1.0, -1.0])],
+                          0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +261,3 @@ def test_ks_distance_matches_scipy():
     assert abs(ks_distance(a, b) - scipy_stat) < 1e-12
     assert ks_distance(a, a) == 0.0
 
-
-def test_bump_functions_support_and_smoothness():
-    assert bump(0.0) == 1.0
-    assert bump(1.0) == 0.0 and bump(-1.0) == 0.0 and bump(5.0) == 0.0
-    assert bump(np.array([0.5])) > 0
-    phi = bump_test_function(1.0, 0.5)
-    assert phi(1.0) == 1.0 and phi(1.5) == 0.0 and phi(0.4) == 0.0
-    pair = bump_product(bump_test_function(0.0, 1.0),
-                        bump_test_function(0.0, 2.0))
-    assert pair(0.0, 0.0) == 1.0
-    assert pair(0.5, 1.5) == bump(0.5) * bump(0.75)
-    assert pair(1.5, 0.0) == 0.0
