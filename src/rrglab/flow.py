@@ -130,8 +130,8 @@ def stieltjes_flow_generator(h, z):
 
 
 # A switching direction has rank 2: xi_ijkl = v w^T + w v^T with
-# v = e_i - e_l and w = e_j - e_k, so in the basis (v, w) it is this block.
-_SWITCH_PAIR = np.array([[0.0, 1.0], [1.0, 0.0]])
+# v = e_i - e_l and w = e_j - e_k, so in the basis (v, w) it is the 2x2
+# swap J = [[0, 1], [1, 0]].
 
 
 def _bilinear(mat, a, b, p, q):
@@ -145,7 +145,7 @@ def switch_generator_stieltjes(graph, z):
     The sum runs over the moves of ``chain.switchings``, once each, with
     prefactor 1/(2Nd).  The switching (i,j,k,l) changes H by
     c (v w^T + w v^T), c = -1/sqrt(d-1), v = e_i - e_l, w = e_j - e_k.
-    With G = (H - z)^{-1}, V = [v, w] and J the 2x2 swap (``_SWITCH_PAIR``),
+    With G = (H - z)^{-1}, V = [v, w] and J the 2x2 swap,
     det(H' - z) = det(H - z) det K with K = I + c J V^T G V, so the
     resolvent trace shift is -(d/dz det K) / det K, where d/dz V^T G V =
     V^T G^2 V.  The six entries of V^T G V and V^T G^2 V are gathers from
@@ -187,7 +187,7 @@ def _probe_derivatives(h, sites, thetas, scale, z):
             = (-1)^r sum_{sigma in S_r} tr(G_p X_s1 G_p X_s2 ... X_sr G_p),
 
     s_a = sigma(a).  Each X_a is V_a J V_a^T with V_a = [v_a, w_a] and J
-    the 2x2 swap (``_SWITCH_PAIR``), so by cyclicity a term is
+    the 2x2 swap, so by cyclicity a term is
     tr(J A_{s1 s2} J A_{s2 s3} ... J D_{sr s1}) over the 2x2 blocks
     A_ab = V_a^T G_p V_b and D_ab = V_a^T G_p^2 V_b.  G_p is complex
     symmetric, so a permutation's term equals its reversal's: only those
@@ -209,19 +209,30 @@ def _probe_derivatives(h, sites, thetas, scale, z):
     minus = sites[..., [3, 2]].reshape(n_probes, 1, 2 * order)
     g_vv, g_sq_vv = (_bilinear(mat, plus.swapaxes(1, 2), minus.swapaxes(1, 2),
                                plus, minus) for mat in (g, g @ g))
-    c = np.einsum("pa,ab,qr->paqbr", scale * thetas, np.eye(order),
-                  _SWITCH_PAIR).reshape(n_probes, 2 * order, 2 * order)
-    m = np.linalg.inv(c @ g_vv + np.eye(2 * order))
-    # J A_ab and J D_ab as (P, r, r, 2, 2): J swaps each block's rows
+    # C_p G_VV: J swaps the rows of each pair, scaled by scale * theta_a
+    m = (g_vv.reshape(n_probes, order, 2, 2 * order)[:, :, ::-1]
+         * (scale * thetas)[:, :, None, None])
+    m = np.linalg.inv(m.reshape(g_vv.shape) + np.eye(2 * order))
+    # (J A_ab)_qs = A_ab[1 - q, s], likewise for D, as (P, r, 2, r, 2)
     ja, jd = (mat.reshape(n_probes, order, 2, order, 2)[:, :, ::-1]
-              .swapaxes(2, 3)
               for mat in (g_vv @ m, m.swapaxes(1, 2) @ g_sq_vv @ m))
+    del g, g_vv, g_sq_vv, m  # the chain reads only J A and J D: free the rest
     perms = np.array([s for s in permutations(range(order)) if s[0] <= s[-1]])
-    terms = jd[:, perms[:, -1], perms[:, 0]]
+
+    def blocks(mat, a, b):
+        """Entries [[x00, x01], [x10, x11]] of the (P, perms) 2x2 blocks."""
+        return [[mat[:, :, q, :, s][:, perms[:, a], perms[:, b]]
+                 for s in (0, 1)] for q in (0, 1)]
+
+    # the chain of 2x2 products, entry by entry: a batched matmul costs
+    # several times more per 2x2 product than its eight multiply-adds
+    (t00, t01), (t10, t11) = blocks(jd, -1, 0)
     for a in reversed(range(order - 1)):
-        terms = ja[:, perms[:, a], perms[:, a + 1]] @ terms
+        (a00, a01), (a10, a11) = blocks(ja, a, a + 1)
+        t00, t01, t10, t11 = (a00 * t00 + a01 * t10, a00 * t01 + a01 * t11,
+                              a10 * t00 + a11 * t10, a10 * t01 + a11 * t11)
     weight = (-1.0) ** order * (2.0 if order > 1 else 1.0)
-    total = weight * np.trace(terms, axis1=2, axis2=3).sum(axis=1)
+    total = weight * (t00 + t11).sum(axis=1)
     return total.imag / (n - 1)
 
 
@@ -231,27 +242,24 @@ def estimate_seminorm(z, matrices, order, scale, *, rng):
     For each sample H the inner sup over (theta, X) in [0,1]^n x
     (switching directions)^n is replaced by a max over ``_SEMINORM_PROBES``
     random draws of |d_{X_1}...d_{X_n} F| evaluated at
-    H + scale * sum theta_a X_a (each probe draws its (n, 4) sites, then its
-    n thetas); the outer average is the L^r mean over samples, r =
-    ``_SEMINORM_POWER``.  The derivatives are exact, all probes of a sample
-    at once, from low-rank updates of H's resolvent (see
-    ``_probe_derivatives``).
+    H + scale * sum theta_a X_a; the outer average is the L^r mean over
+    samples, r = ``_SEMINORM_POWER``.  The S matrices share their size N,
+    and one call draws every probe at once: the sites as one
+    (S, _SEMINORM_PROBES, n, 4) ``integers`` draw on [0, N), then the
+    thetas as one (S, _SEMINORM_PROBES, n) ``uniform`` draw.  The
+    derivatives are exact, one sample's probes at a time, from low-rank
+    updates of H's resolvent (see ``_probe_derivatives``).
     A sampled max can only undershoot: the estimate is a lower bound of the
     true seminorm.
     """
     if order < 1 or order > 4:
         raise ValueError("order must be in 1..4")
-    values = []
-    for h in matrices:
-        n = h.shape[0]
-        sites = np.empty((_SEMINORM_PROBES, order, 4), dtype=np.int64)
-        thetas = np.empty((_SEMINORM_PROBES, order))
-        for p in range(_SEMINORM_PROBES):
-            sites[p] = rng.integers(0, n, size=(order, 4))
-            thetas[p] = rng.uniform(size=order)
-        derivatives = _probe_derivatives(h, sites, thetas, scale, z)
-        values.append(float(np.abs(derivatives).max()))
-    arr = np.asarray(values, dtype=np.float64)
+    shape = (len(matrices), _SEMINORM_PROBES, order)
+    sites = rng.integers(0, matrices[0].shape[0], size=shape + (4,))
+    thetas = rng.uniform(size=shape)
+    arr = np.array([np.abs(_probe_derivatives(h, h_sites, h_thetas, scale,
+                                              z)).max()
+                    for h, h_sites, h_thetas in zip(matrices, sites, thetas)])
     return float(np.mean(arr ** _SEMINORM_POWER) ** (1.0 / _SEMINORM_POWER))
 
 

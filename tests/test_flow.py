@@ -12,6 +12,7 @@ t grows; zero-noise SDE paths follow their deterministic reductions.
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,11 +227,11 @@ def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
     for order in (1, 2, 3, 4):
         got = estimate_seminorm(z, mats, order, 0.5, rng=rng_stream(order))
         replay, maxima = rng_stream(order), []
-        for h in mats:
+        all_sites = replay.integers(0, 8, size=(len(mats), 64, order, 4))
+        all_thetas = replay.uniform(size=(len(mats), 64, order))
+        for h, h_sites, h_thetas in zip(mats, all_sites, all_thetas):
             best = 0.0
-            for _ in range(64):
-                sites = replay.integers(0, 8, size=(order, 4))
-                thetas = replay.uniform(size=order)
+            for sites, thetas in zip(h_sites, h_thetas):
                 dirs = [switch_direction(8, *site) for site in sites]
                 base = h + 0.5 * sum(t * x for t, x in zip(thetas, dirs))
                 best = max(best, abs(stieltjes_derivative(z, base, dirs)))
@@ -302,15 +303,14 @@ def test_stencil_oracle_converges_to_the_exact_derivative_at_second_order():
 
 
 def test_estimate_seminorm_draws_the_probe_stream_unchanged():
-    # each probe draws its (order, 4) sites, then its order thetas, 64
-    # probes per matrix: the generator must end where that replay ends
+    # one call draws the sites of all 64 probes of every matrix, then all
+    # their thetas: the generator must end where that replay ends
     mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1)]
     for order in (1, 2, 3, 4):
         rng, replay = rng_stream(order), rng_stream(order)
         estimate_seminorm(0.5j, mats, order, 0.5, rng=rng)
-        for _ in range(64 * len(mats)):
-            replay.integers(0, 8, size=(order, 4))
-            replay.uniform(size=order)
+        replay.integers(0, 8, size=(len(mats), 64, order, 4))
+        replay.uniform(size=(len(mats), 64, order))
         # Philox state: counter, key and buffer arrays, plus scalars
         assert repr(rng.bit_generator.state) == repr(
             replay.bit_generator.state)
@@ -330,6 +330,38 @@ def test_estimate_seminorm_peak_memory_stays_below_300_kib():
     finally:
         tracemalloc.stop()
     assert peak < 300 << 10, peak
+
+
+def test_estimate_seminorm_peak_memory_does_not_grow_with_the_stack():
+    # the probes of all 16 matrices are drawn at once (0.16 MB) but each
+    # matrix's are evaluated alone, and the order-4 evaluation peaks at
+    # 0.41 MiB traced: 0.56 MiB here in all, where one evaluation of the
+    # whole (16 * 64)-probe stack peaked at 8.5 MiB
+    mats = [center_rescale(sample_regular_graph(32, 4, rng=rng_stream(s)))
+            for s in range(16)]
+    tracemalloc.start()
+    try:
+        estimate_seminorm(0.5j, mats, 4, 1.0 / math.sqrt(3.0),
+                          rng=rng_stream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("n_matrices", [1, 3, 16])
+def test_estimate_seminorm_draws_every_probe_in_two_calls(n_matrices):
+    # one sites draw and one thetas draw per call, whatever the matrix
+    # count: two draws per probe made 9,216 Generator calls per
+    # generator-check call at N = 32 with 6 samples, most of the seminorms'
+    # time
+    mats = [sample_constrained_goe(8, rng=rng_stream(s))
+            for s in range(n_matrices)]
+    for order in (1, 4):
+        rng = mock.Mock(wraps=rng_stream(order))
+        estimate_seminorm(0.5j, mats, order, 0.5, rng=rng)
+        assert [call[0] for call in rng.method_calls] == [
+            "integers", "uniform"], order
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():

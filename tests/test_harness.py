@@ -370,9 +370,9 @@ def test_generator_check_artifacts_pin_the_rng_contract(tmp_path):
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("discrepancy.csv", "report.json")} == {
         "discrepancy.csv":
-            "27109a4a5f2deab0cc10d15ea802958b891ab0d63ba02525d264d984e582721a",
+            "b82034b705b7d835546f59c8b19ef31ec1ced4c03579121a1c12d4f62e6ae2af",
         "report.json":
-            "63c24e725c7fc9de9c47703e5f54806dec693bce3b4e5097b685f3f4dcc38423",
+            "496cb7b393d25fdd9862ba7af63c057e1c174a357ec4d45d868b74a60755afe5",
     }
 
 
@@ -422,6 +422,20 @@ def test_generator_check_draws_a_degree_strided_block_and_seminorm_streams(
     assert sorted(stream_ids) == sorted(
         [k * 10 ** 6 + s for k in range(3) for s in range(3)]
         + [9 * 10 ** 8 + k for k in range(3)])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "false alarm at the benchmark config (n = 32, 6 samples), 2 of seeds "
+    "0-399 (49 and 136): at seed 49 one lucky probe lifts the L^8 mean over "
+    "6 graphs to a d = 4 seminorm of 0.556 (median 0.179, quartiles "
+    "0.142-0.231 over seeds 0-99), so "
+    "normalized[d=4] 0.0153 +- 0.0009 does not exceed normalized[d=8] "
+    "0.0131 +- 0.0036 by their combined error; ROADMAP item 3"))
+def test_generator_check_passes_at_seed_49_of_the_benchmark_config(tmp_path):
+    config = ExperimentConfig(n=32, d=4, n_samples=6, seed=49,
+                              output_dir=tmp_path)
+    with pytest.warns(DegreeWindowWarning):
+        assert run_experiment(config, "generator-check") == 0
 
 
 def test_generator_check_rows_hold_the_normalized_discrepancy(tmp_path):
