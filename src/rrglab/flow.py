@@ -15,11 +15,12 @@ The jump generator Q of the switching chain applied to the same Stieltjes
 observables, and the switching-derivative seminorms of F = Im s(z) that
 normalize the Q-vs-L discrepancy, share one path: a switching direction
 is a rank-2 update of H, so every resolvent trace they need comes from
-gathers of G = (H - z)^{-1} and G^2 and small 2r x 2r algebra.  Q takes
-one 2x2 determinant per switching (matrix determinant lemma); each
-seminorm probe is a rank-2r Woodbury update, and its order-r mixed
-derivative is exact: a sum over permutations of traces of products of
-2x2 resolvent blocks, with no difference step.
+gathers of G = (H - z)^{-1} and G^2 and small 2r x 2r algebra.  Both
+read the (G, G^2) pair of ``resolvent_pair``, formed once per matrix by
+the caller.  Q takes one 2x2 determinant per switching (matrix
+determinant lemma); each seminorm probe is a rank-2r Woodbury update, and
+its order-r mixed derivative is exact: a sum over permutations of traces
+of products of 2x2 resolvent blocks, with no difference step.
 
 Also here: the eigenvector moment flow at p = 1 (an ODE over the M
 eigenvector sites driven by a frozen eigenvalue path, integrated by RK4 on
@@ -34,7 +35,7 @@ from itertools import permutations
 import numpy as np
 
 from .chain import switchings
-from .matrices import center_rescale, sample_constrained_goe
+from .matrices import sample_constrained_goe
 from .spectra import decompose
 
 # Eigenvalue gaps below this make the flows' 1/gap terms unsafe.
@@ -139,11 +140,18 @@ def _bilinear(mat, a, b, p, q):
     return mat[a, p] - mat[a, q] - mat[b, p] + mat[b, q]
 
 
-def switch_generator_stieltjes(graph, z):
+def resolvent_pair(h, z):
+    """(G, G^2) with G = (H - z)^{-1}: what Q and the seminorms read of H."""
+    g = np.linalg.inv(h - z * np.eye(h.shape[0]))
+    return g, g @ g
+
+
+def switch_generator_stieltjes(graph, pair):
     """Q applied to A -> s(H_A; z), exactly, via rank-2 determinant updates.
 
-    The sum runs over the moves of ``chain.switchings``, once each, with
-    prefactor 1/(2Nd).  The switching (i,j,k,l) changes H by
+    ``pair`` is ``resolvent_pair(H, z)`` of the graph's centered matrix
+    H.  The sum runs over the moves of ``chain.switchings``, once each,
+    with prefactor 1/(2Nd).  The switching (i,j,k,l) changes H by
     c (v w^T + w v^T), c = -1/sqrt(d-1), v = e_i - e_l, w = e_j - e_k.
     With G = (H - z)^{-1}, V = [v, w] and J the 2x2 swap,
     det(H' - z) = det(H - z) det K with K = I + c J V^T G V, so the
@@ -152,11 +160,8 @@ def switch_generator_stieltjes(graph, z):
     G and G^2, so each switching costs a few elementwise operations.
     """
     n, d = len(graph), int(graph[0].sum())
-    moves = switchings(graph)
-    h = center_rescale(graph)
-    g = np.linalg.inv(h - z * np.eye(n))
-    g_sq = g @ g
-    i, j, k, l = moves.T
+    g, g_sq = pair
+    i, j, k, l = switchings(graph).T
     c = -1.0 / math.sqrt(d - 1.0)
     g_vv, g_ww, g_vw = (_bilinear(g, i, l, i, l), _bilinear(g, j, k, j, k),
                         _bilinear(g, i, l, j, k))
@@ -176,7 +181,7 @@ def switch_generator_stieltjes(graph, z):
 # Switching-derivative seminorms
 
 
-def _probe_derivatives(h, sites, thetas, scale, z):
+def _probe_derivatives(pair, sites, thetas, scale):
     """Exact mixed switching derivatives of F = Im s(z) at a stack of probes.
 
     Probe p (``sites`` (P, r, 4), ``thetas`` (P, r), r the order) sits at
@@ -193,22 +198,22 @@ def _probe_derivatives(h, sites, thetas, scale, z):
     symmetric, so a permutation's term equals its reversal's: only those
     with s_1 <= s_r are formed, the others counted by a weight of 2.
 
-    With V holding the pair of every X_a, B_p = H + V C_p V^T, C_p = scale
-    blockdiag(thetas[p, a] J).  From the gathers G_VV = V^T G V and
-    (G^2)_VV of G = (H - z)^{-1}, the Woodbury identity with
-    M = (I + C_p G_VV)^{-1} (invertible for Im z != 0) gives the blocks
+    With V holding the columns v_a, w_a of every X_a, B_p = H + V C_p V^T,
+    C_p = scale blockdiag(thetas[p, a] J).  ``pair`` is (G, G^2) with
+    G = (H - z)^{-1}.  From the gathers G_VV = V^T G V and (G^2)_VV, the
+    Woodbury identity with M = (I + C_p G_VV)^{-1} (invertible for
+    Im z != 0) gives the blocks
     V^T G_p V = G_VV M and V^T G_p^2 V = M^T (G^2)_VV M.  The trivial
     eigenvalue's -1/z does not move along any X_a, so the derivative of F
     is Im(.)/(N - 1).
     """
     n_probes, order = thetas.shape
-    n = h.shape[0]
-    g = np.linalg.inv(h - z * np.eye(n))
+    g, g_sq = pair
     # columns v_1, w_1, v_2, w_2, ...: v_a = e_i - e_l, w_a = e_j - e_k
     plus = sites[..., :2].reshape(n_probes, 1, 2 * order)
     minus = sites[..., [3, 2]].reshape(n_probes, 1, 2 * order)
     g_vv, g_sq_vv = (_bilinear(mat, plus.swapaxes(1, 2), minus.swapaxes(1, 2),
-                               plus, minus) for mat in (g, g @ g))
+                               plus, minus) for mat in (g, g_sq))
     # C_p G_VV: J swaps the rows of each pair, scaled by scale * theta_a
     m = (g_vv.reshape(n_probes, order, 2, 2 * order)[:, :, ::-1]
          * (scale * thetas)[:, :, None, None])
@@ -216,7 +221,7 @@ def _probe_derivatives(h, sites, thetas, scale, z):
     # (J A_ab)_qs = A_ab[1 - q, s], likewise for D, as (P, r, 2, r, 2)
     ja, jd = (mat.reshape(n_probes, order, 2, order, 2)[:, :, ::-1]
               for mat in (g_vv @ m, m.swapaxes(1, 2) @ g_sq_vv @ m))
-    del g, g_vv, g_sq_vv, m  # the chain reads only J A and J D: free the rest
+    del g_vv, g_sq_vv, m  # the chain reads only J A and J D: free the rest
     perms = np.array([s for s in permutations(range(order)) if s[0] <= s[-1]])
 
     def blocks(mat, a, b):
@@ -233,34 +238,39 @@ def _probe_derivatives(h, sites, thetas, scale, z):
                               a10 * t00 + a11 * t10, a10 * t01 + a11 * t11)
     weight = (-1.0) ** order * (2.0 if order > 1 else 1.0)
     total = weight * (t00 + t11).sum(axis=1)
-    return total.imag / (n - 1)
+    return total.imag / (len(g) - 1)
 
 
-def estimate_seminorm(z, matrices, order, scale, *, rng):
-    """Sampled order-n (1..4) switching-derivative seminorm of F = Im s(z).
+def estimate_seminorm(resolvents, scale, *, rng):
+    """Sampled switching-derivative seminorm of F = Im s(z), max over orders.
 
-    For each sample H the inner sup over (theta, X) in [0,1]^n x
-    (switching directions)^n is replaced by a max over ``_SEMINORM_PROBES``
-    random draws of |d_{X_1}...d_{X_n} F| evaluated at
-    H + scale * sum theta_a X_a; the outer average is the L^r mean over
-    samples, r = ``_SEMINORM_POWER``.  The S matrices share their size N,
-    and one call draws every probe at once: the sites as one
+    ``resolvents`` holds one ``resolvent_pair`` (G, G^2) per sample H, all
+    of one size N and at one z.  For each order n = 1..4 and each sample
+    the inner sup over (theta, X) in [0,1]^n x (switching directions)^n is
+    replaced by a max over ``_SEMINORM_PROBES`` random draws of
+    |d_{X_1}...d_{X_n} F| evaluated at H + scale * sum theta_a X_a; the
+    outer average is the L^r mean over samples, r = ``_SEMINORM_POWER``,
+    and the result is the largest of the four orders' means.  Each order
+    draws its probes at once, order 1 first: the sites as one
     (S, _SEMINORM_PROBES, n, 4) ``integers`` draw on [0, N), then the
-    thetas as one (S, _SEMINORM_PROBES, n) ``uniform`` draw.  The
-    derivatives are exact, one sample's probes at a time, from low-rank
-    updates of H's resolvent (see ``_probe_derivatives``).
+    thetas as one (S, _SEMINORM_PROBES, n) ``uniform`` draw, S the number
+    of samples.  The derivatives are exact, one sample's probes at a time,
+    from low-rank updates of its pair (see ``_probe_derivatives``).
     A sampled max can only undershoot: the estimate is a lower bound of the
     true seminorm.
     """
-    if order < 1 or order > 4:
-        raise ValueError("order must be in 1..4")
-    shape = (len(matrices), _SEMINORM_PROBES, order)
-    sites = rng.integers(0, matrices[0].shape[0], size=shape + (4,))
-    thetas = rng.uniform(size=shape)
-    arr = np.array([np.abs(_probe_derivatives(h, h_sites, h_thetas, scale,
-                                              z)).max()
-                    for h, h_sites, h_thetas in zip(matrices, sites, thetas)])
-    return float(np.mean(arr ** _SEMINORM_POWER) ** (1.0 / _SEMINORM_POWER))
+    n = len(resolvents[0][0])
+    means = []
+    for order in (1, 2, 3, 4):
+        shape = (len(resolvents), _SEMINORM_PROBES, order)
+        sites = rng.integers(0, n, size=shape + (4,))
+        thetas = rng.uniform(size=shape)
+        arr = np.array([
+            np.abs(_probe_derivatives(pair, h_sites, h_thetas, scale)).max()
+            for pair, h_sites, h_thetas in zip(resolvents, sites, thetas)])
+        means.append(
+            float(np.mean(arr ** _SEMINORM_POWER) ** (1.0 / _SEMINORM_POWER)))
+    return max(means)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ from .spectra import (bulk_range, close_pair_counts, decompose, gap_ensemble,
                       stieltjes_empirical)
 from .streams import rng_stream
 
-# Disjoint stream-id blocks so ensembles inside one recipe never collide.
+# Stream-id blocks, disjoint except in emf-check: path attempt a and SDE
+# segment k share _STREAM_FLOW + 1 + a when a = k + 1, a known defect
+# (strict xfail test_emf_check_draws_each_stream_once).
 _STREAM_RRG = 0
 _STREAM_GOE = 1 << 32
 _STREAM_FLOW = 1 << 33
@@ -365,19 +367,20 @@ def recipe_generator_check(config, out_dir):
         at_d.warn_if_outside_window()
     rows, reports = [], []
     for k, at_d in enumerate(configs):
-        discrepancies, matrices = np.empty(config.n_samples), []
+        discrepancies, resolvents = np.empty(config.n_samples), []
         for s in range(config.n_samples):
             graph = trial_graph(at_d, k * _DEGREE_STRIDE + s)
+            h = center_rescale(graph)
+            pair = flow.resolvent_pair(h, z)
+            # the pair is formed before the flow generator consumes H
             discrepancies[s] = abs(
-                flow.switch_generator_stieltjes(graph, z).imag
-                - flow.stieltjes_flow_generator(center_rescale(graph), z).imag)
+                flow.switch_generator_stieltjes(graph, pair).imag
+                - flow.stieltjes_flow_generator(h, z).imag)
             if s < _SEMINORM_SAMPLES:
-                matrices.append(center_rescale(graph))
+                resolvents.append(pair)
         rng = rng_stream(config.seed, stream_id=_STREAM_SEMINORM + k)
-        seminorm = max(flow.estimate_seminorm(z, matrices, order,
-                                              1.0 / math.sqrt(at_d.d - 1.0),
-                                              rng=rng)
-                       for order in (1, 2, 3, 4))
+        seminorm = flow.estimate_seminorm(
+            resolvents, 1.0 / math.sqrt(at_d.d - 1.0), rng=rng)
         denom = at_d.big_d ** -0.5 * config.n * seminorm
         mean, stderr = _mean_stderr(discrepancies)
         rows.append((at_d.d, at_d.big_d, mean, stderr, seminorm, mean / denom,

@@ -58,26 +58,23 @@ def _householder(n):
     return u, 2.0 / float(u @ u)
 
 
-def _add_outers(mat, out, terms):
-    """out = mat + scale * outer(left, right), one term after another.
+def _add_outers(mat, terms):
+    """mat += scale * outer(left, right) in place, one term after another.
 
     ``terms`` holds (left, right, scale) triples.  Works on blocks of
-    ``_ROW_BLOCK`` rows, so ``out`` may be ``mat``; entry (i, j) becomes
-    mat_ij + (left_i right_j) scale for each term in turn, exactly as in
-    the dense expression.
+    ``_ROW_BLOCK`` rows; entry (i, j) becomes mat_ij + (left_i right_j)
+    scale for each term in turn, exactly as in the dense expression.
     """
     rows, cols = mat.shape
     buf = np.empty((min(rows, _ROW_BLOCK), cols))
     for start in range(0, rows, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, rows)
-        block, update = out[start:stop], buf[:stop - start]
-        if out is not mat:
-            block[...] = mat[start:stop]
+        block, update = mat[start:stop], buf[:stop - start]
         for left, right, scale in terms:
             np.multiply.outer(left[start:stop], right, out=update)
             update *= scale
             block += update
-    return out
+    return mat
 
 
 def embed_in_offspace(vectors):
@@ -92,7 +89,7 @@ def embed_in_offspace(vectors):
     u, tau = _householder(m + 1)
     out = np.zeros((m + 1, k))
     out[:m] = vec
-    return _add_outers(out, out, ((u, u @ out, -tau),))
+    return _add_outers(out, ((u, u @ out, -tau),))
 
 
 def restrict_to_offspace(mat):
@@ -104,20 +101,20 @@ def restrict_to_offspace(mat):
     H, and ``embed_in_offspace`` maps its eigenvectors back.  Consumes
     ``mat``: the conjugation overwrites it, and the core is a view of it.
     """
-    return _householder_conjugate(mat, mat)[:-1, :-1]
+    return _householder_conjugate(mat)[:-1, :-1]
 
 
-def _householder_conjugate(mat, out):
-    """R M R for symmetric M, with R the reflection of ``_householder``.
+def _householder_conjugate(mat):
+    """R M R in place for symmetric M, R the reflection of ``_householder``.
 
     Expands R M R = M - tau u (Mu)^T - tau (Mu) u^T + tau^2 (u^T M u) u u^T
-    and computes M u as u @ M, which equals it for symmetric M.  Writes
-    into ``out``, which may be ``mat``, and returns it.
+    and computes M u as u @ M, which equals it for symmetric M.  Overwrites
+    ``mat`` and returns it.
     """
     u, tau = _householder(mat.shape[0])
     um = u @ mat
-    return _add_outers(mat, out, ((u, um, -tau), (um, u, -tau),
-                                  (u, u, tau * tau * float(um @ u))))
+    return _add_outers(mat, ((u, um, -tau), (um, u, -tau),
+                             (u, u, tau * tau * float(um @ u))))
 
 
 def _symmetrize(mat, op, value):
@@ -155,4 +152,4 @@ def sample_constrained_goe(n, *, rng):
         stop = min(start + _ROW_BLOCK, m)
         w[start:stop, :m] = rng.normal(size=(stop - start, m))
     _symmetrize(w[:m, :m], np.true_divide, np.sqrt(2.0 * n))
-    return _symmetrize(_householder_conjugate(w, w), np.multiply, 0.5)
+    return _symmetrize(_householder_conjugate(w), np.multiply, 0.5)

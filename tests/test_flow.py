@@ -30,7 +30,7 @@ from rrglab.flow import (ConvergenceError, SingularityError,
                          emf_solve, estimate_seminorm, eigenvalue_path,
                          eigenvector_sde, evolve_exact, evolve_sde,
                          free_conv_stieltjes, moment_flow_rates,
-                         stieltjes_flow_generator,
+                         resolvent_pair, stieltjes_flow_generator,
                          switch_generator_stieltjes)
 from rrglab.graphs import sample_regular_graph
 from rrglab.chain import switchings
@@ -180,7 +180,8 @@ def test_stieltjes_flow_generator_matches_finite_differences():
 ])
 def test_switch_generator_matches_direct_redecomposition(n, d, z):
     graph = sample_regular_graph(n, d, rng=rng_stream(17))
-    fast = switch_generator_stieltjes(graph, z)
+    fast = switch_generator_stieltjes(
+        graph, resolvent_pair(center_rescale(graph), z))
     base = stieltjes_empirical(decompose(center_rescale(graph)), z)
     acc = 0j
     for row in switchable_tuples(graph):
@@ -194,16 +195,18 @@ def test_switch_generator_vanishes_without_moves():
     # the hexagonal state space admits no switching moves at all
     graph = sample_regular_graph(6, 3, rng=rng_stream(18))
     assert len(switchings(graph)) == 0
-    assert switch_generator_stieltjes(graph, 0.5j) == 0j
+    assert switch_generator_stieltjes(
+        graph, resolvent_pair(center_rescale(graph), 0.5j)) == 0j
 
 
 def test_switch_generator_peak_memory_stays_at_the_tuple_scan():
     # a few arrays of one value per switching: past the support scan that
     # it calls, one evaluation adds at most 1 MiB to the traced peak
     graph = sample_regular_graph(32, 16, rng=rng_stream(19))
+    pair = resolvent_pair(center_rescale(graph), 0.5j)
     peaks = []
     for call in (lambda: switchings(graph),
-                 lambda: switch_generator_stieltjes(graph, 0.5j)):
+                 lambda: switch_generator_stieltjes(graph, pair)):
         tracemalloc.start()
         try:
             call()
@@ -220,13 +223,16 @@ def test_switch_generator_peak_memory_stays_at_the_tuple_scan():
 
 def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
     # replaying the probe stream, the dense resolvent oracle gives each
-    # sample's max over its probes; their L^8 mean is the estimate up to
-    # rounding (about 4e-16 relative here)
+    # sample's max over its probes; their L^8 mean is each order's
+    # seminorm up to rounding (about 4e-16 relative here), and the estimate
+    # is the largest of the four
     z = 0.1 + 0.5j
     mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1, 2)]
+    got = estimate_seminorm([resolvent_pair(h, z) for h in mats], 0.5,
+                            rng=rng_stream(1))
+    replay, means = rng_stream(1), []
     for order in (1, 2, 3, 4):
-        got = estimate_seminorm(z, mats, order, 0.5, rng=rng_stream(order))
-        replay, maxima = rng_stream(order), []
+        maxima = []
         all_sites = replay.integers(0, 8, size=(len(mats), 64, order, 4))
         all_thetas = replay.uniform(size=(len(mats), 64, order))
         for h, h_sites, h_thetas in zip(mats, all_sites, all_thetas):
@@ -237,11 +243,9 @@ def test_estimate_seminorm_is_lr_mean_of_probe_maxima():
                 best = max(best, abs(stieltjes_derivative(z, base, dirs)))
             maxima.append(best)
         assert len(set(maxima)) > 1
-        expected = float(np.mean(np.array(maxima) ** 8) ** (1 / 8))
-        assert got == pytest.approx(expected, rel=1e-12), order
-    for order in (0, 5):
-        with pytest.raises(ValueError):
-            estimate_seminorm(z, mats, order, 0.5, rng=rng_stream(0))
+        means.append(float(np.mean(np.array(maxima) ** 8) ** (1 / 8)))
+    assert len(set(means)) == 4
+    assert got == pytest.approx(max(means), rel=1e-12)
 
 
 # one probe per order at N = 8: the sites of its directions and its base
@@ -268,8 +272,9 @@ def test_seminorm_stencil_matches_a_40_digit_reference():
         z_mp = mpmath.mpc(z.real, z.imag)
         for order in (1, 2, 3, 4):
             h, thetas, dirs, base = _probe(order)
-            woodbury = _probe_derivatives(h, _PROBE_SITES[None, :order],
-                                          thetas[None], 0.5, z)[0]
+            woodbury = _probe_derivatives(resolvent_pair(h, z),
+                                          _PROBE_SITES[None, :order],
+                                          thetas[None], 0.5)[0]
             g = mpmath.inverse(mpmath.matrix(base.tolist())
                                - z_mp * mpmath.eye(8))
             g_x = [g * mpmath.matrix(x.tolist()) for x in dirs]
@@ -303,46 +308,51 @@ def test_stencil_oracle_converges_to_the_exact_derivative_at_second_order():
 
 
 def test_estimate_seminorm_draws_the_probe_stream_unchanged():
-    # one call draws the sites of all 64 probes of every matrix, then all
-    # their thetas: the generator must end where that replay ends
+    # for each order in turn, one call draws the sites of all 64 probes of
+    # every matrix, then all their thetas: the generator must end where
+    # that replay ends
     mats = [sample_constrained_goe(8, rng=rng_stream(s)) for s in (0, 1)]
+    rng, replay = rng_stream(1), rng_stream(1)
+    estimate_seminorm([resolvent_pair(h, 0.5j) for h in mats], 0.5, rng=rng)
     for order in (1, 2, 3, 4):
-        rng, replay = rng_stream(order), rng_stream(order)
-        estimate_seminorm(0.5j, mats, order, 0.5, rng=rng)
         replay.integers(0, 8, size=(len(mats), 64, order, 4))
         replay.uniform(size=(len(mats), 64, order))
-        # Philox state: counter, key and buffer arrays, plus scalars
-        assert repr(rng.bit_generator.state) == repr(
-            replay.bit_generator.state)
+    # Philox state: counter, key and buffer arrays, plus scalars
+    assert repr(rng.bit_generator.state) == repr(replay.bit_generator.state)
 
 
 def test_estimate_seminorm_peak_memory_stays_below_300_kib():
-    # the probes are low-rank updates of one resolvent and their derivatives
-    # products of 2x2 blocks: past the N x N resolvent, its square and the
-    # shifted matrix (about 200 KB at N = 64), nothing is N x N (a real
-    # (64, N, N) stack for a difference step's size peaked at 6.1 MiB here)
-    h = center_rescale(sample_regular_graph(64, 8, rng=rng_stream(0)))
-    tracemalloc.start()
-    try:
-        estimate_seminorm(0.5j, [h], 1, 1.0 / math.sqrt(7.0),
-                          rng=rng_stream(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 300 << 10, peak
+    # the probes are low-rank updates of the resolvent pair handed in and
+    # their derivatives products of 2x2 blocks, so no array grows with N:
+    # the four-order estimate peaks at 0.40 MiB traced at N = 8 and N = 64
+    # alike, where a real (64, N, N) stack for a difference step's size
+    # peaked at 6.1 MiB at N = 64
+    peaks = []
+    for n, d in ((8, 3), (64, 8)):
+        graph = sample_regular_graph(n, d, rng=rng_stream(0))
+        pair = resolvent_pair(center_rescale(graph), 0.5j)
+        tracemalloc.start()
+        try:
+            estimate_seminorm([pair], 1.0 / math.sqrt(7.0), rng=rng_stream(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    small_n, large_n = peaks
+    assert large_n < small_n + (300 << 10), peaks
 
 
 def test_estimate_seminorm_peak_memory_does_not_grow_with_the_stack():
-    # the probes of all 16 matrices are drawn at once (0.16 MB) but each
-    # matrix's are evaluated alone, and the order-4 evaluation peaks at
-    # 0.41 MiB traced: 0.56 MiB here in all, where one evaluation of the
-    # whole (16 * 64)-probe stack peaked at 8.5 MiB
-    mats = [center_rescale(sample_regular_graph(32, 4, rng=rng_stream(s)))
-            for s in range(16)]
+    # the probes of all 16 matrices are drawn at once for each order
+    # (0.16 MB at order 4) but each matrix's are evaluated alone, and the
+    # order-4 evaluation peaks at 0.41 MiB traced: 0.54 MiB here in all,
+    # where one evaluation of the whole (16 * 64)-probe stack peaked at
+    # 8.5 MiB
+    pairs = [resolvent_pair(center_rescale(
+        sample_regular_graph(32, 4, rng=rng_stream(s))), 0.5j)
+        for s in range(16)]
     tracemalloc.start()
     try:
-        estimate_seminorm(0.5j, mats, 4, 1.0 / math.sqrt(3.0),
-                          rng=rng_stream(1))
+        estimate_seminorm(pairs, 1.0 / math.sqrt(3.0), rng=rng_stream(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,23 +361,23 @@ def test_estimate_seminorm_peak_memory_does_not_grow_with_the_stack():
 
 @pytest.mark.parametrize("n_matrices", [1, 3, 16])
 def test_estimate_seminorm_draws_every_probe_in_two_calls(n_matrices):
-    # one sites draw and one thetas draw per call, whatever the matrix
+    # one sites draw and one thetas draw per order, whatever the matrix
     # count: two draws per probe made 9,216 Generator calls per
     # generator-check call at N = 32 with 6 samples, most of the seminorms'
     # time
-    mats = [sample_constrained_goe(8, rng=rng_stream(s))
-            for s in range(n_matrices)]
-    for order in (1, 4):
-        rng = mock.Mock(wraps=rng_stream(order))
-        estimate_seminorm(0.5j, mats, order, 0.5, rng=rng)
-        assert [call[0] for call in rng.method_calls] == [
-            "integers", "uniform"], order
+    pairs = [resolvent_pair(sample_constrained_goe(8, rng=rng_stream(s)),
+                            0.5j) for s in range(n_matrices)]
+    rng = mock.Mock(wraps=rng_stream(1))
+    estimate_seminorm(pairs, 0.5, rng=rng)
+    assert [call[0] for call in rng.method_calls] == [
+        "integers", "uniform"] * 4
 
 
 def test_estimate_seminorm_is_deterministic_and_positive():
     mats = [center_rescale(sample_regular_graph(10, 3, rng=rng_stream(19)))]
-    a = estimate_seminorm(0.5j, mats, 2, 1.0, rng=rng_stream(20))
-    b = estimate_seminorm(0.5j, mats, 2, 1.0, rng=rng_stream(20))
+    pairs = [resolvent_pair(h, 0.5j) for h in mats]
+    a = estimate_seminorm(pairs, 1.0, rng=rng_stream(20))
+    b = estimate_seminorm(pairs, 1.0, rng=rng_stream(20))
     assert a == b > 0
 
 

@@ -424,6 +424,30 @@ def test_generator_check_draws_a_degree_strided_block_and_seminorm_streams(
         + [9 * 10 ** 8 + k for k in range(3)])
 
 
+def test_generator_check_forms_each_graph_resolvent_once(tmp_path,
+                                                        monkeypatch):
+    # Q and the four-order seminorm read one (G, G^2) pair per graph: 9 N x N
+    # inversions and 9 centerings for 3 degrees of 3 graphs, where forming G
+    # afresh for Q and for each seminorm order made 45 inversions; the
+    # Woodbury stage's (P, 2r, 2r) stacks do not count
+    inversions, centerings = [], []
+    inv, center_rescale = np.linalg.inv, harness.center_rescale
+
+    def counting_inv(a):
+        if np.shape(a) == (20, 20):
+            inversions.append(a)
+        return inv(a)
+
+    def counting_center_rescale(graph):
+        centerings.append(graph)
+        return center_rescale(graph)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(harness, "center_rescale", counting_center_rescale)
+    _generator_check(tmp_path, 3)
+    assert (len(inversions), len(centerings)) == (9, 9)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "false alarm at the benchmark config (n = 32, 6 samples), 2 of seeds "
     "0-399 (49 and 136): at seed 49 one lucky probe lifts the L^8 mean over "

@@ -170,12 +170,8 @@ def _symmetric(n, seed):
 def test_householder_conjugate_is_bitwise_the_dense_formula(n):
     for seed in (0, 1, 2):
         mat = _symmetric(n, seed)
-        kept = mat.copy()
         want = dense_householder_conjugate(mat)
-        assert np.array_equal(_householder_conjugate(mat, np.empty((n, n))),
-                              want)
-        assert np.array_equal(mat, kept)
-        assert _householder_conjugate(mat, mat) is mat  # in place
+        assert _householder_conjugate(mat) is mat  # in place
         assert np.array_equal(mat, want)
 
 
