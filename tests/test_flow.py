@@ -322,11 +322,23 @@ def test_estimate_seminorm_draws_the_probe_stream_unchanged():
 
 
 def test_estimate_seminorm_peak_memory_stays_below_300_kib():
-    # the probes are low-rank updates of the resolvent pair handed in and
-    # their derivatives products of 2x2 blocks, so no array grows with N:
-    # the four-order estimate peaks at 0.40 MiB traced at N = 8 and N = 64
-    # alike, where a real (64, N, N) stack for a difference step's size
-    # peaked at 6.1 MiB at N = 64
+    # the probes are low-rank updates of one resolvent and their derivatives
+    # products of 2x2 blocks: past the N x N resolvent, its square and the
+    # shifted matrix (about 200 KB at N = 64), nothing is N x N (a real
+    # (64, N, N) stack for a difference step's size peaked at 6.1 MiB here)
+    h = center_rescale(sample_regular_graph(64, 8, rng=rng_stream(0)))
+    rng = rng_stream(1)
+    tracemalloc.start()
+    try:
+        pair = resolvent_pair(h, 0.5j)
+        _probe_derivatives(pair, rng.integers(0, 64, size=(64, 1, 4)),
+                           rng.uniform(size=(64, 1)), 1.0 / math.sqrt(7.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 << 10, peak
+    # the four-order estimate's 2x2 block algebra peaks at about 0.40 MiB
+    # traced at any N, so what grows with N must stay small beside it
     peaks = []
     for n, d in ((8, 3), (64, 8)):
         graph = sample_regular_graph(n, d, rng=rng_stream(0))
@@ -361,10 +373,10 @@ def test_estimate_seminorm_peak_memory_does_not_grow_with_the_stack():
 
 @pytest.mark.parametrize("n_matrices", [1, 3, 16])
 def test_estimate_seminorm_draws_every_probe_in_two_calls(n_matrices):
-    # one sites draw and one thetas draw per order, whatever the matrix
-    # count: two draws per probe made 9,216 Generator calls per
-    # generator-check call at N = 32 with 6 samples, most of the seminorms'
-    # time
+    # "two calls" per order: one sites draw and one thetas draw for each
+    # order, whatever the matrix count (8 calls in all); two draws per probe
+    # made 9,216 Generator calls per generator-check call at N = 32 with 6
+    # samples, most of the seminorms' time
     pairs = [resolvent_pair(sample_constrained_goe(8, rng=rng_stream(s)),
                             0.5j) for s in range(n_matrices)]
     rng = mock.Mock(wraps=rng_stream(1))
