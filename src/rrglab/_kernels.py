@@ -21,18 +21,19 @@ def run_switch_steps(adj, proposals, edges):
     by {i,m}, {j,n}.  Slot c1 >> 1 keeps i and takes m, slot c2 >> 1 keeps n
     and takes j, so the same row then resolves to the reversed tuple
     (i, m, j, n) and applying it again restores both arrays.  Both arrays
-    must be C-contiguous; the loop works on flat views of them.
+    must be C-contiguous; the loop indexes flat memoryviews of them, whose
+    items are plain Python ints.
 
     Returns the number of accepted switches.
     """
     if not (adj.flags.c_contiguous and edges.flags.c_contiguous):
         raise ValueError("adj and edges must be C-contiguous")
     size = adj.shape[0]
-    a = adj.reshape(-1)
-    e = edges.reshape(-1)
+    a = memoryview(adj.reshape(-1))
+    e = memoryview(edges.reshape(-1))
     accepted = 0
     for c1, c2 in proposals.tolist():
-        i, j, m, n = int(e[c1]), int(e[c1 ^ 1]), int(e[c2]), int(e[c2 ^ 1])
+        i, j, m, n = e[c1], e[c1 ^ 1], e[c2], e[c2 ^ 1]
         row_i, row_j = i * size, j * size
         if a[row_i + m] or a[row_i + n] or a[row_j + m] or a[row_j + n]:
             continue

@@ -43,6 +43,7 @@ _MIN_GAP = 1e-8
 _EMF_CFL = 0.25  # emf_solve's cap on dt * (max total exit rate)
 _EMF_SUBSTEPS = 4  # emf_solve's fewest RK4 steps between two knots
 _EMF_MAX_STEPS = 100_000  # emf_solve's step budget
+_RATE_BLOCK = 1 << 12  # emf_solve: most rate-matrix entries built at once
 _FREE_CONV_MAX_ITER = 10_000
 # estimate_seminorm: the power of its mean over samples and its random
 # (theta, X) probes per sample
@@ -280,12 +281,14 @@ def estimate_seminorm(resolvents, scale, *, rng):
 def _gap_matrix(eigenvalues, context):
     """lambda_i - lambda_j with an inf diagonal, so 1/gap vanishes there.
 
-    Raises ``SingularityError`` naming ``context`` when two eigenvalues
-    lie closer than ``_MIN_GAP``.
+    ``eigenvalues`` is one row of M or a stack of rows, (..., M), and the
+    result is (..., M, M).  Raises ``SingularityError`` naming ``context``
+    when two eigenvalues of a row lie closer than ``_MIN_GAP``.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    gap = lam[:, None] - lam[None, :]
-    np.fill_diagonal(gap, np.inf)
+    m = lam.shape[-1]
+    gap = lam[..., :, None] - lam[..., None, :]
+    gap.reshape(-1, m * m)[:, ::m + 1] = np.inf  # every diagonal
     if np.abs(gap).min() < _MIN_GAP:
         raise SingularityError(
             f"eigenvalue gap below {_MIN_GAP:g} during {context}")
@@ -296,36 +299,43 @@ def moment_flow_rates(eigenvalues):
     """The p = 1 moment-flow generator over the M eigenvector sites.
 
     The particle hops i -> j at rate W_ij = 1/(M (lambda_i - lambda_j)^2),
-    M = len(eigenvalues); each diagonal entry is minus its row's sum, so
-    rows sum to zero.  Raises ``SingularityError`` when two eigenvalues
+    M = the row length; each diagonal entry is minus its row's sum, so
+    rows sum to zero.  ``eigenvalues`` is one row, giving one (M, M)
+    matrix, or a stack of rows, giving a stack of matrices, each equal to
+    its row's own.  Raises ``SingularityError`` when two eigenvalues
     collide.
     """
     gap = _gap_matrix(eigenvalues, "the moment-flow rates")
-    gen = 1.0 / (len(gap) * gap ** 2)  # the inf diagonal gives 0
+    m = gap.shape[-1]
+    gen = 1.0 / (m * gap ** 2)  # the inf diagonal gives 0
     # a running sum adds each row's hops in site order; a plain row sum
     # may add them pairwise, which changes the last bits
-    np.fill_diagonal(gen, -np.add.accumulate(gen, axis=1)[:, -1])
+    diag = np.arange(m)
+    gen[..., diag, diag] = -np.add.accumulate(gen, axis=-1)[..., -1]
     return gen
 
 
-def _path_row(path_times, path_values, t):
-    """The piecewise-linear path at time t, all columns at once.
+def _path_rows(path_times, path_values, times):
+    """The piecewise-linear path at each of ``times``, one row per time.
 
-    One search finds the knot interval for the whole eigenvalue row; the
-    value is numpy's own interpolation formula slope * (t - x_j) + f_j, and
-    the knot value itself at a knot, so each entry equals numpy's
-    column-by-column linear interpolation bit for bit.  Outside the knots
-    the path is held at its end values.  The returned row may be a view of
-    ``path_values``.
+    One search finds every time's knot interval; the value is numpy's own
+    interpolation formula slope * (t - x_j) + f_j, and the knot value
+    itself at a knot, so each entry equals numpy's column-by-column linear
+    interpolation bit for bit.  Outside the knots the path is held at its
+    end values.
     """
-    j = int(np.searchsorted(path_times, t, side="right")) - 1
-    if j < 0:
-        return path_values[0]
-    if j == len(path_times) - 1 or path_times[j] == t:
-        return path_values[j]
-    lo, hi = path_values[j], path_values[j + 1]
-    slope = (hi - lo) / (path_times[j + 1] - path_times[j])
-    return slope * (t - path_times[j]) + lo
+    times = np.asarray(times, dtype=np.float64)
+    last = len(path_times) - 1
+    j = np.searchsorted(path_times, times, side="right") - 1
+    held = (j < 0) | (j == last)
+    j = j.clip(0, last)
+    rows = path_values[j]
+    inner = ~held & (path_times[j] != times)
+    lo, t = j[inner], times[inner]
+    slope = ((path_values[lo + 1] - path_values[lo])
+             / (path_times[lo + 1] - path_times[lo])[:, None])
+    rows[inner] = slope * (t - path_times[lo])[:, None] + path_values[lo]
+    return rows
 
 
 @dataclass
@@ -353,8 +363,15 @@ def emf_solve(path_times, path_values, f0, t_end):
     along a piece and the largest is at one of its ends.  Each piece takes
     max(``_EMF_SUBSTEPS``, ceil(length * max exit rate / ``_EMF_CFL``))
     equal steps, which keeps every step an L-infinity contraction (checked
-    and recorded).  A solve that would take more than ``_EMF_MAX_STEPS``
-    steps raises ``ConvergenceError`` before the piece that crosses it.
+    and recorded).
+
+    The rates at the pieces' ends are built first: they fix every piece's
+    step count, and a solve that would take more than ``_EMF_MAX_STEPS``
+    steps raises ``ConvergenceError`` before its first step.  The rates at
+    every step's midpoint and at the pieces' interior grid points follow,
+    in the order the steps read them, so each of the 2 steps + 1 rate
+    matrices is built once and the RK4 steps only multiply.  Both are
+    built by stacks of rows, at most ``_RATE_BLOCK`` entries a stack.
 
     ``t_end`` is one time or a sorted grid of times; a single integration
     from t = 0 lands exactly on each of them and returns the flow there,
@@ -372,32 +389,46 @@ def emf_solve(path_times, path_values, f0, t_end):
     if (np.diff(targets) < 0).any() or (targets < 0).any():
         raise ValueError("t_end must be a nonnegative time or sorted grid")
 
-    def rates(t):
-        return moment_flow_rates(_path_row(path_times, path_values, t))
+    block = max(1, _RATE_BLOCK // (m * m))
 
-    def max_exit_rate(gen):
-        return float(-np.diag(gen).min())
+    def rates(times):
+        """The rate matrices at ``times``, built a block of rows at a time."""
+        for start in range(0, len(times), block):
+            yield from moment_flow_rates(_path_rows(
+                path_times, path_values, times[start:start + block]))
 
     t_max = float(targets.max(initial=0.0))
     knots = path_times[(path_times > 0.0) & (path_times < t_max)]
     edges = sorted({0.0, *knots.tolist(), *targets.tolist()})
+    edge_rates = list(rates(edges))
+    exit_rates = [float(-np.diagonal(gen).min()) for gen in edge_rates]
+    grids = []
+    for a, b, exit_a, exit_b in zip(edges[:-1], edges[1:], exit_rates[:-1],
+                                    exit_rates[1:]):
+        fastest = max(exit_a, exit_b)
+        n_piece = max(_EMF_SUBSTEPS, math.ceil((b - a) * fastest / _EMF_CFL))
+        grids.append(np.linspace(a, b, n_piece + 1).tolist())
+    n_steps = sum(len(grid) - 1 for grid in grids)
+    if n_steps > _EMF_MAX_STEPS:
+        raise ConvergenceError("moment-flow step budget exhausted")
+
+    # each step's midpoint, then its end unless that ends the piece
+    step_times = []
+    for grid in grids:
+        for t0, t1 in zip(grid[:-1], grid[1:]):
+            step_times += [t0 + (t1 - t0) / 2.0, t1]
+        step_times.pop()
+    inner = rates(step_times)
 
     at_edge = {0.0: f}
     sup = float(np.abs(f).max())
     contraction_ok = True
-    n_steps = 0
-    r_start = rates(0.0)
-    for a, b in zip(edges[:-1], edges[1:]):
-        r_end = rates(b)
-        fastest = max(max_exit_rate(r_start), max_exit_rate(r_end))
-        n_piece = max(_EMF_SUBSTEPS, math.ceil((b - a) * fastest / _EMF_CFL))
-        if n_steps + n_piece > _EMF_MAX_STEPS:
-            raise ConvergenceError("moment-flow step budget exhausted")
-        grid = np.linspace(a, b, n_piece + 1).tolist()
+    r_start = edge_rates[0]
+    for grid, r_end, b in zip(grids, edge_rates[1:], edges[1:]):
         for step, (t0, t1) in enumerate(zip(grid[:-1], grid[1:])):
             dt = t1 - t0
-            r_mid = rates(t0 + dt / 2.0)
-            r_next = r_end if step == n_piece - 1 else rates(t1)
+            r_mid = next(inner)
+            r_next = r_end if step == len(grid) - 2 else next(inner)
             k1 = r_start @ f
             k2 = r_mid @ (f + dt / 2.0 * k1)
             k3 = r_mid @ (f + dt / 2.0 * k2)
@@ -409,7 +440,6 @@ def emf_solve(path_times, path_values, f0, t_end):
             sup = new_sup
             r_start = r_next
         at_edge[b] = f
-        n_steps += n_piece
     values = np.array([at_edge[t] for t in targets.tolist()]).reshape(-1, m)
     return EmfSolution(values=values, contraction_ok=contraction_ok,
                        n_accepted=n_steps, n_rejected=0)
@@ -457,10 +487,16 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0, *, rng,
     dv_i = (1/sqrt(M)) sum_{j != i} dB_ij/(lambda_i - lambda_j) v_j
          - (1/(2M)) sum_{j != i} dt/(lambda_i - lambda_j)^2 v_i,
 
-    M the path's width, with symmetric noise (B_ij = B_ji, off-diagonal
-    variance dt per step pair) drawn independently per replica, and
-    per-step re-orthonormalization by modified Gram-Schmidt (the
-    positive-diagonal QR sign convention).
+    M the path's width, with symmetric noise (B_ij = B_ji, variance dt per
+    step) drawn independently per replica, and per-step
+    re-orthonormalization by modified Gram-Schmidt (the positive-diagonal
+    QR sign convention).  Each step makes one (n_replicas, M(M-1)/2)
+    ``standard_normal`` draw, the pairs i < j in ``np.triu_indices(M, 1)``
+    order: pair (i, j)'s normal times sqrt(dt/M)/(lambda_i - lambda_j) is
+    the coefficient of v_j in dv_i, and its negative, since lambda_j -
+    lambda_i = -(lambda_i - lambda_j), is the coefficient of v_i in dv_j.
+    That has the law of the symmetrized (raw + raw^T) sqrt(dt/2) over an
+    M x M draw, at under half its normals.
     Runs from ``t_start`` to ``t_end`` and returns frames of shape
     (n_replicas, M, M) whose columns are the eigenvectors.  They start from
     ``v0``, a (n_replicas, M, M) stack: identity frames for a fresh run,
@@ -479,51 +515,62 @@ def eigenvector_sde(path_times, path_values, t_end, dt, v0, *, rng,
     if abs(n_steps * dt - span) > 1e-9 * max(span, 1.0):
         raise ValueError("t_end - t_start must be an integer multiple of dt")
     diag = np.arange(m)
-    for step in range(n_steps):
-        t = t_start + step * dt
-        gap = _gap_matrix(_path_row(path_times, path_values, t),
-                          "the eigenvector flow")
-        raw = rng.normal(size=(n_replicas, m, m))
-        coeff = (raw + raw.swapaxes(1, 2)) * math.sqrt(dt / 2.0)
-        coeff /= gap * math.sqrt(m)  # the inf diagonal gives 0
-        decay = -(dt / (2.0 * m)) * (1.0 / gap ** 2).sum(axis=1)
-        coeff[:, diag, diag] = decay
-        frames = frames + frames @ coeff.swapaxes(1, 2)
+    n_pairs = m * (m - 1) // 2
+    # the draws, and a last column of ones that the diagonal reads:
+    # gathering column pick[j, i] of it gives the coefficient of v_j in
+    # v_i's step up to its weight, (i, j) and (j, i) reading the pair's draw
+    draws = np.ones((n_replicas, n_pairs + 1))
+    pick = np.full((m, m), n_pairs)
+    upper = np.triu_indices(m, 1)
+    pick[upper] = pick.T[upper] = np.arange(n_pairs)
+    rows = _path_rows(path_times, path_values,
+                      t_start + np.arange(n_steps) * dt)
+    for lam in rows:
+        gap = _gap_matrix(lam, "the eigenvector flow")
+        weight = math.sqrt(dt / m) / gap  # the inf diagonal gives 0
+        weight[diag, diag] = 1.0 - (dt / (2.0 * m)) * (1.0 / gap ** 2).sum(
+            axis=1)
+        draws[:, :n_pairs] = rng.standard_normal((n_replicas, n_pairs))
+        update = draws[:, pick]  # I + C^T, C_ij the weight of v_j in dv_i
+        update *= weight.T
+        frames = frames @ update
         if renormalize:
             frames = _orthonormalize(frames)
     return frames
 
 
-# Replicas per block when frames change layout: a block of both layouts
-# stays in cache, where a whole-array transpose would not.
-_LAYOUT_BLOCK = 256
+# Replicas per block of _orthonormalize: a block of both layouts and the
+# projections' temporaries stays in cache, where whole-array passes over
+# 10^4 replicas would not, and is large enough that numpy's per-call cost
+# stays small beside the arithmetic.
+_LAYOUT_BLOCK = 1024
 
 
 def _orthonormalize(frames):
     """Modified Gram-Schmidt on the columns of every frame in a stack.
 
-    The (n_replicas, dim, M) stack is copied to a replicas-last layout, in
-    which column k of every replica is one contiguous (dim, n_replicas)
-    slab, so each projection is a few whole-array operations.  Each
-    column's norm divides it after its projections, so the implied R
-    factor has a positive diagonal: the sign convention of a QR
-    factorization whose R diagonal is made positive.
+    Each block of ``_LAYOUT_BLOCK`` replicas of the (n_replicas, dim, M)
+    stack is copied to a replicas-last layout, in which column k of every
+    replica is one contiguous (dim, block) slab.  Right-looking: once
+    column k is normalized, its projection leaves all later columns in one
+    whole-array update, so column j still receives the projections on
+    q_0, ..., q_{j-1} in that order and on the same intermediate values
+    as in the column-by-column form, bit for bit.  Each column's norm
+    divides it after its projections, so the implied R factor has a
+    positive diagonal: the sign convention of a QR factorization whose R
+    diagonal is made positive.
     """
     n, dim, m = frames.shape
-    cols = np.empty((m, dim, n))
-    for start in range(0, n, _LAYOUT_BLOCK):
-        block = slice(start, start + _LAYOUT_BLOCK)
-        cols[:, :, block] = frames[block].transpose(2, 1, 0)
-    for k in range(m):
-        v = cols[k]
-        for j in range(k):
-            q = cols[j]
-            v -= (q * v).sum(axis=0) * q
-        v /= np.sqrt((v * v).sum(axis=0))
     out = np.empty_like(frames)
     for start in range(0, n, _LAYOUT_BLOCK):
         block = slice(start, start + _LAYOUT_BLOCK)
-        out[block] = cols[:, :, block].transpose(2, 1, 0)
+        cols = frames[block].transpose(2, 1, 0).copy()
+        for k in range(m):
+            q = cols[k]
+            q /= np.sqrt((q * q).sum(axis=0))
+            later = cols[k + 1:]
+            later -= (q * later).sum(axis=1)[:, None] * q
+        out[block] = cols.transpose(2, 1, 0)
     return out
 
 

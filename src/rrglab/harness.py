@@ -31,13 +31,17 @@ from .spectra import (bulk_range, close_pair_counts, decompose, gap_ensemble,
                       stieltjes_empirical)
 from .streams import rng_stream
 
-# Stream-id blocks, disjoint except in emf-check: path attempt a and SDE
-# segment k share _STREAM_FLOW + 1 + a when a = k + 1, a known defect
-# (strict xfail test_emf_check_draws_each_stream_once).
+# Stream-id blocks, disjoint, and no recipe draws one id twice.
 _STREAM_RRG = 0
 _STREAM_GOE = 1 << 32
 _STREAM_FLOW = 1 << 33
 _STREAM_MISC = 1 << 34
+# emf-check, inside _STREAM_FLOW: the observable and the path starts draw
+# _STREAM_FLOW itself, path attempt a (a < _EMF_PATH_ATTEMPTS) draws
+# _STREAM_FLOW + 1 + a, and SDE segment k draws _STREAM_EMF_SDE + k, past
+# every attempt
+_EMF_PATH_ATTEMPTS = 512
+_STREAM_EMF_SDE = _STREAM_FLOW + 1 + _EMF_PATH_ATTEMPTS
 # generator-check: trial s of degree k samples on stream _STREAM_RRG + k *
 # _DEGREE_STRIDE + s, and degree k's seminorm probes on _STREAM_SEMINORM + k
 _DEGREE_STRIDE = 1_000_000
@@ -411,7 +415,7 @@ def _emf_profile(config):
     Only a few percent of paths clear the floor at small dimension (weak
     level repulsion), hence the deep retry budget.
     """
-    gap_floor, max_retries = 0.05, 512
+    gap_floor = 0.05
     m = config.n
     t_grid = tuple(sorted(config.t_grid)) or (0.1, 0.5)
     # at t = 0 the replicas agree exactly (zero standard error), and a
@@ -428,7 +432,7 @@ def _emf_profile(config):
     rng = rng_stream(config.seed, stream_id=_STREAM_FLOW)
     q = rng.normal(size=m)
     q /= np.linalg.norm(q)
-    for attempt in range(max_retries):
+    for attempt in range(_EMF_PATH_ATTEMPTS):
         raw = rng.normal(size=(m, m))
         lam0 = np.sort(np.linalg.eigvalsh((raw + raw.T) / math.sqrt(2.0 * m)))
         if np.diff(lam0).min() < gap_floor:
@@ -439,7 +443,8 @@ def _emf_profile(config):
         if np.diff(path, axis=1).min() >= gap_floor:
             return t_grid, times, path, q
     raise ConfigError(
-        f"no gap-bounded eigenvalue path found in {max_retries} attempts")
+        f"no gap-bounded eigenvalue path found in {_EMF_PATH_ATTEMPTS} "
+        "attempts")
 
 
 def recipe_emf_check(config, out_dir):
@@ -460,7 +465,7 @@ def recipe_emf_check(config, out_dir):
         frames = eigenvector_sde(
             times, path, t, 5e-4, v0=frames,
             n_replicas=replicas, t_start=t_prev,
-            rng=rng_stream(config.seed, stream_id=_STREAM_FLOW + 2 + k))
+            rng=rng_stream(config.seed, stream_id=_STREAM_EMF_SDE + k))
         t_prev = t
         proj = (q @ frames) ** 2
         mc_mean = proj.mean(axis=0)

@@ -48,6 +48,9 @@ class ZeroNoise:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return np.full(size, float(loc))
 
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
 
 def cycle_adjacency(n):
     adj = np.zeros((n, n), dtype=np.uint8)

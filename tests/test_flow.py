@@ -26,7 +26,8 @@ from conftest import (BLOCK_SIZES, ZeroNoise, constraint_violation,
                       switchable_tuples, switched_graph)
 from rrglab import flow
 from rrglab.flow import (ConvergenceError, SingularityError,
-                         _orthonormalize, _path_row, _probe_derivatives,
+                         _LAYOUT_BLOCK, _orthonormalize, _path_rows,
+                         _probe_derivatives,
                          emf_solve, estimate_seminorm, eigenvalue_path,
                          eigenvector_sde, evolve_exact, evolve_sde,
                          free_conv_stieltjes, moment_flow_rates,
@@ -420,10 +421,13 @@ def test_moment_flow_rates_equal_the_hop_loop():
     # a row sum such as -w.sum(axis=1) does not guarantee
     rng = rng_stream(29)
     for m in range(2, 13):
-        for _ in range(20):
-            lam = np.sort(rng.normal(size=m))
+        rows = np.sort(rng.normal(size=(20, m)))
+        for lam in rows:
             assert np.array_equal(moment_flow_rates(lam),
                                   _loop_moment_flow_rates(lam)), m
+        # a stack of rows gives each row's own matrix
+        assert np.array_equal(moment_flow_rates(rows),
+                              [moment_flow_rates(lam) for lam in rows]), m
 
 
 def test_moment_flow_rates_conserve_mass():
@@ -446,9 +450,10 @@ def test_path_row_equals_columnwise_interp():
         path_t,                                  # every knot, the last too
         rng.uniform(0.0, 0.05, size=200),        # interior points
         [0.0125, np.nextafter(0.05, 0.0), -1.0, 1.0]])  # near the end, outside
-    for t in times.tolist():
+    rows = _path_rows(path_t, path, times)
+    for t, row in zip(times.tolist(), rows):
         expected = np.array([np.interp(t, path_t, col) for col in path.T])
-        assert np.array_equal(_path_row(path_t, path, t), expected), t
+        assert np.array_equal(row, expected), t
 
 
 def _sign_fixed_qr(frames):
@@ -458,14 +463,27 @@ def _sign_fixed_qr(frames):
     return q * signs[:, None, :]
 
 
+def _left_looking_mgs(frames):
+    """Reference: column k takes its projections on q_0, ..., q_{k-1} one
+    at a time, then its norm, in a replicas-last copy of the stack."""
+    cols = frames.transpose(2, 1, 0).copy()
+    for k in range(len(cols)):
+        v = cols[k]
+        for q in cols[:k]:
+            v -= (q * v).sum(axis=0) * q
+        v /= np.sqrt((v * v).sum(axis=0))
+    return cols.transpose(2, 1, 0)
+
+
 def test_orthonormalize_matches_sign_fixed_qr():
     rng = rng_stream(32)
-    # 600 replicas span several layout blocks, the last one partial
-    for n, dim, m in ((3, 4, 4), (600, 8, 8), (5, 6, 3)):
+    # 2 blocks + 5 replicas span several layout blocks, the last one partial
+    for n, dim, m in ((3, 4, 4), (2 * _LAYOUT_BLOCK + 5, 8, 8), (5, 6, 3)):
         base = _sign_fixed_qr(rng.normal(size=(n, dim, m)))
         stack = base + 1e-2 * rng.normal(size=(n, dim, m))
         out = _orthonormalize(stack)
         assert out.shape == stack.shape
+        assert np.array_equal(out, _left_looking_mgs(stack))
         assert np.abs(out - _sign_fixed_qr(stack)).max() < 1e-12
         gram = out.swapaxes(1, 2) @ out
         assert np.abs(gram - np.eye(m)).max() < 1e-12
@@ -473,11 +491,12 @@ def test_orthonormalize_matches_sign_fixed_qr():
 
 @pytest.fixture()
 def rate_builds(monkeypatch):
-    """The spectra of every rate matrix that ``emf_solve`` builds."""
+    """The spectra of every rate matrix that ``emf_solve`` builds, one row
+    per matrix whether it came alone or in a stack."""
     calls = []
 
     def counting(eigenvalues):
-        calls.append(eigenvalues)
+        calls.extend(np.atleast_2d(eigenvalues))
         return moment_flow_rates(eigenvalues)
 
     monkeypatch.setattr(flow, "moment_flow_rates", counting)
@@ -568,7 +587,7 @@ def _dop853_moment_flow(path_t, path, f0, t_grid):
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
-        return moment_flow_rates(_path_row(path_t, path, t)) @ y
+        return moment_flow_rates(_path_rows(path_t, path, [t])[0]) @ y
 
     t_max = max(t_grid)
     edges = np.union1d(path_t[(path_t > 0) & (path_t < t_max)], t_grid)
@@ -657,6 +676,38 @@ def test_eigenvector_sde_zero_noise_norm_decay():
     expected = math.exp(-rate * t)
     norms = np.linalg.norm(frames[0], axis=0)
     assert np.abs(norms - expected).max() < 1e-4
+
+
+def test_eigenvector_sde_draws_one_normal_per_pair():
+    """One step from the identity without Gram-Schmidt leaves I + C^T, C
+    the step's coefficients: C_ij = z sqrt(dt/M)/(lambda_i - lambda_j) from
+    one standard normal z per pair i < j, and C_ji = -C_ij exactly."""
+    lam = np.array([1.5, 1.0, 0.6, 0.1, -0.3, -0.8, -1.1, -1.6])
+    path_t, path = np.array([0.0, 1.0]), np.vstack([lam, lam])
+    m, dt, n_replicas = 8, 1e-3, 20_000
+    identity = np.broadcast_to(np.eye(m), (n_replicas, m, m))
+    frames = eigenvector_sde(path_t, path, dt, dt, identity,
+                             rng=rng_stream(36), n_replicas=n_replicas,
+                             t_start=0.0, renormalize=False)
+    i, j = np.triu_indices(m, 1)
+    upper, lower = frames[:, j, i], frames[:, i, j]  # C_ij and C_ji
+    assert np.array_equal(lower, -upper)
+    # one (n_replicas, M(M-1)/2) draw in triu_indices order
+    z = rng_stream(36).standard_normal((n_replicas, len(i)))
+    gap = lam[i] - lam[j]
+    assert np.array_equal(upper, z * (math.sqrt(dt / m) / gap))
+    # the law: off-diagonal variance dt/(M gap^2), independent pairs;
+    # sampling error of a variance ratio is sqrt(2/n), of a correlation
+    # 1/sqrt(n)
+    ratio = upper.var(axis=0) / (dt / (m * gap ** 2))
+    assert np.abs(ratio - 1.0).max() < 5.0 * math.sqrt(2.0 / n_replicas)
+    corr = np.corrcoef(upper, rowvar=False) - np.eye(len(i))
+    assert np.abs(corr).max() < 5.0 / math.sqrt(n_replicas)
+    # the diagonal keeps the decay drift
+    gaps = lam[:, None] - lam[None, :] + np.diag(np.full(m, np.inf))
+    decay = -(dt / (2.0 * m)) * (1.0 / gaps ** 2).sum(axis=1)
+    assert np.allclose(np.diagonal(frames, axis1=1, axis2=2), 1.0 + decay,
+                       rtol=0.0, atol=1e-15)
 
 
 def test_eigenvector_sde_segments_continue_exactly():

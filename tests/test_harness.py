@@ -181,17 +181,29 @@ def _record_stream_ids(monkeypatch):
     return stream_ids
 
 
-@pytest.mark.xfail(reason="emf-check's path attempt a and SDE "
-                   "segment k both draw stream _STREAM_FLOW + 1 + a when "
-                   "a = k + 1: at n = 8, t_grid 0.04 0.2, 812 of seeds 0-999 "
-                   "draw a stream twice, 251 the accepted path's")
-def test_emf_check_draws_each_stream_once(tmp_path, monkeypatch):
-    """At seed 3 the path accepts attempt 1, whose stream the first SDE
-    segment draws again, so its Brownian increments replay the path's."""
+# a small config for each recipe; at seed 3 emf-check accepts path
+# attempt 1
+_STREAM_TABLE_CONFIGS = {
+    "sample": {"n": 16, "d": 3, "n_samples": 2, "t_grid": (5.0,)},
+    "evolve": {"n": 60, "d": 6, "t_grid": (0.0, 0.01)},
+    "gap-test": {"n": 120, "d": 6, "n_samples": 4},
+    "corr-test": {"n": 120, "d": 6, "n_samples": 4},
+    "semicircle-scan": {"n": 120, "d": 6, "n_samples": 4},
+    "repulsion-scan": {"n": 120, "d": 6, "n_samples": 4},
+    "generator-check": {"n": 20, "d": 4, "n_samples": 3},
+    "emf-check": {"n": 8, "d": 3, "n_samples": 2, "t_grid": (0.04, 0.2)},
+    "verify-small": {"n": 6, "d": 3},
+}
+
+
+@pytest.mark.filterwarnings("ignore::rrglab.config.DegreeWindowWarning")
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_no_recipe_draws_a_stream_twice(tmp_path, monkeypatch, recipe):
     stream_ids = _record_stream_ids(monkeypatch)
-    config = ExperimentConfig(n=8, d=3, n_samples=2, seed=3,
-                              t_grid=(0.04, 0.2), output_dir=tmp_path)
-    harness.recipe_emf_check(config, tmp_path)
+    config = ExperimentConfig(seed=3, output_dir=tmp_path,
+                              **_STREAM_TABLE_CONFIGS[recipe])
+    run_experiment(config, recipe)
+    assert stream_ids
     assert len(stream_ids) == len(set(stream_ids)), stream_ids
 
 
@@ -210,6 +222,16 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     out = _fresh_python("import sys, rrglab.cli, rrglab.harness; "
                         "print('scipy' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_emf_check_leaves_scipy_unloaded(tmp_path):
+    # scipy would add about 25 MB to an emf-check run's peak memory
+    out = _fresh_python(
+        "import sys; from rrglab.cli import main; "
+        "status = main(['emf-check', '--samples', '20', '--seed', '0', "
+        "'--out', sys.argv[1]]); print(status, 'scipy' in sys.modules)",
+        str(tmp_path))
+    assert out.split()[-2:] == ["0", "False"]
 
 
 def test_involution_suite_all_properties_hold():
@@ -373,6 +395,24 @@ def test_generator_check_artifacts_pin_the_rng_contract(tmp_path):
             "b82034b705b7d835546f59c8b19ef31ec1ced4c03579121a1c12d4f62e6ae2af",
         "report.json":
             "496cb7b393d25fdd9862ba7af63c057e1c174a357ec4d45d868b74a60755afe5",
+    }
+
+
+def test_emf_check_artifacts_pin_the_rng_contract(tmp_path):
+    # emf.csv follows the path draws alone; emf_mc.csv and report.json
+    # follow the SDE draws too; the floats also carry the last bits of
+    # numpy's BLAS and LAPACK build
+    config = ExperimentConfig(n=8, d=3, n_samples=20, seed=3,
+                              t_grid=(0.04, 0.2), output_dir=tmp_path)
+    assert run_experiment(config, "emf-check") == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("emf.csv", "emf_mc.csv", "report.json")} == {
+        "emf.csv":
+            "88f6f05fc5666d12c08dc7f7d4c1d0aad4d9736368001c049ab5366d7ecd95bc",
+        "emf_mc.csv":
+            "35691ca7273f0e59c56ebad4c7d1fe82a2394903ca5574d5edceebac499a33d2",
+        "report.json":
+            "1d5057b669931bdf67900d6fc71039033485e60a634bf5c4891d09befd8da124",
     }
 
 
